@@ -6,24 +6,30 @@ that every absent triple, once added, pushes some vertex of that triple
 to Berge degree ell (vertices outside the new triple keep their links,
 so only the three members can gain).
 
-The saturation scan has a fast path built on the tagged-vertex lemma:
-if a vertex is tagged Type I or Type II, any absent triple through it
-creates a new Berge star, so only triples inside the untagged set need
-to be tested.  The lemma is exercised as a property in the test suite,
-and ``full_scan=True`` forces the literal all-triples scan; both paths
+Every scan here uses one rule, the pair-insertion rule.  Adding the
+absent triple {v, p, q} adds the pair {p, q} to the link L(v), and
+
+    d_B(v) afterwards = d_B(v) + (0 if p, q both in NT(v) else 1),
+
+where NT(v) is the set of link vertices in non-tree components of L(v).
+A pair with a new endpoint raises |N(v)| by one more than the tree
+count (one new neighbor joins a component, two form a new tree).  A pair
+of old neighbors, one of them in a tree component, lowers the tree count
+by one: it merges that tree into another component or closes a cycle in
+it.  A pair of two vertices in non-tree components changes neither.  So
+one component search per vertex suffices, and each absent triple costs
+a few set lookups.
+
+The fast path rests on the tagged-vertex lemma: an absent triple through
+a Type I or Type II vertex always creates a new Berge star, so only
+triples inside the untagged set are tested.  A tag requires d_B(v) =
+ell-1, so by the rule only the neutral pairs of v, the non-adjacent
+pairs of NT(v), leave it short.  Type I has none (NT(v) is a clique in
+L(v)).  Type II defers each to one of its Type I vertices x, whose new
+pair {v, y} is absent from L(x) and so not inside the clique NT(x).
+``full_scan=True`` forces the literal all-triples scan; both paths
 report the same verdict and the same lexicographically first
 counterexample.
-
-Why the tagged cases are safe, in one paragraph.  A tag requires Berge
-degree exactly ell-1.  Adding the pair {p, q} to the link of a tagged v
-either introduces a new neighbor (a fresh or grown tree component:
-degree rises by one), merges two components (the tree count drops), or
-closes a cycle inside a tree component (again the tree count drops).
-The only neutral case is an added pair between two vertices already in
-non-tree components.  Type I forbids it: its non-tree vertices are
-pairwise adjacent in the link, so such a pair is an existing edge.
-Type II defers it: one endpoint of the pair is Type I in its own right
-and that vertex certifies the creation instead.
 """
 
 from dataclasses import dataclass
@@ -31,10 +37,9 @@ from itertools import combinations
 
 from .hypercore import (
     Hypergraph3,
-    LinkGraph,
     link,
     incidence_index,
-    tree_components,
+    tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
     _link_components,
 )
 from . import twographs
@@ -91,15 +96,39 @@ class VerifyReport:
         return obj
 
 
+def _summarize(l):
+    """(pairs, NT, d_B) of one link from a single component search."""
+    nontree = []
+    trees = 0
+    for verts, ec in _link_components(l):
+        if ec == len(verts) - 1:
+            trees += 1
+        else:
+            nontree.extend(verts)
+    return l.pairs, frozenset(nontree), len(l.neighbors) - trees
+
+
 def _links_and_degrees(g):
+    """Per-vertex summary (pairs of L(v), NT(v), d_B(v)), one tuple each."""
     index = incidence_index(g)
-    links = [link(g, v, index) for v in range(g.vertex_count)]
-    comps = [_link_components(l) for l in links]
-    dbs = []
-    for v in range(g.vertex_count):
-        ntree = sum(1 for verts, ec in comps[v] if ec == len(verts) - 1)
-        dbs.append(len(links[v].neighbors) - ntree)
-    return links, comps, tuple(dbs)
+    rows = [_summarize(link(g, v, index)) for v in range(g.vertex_count)]
+    return tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
+
+
+def _lifts_at(nontree, degrees, v, p, q, ell) -> bool:
+    """The pair-insertion rule: does adding {p, q} to L(v) give d_B(v) >= ell?"""
+    nt = nontree[v]
+    return degrees[v] + (0 if p in nt and q in nt else 1) >= ell
+
+
+def _lifts(nontree, degrees, e, ell) -> bool:
+    """Does adding the absent triple e lift a vertex of e to Berge degree ell?"""
+    a, b, c = e
+    return (
+        _lifts_at(nontree, degrees, a, b, c, ell)
+        or _lifts_at(nontree, degrees, b, a, c, ell)
+        or _lifts_at(nontree, degrees, c, a, b, ell)
+    )
 
 
 def is_berge_free(g: Hypergraph3, ell: int) -> bool:
@@ -108,26 +137,6 @@ def is_berge_free(g: Hypergraph3, ell: int) -> bool:
         raise ValueError(f"ell must be positive, got {ell}")
     _, _, dbs = _links_and_degrees(g)
     return all(d <= ell - 1 for d in dbs)
-
-
-def _degree_with_pair(l: LinkGraph, p: int, q: int) -> int:
-    """Berge degree of the link center after adding the pair {p, q}."""
-    nbrs = set(l.neighbors)
-    nbrs.add(p)
-    nbrs.add(q)
-    grown = LinkGraph(
-        l.center, tuple(sorted(nbrs)), l.pairs + ((min(p, q), max(p, q)),)
-    )
-    return len(grown.neighbors) - tree_components(grown)
-
-
-def _creates(links, e, ell):
-    a, b, c = e
-    return (
-        _degree_with_pair(links[a], b, c) >= ell
-        or _degree_with_pair(links[b], a, c) >= ell
-        or _degree_with_pair(links[c], a, b) >= ell
-    )
 
 
 def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
@@ -146,38 +155,31 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
     if e in g.edges:
         raise ValueError(f"edge {e} already present")
     index = incidence_index(g)
-    links = {v: link(g, v, index) for v in e}
-    return _creates(links, e, ell)
+    nontree, degrees = {}, {}
+    for v in e:
+        _, nontree[v], degrees[v] = _summarize(link(g, v, index))
+    return _lifts(nontree, degrees, e, ell)
 
 
-def _classify(g, ell, links, comps, dbs):
-    n = g.vertex_count
-    type_i = [False] * n
-    nt_verts = []
-    pair_sets = []
-    for v in range(n):
-        nts = sorted(
-            u
-            for verts, ec in comps[v]
-            if ec != len(verts) - 1
-            for u in verts
-        )
-        nt_verts.append(nts)
-        pair_sets.append(set(links[v].pairs))
-        if dbs[v] != ell - 1:
-            continue
-        if all(
-            (x, y) in pair_sets[v] for x, y in combinations(nts, 2)
-        ):
-            type_i[v] = True
+def _neutral_pairs(pairs, nontree):
+    """Absent link pairs that leave d_B unchanged: non-adjacent pairs of NT."""
+    present = set(pairs)
+    return (
+        (x, y) for x, y in combinations(sorted(nontree), 2) if (x, y) not in present
+    )
+
+
+def _classify(ell, pairs, nontree, dbs):
+    type_i = [
+        d == ell - 1 and next(_neutral_pairs(p, nt), None) is None
+        for p, nt, d in zip(pairs, nontree, dbs)
+    ]
     tags = []
-    for v in range(n):
+    for v, d in enumerate(dbs):
         if type_i[v]:
             tags.append(TYPE_I)
-        elif dbs[v] == ell - 1 and all(
-            type_i[x] or type_i[y]
-            for x, y in combinations(nt_verts[v], 2)
-            if (x, y) not in pair_sets[v]
+        elif d == ell - 1 and all(
+            type_i[x] or type_i[y] for x, y in _neutral_pairs(pairs[v], nontree[v])
         ):
             tags.append(TYPE_II)
         else:
@@ -194,8 +196,17 @@ def classify_aggressive(g: Hypergraph3, ell: int) -> AggressiveClass:
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    links, comps, dbs = _links_and_degrees(g)
-    return _classify(g, ell, links, comps, dbs)
+    return _classify(ell, *_links_and_degrees(g))
+
+
+def _first_counterexample(g, nontree, degrees, ell, pool):
+    """Lexicographically first absent triple inside pool that creates no
+    Berge K_{1,ell}, or None.  g must be free."""
+    present = set(g.edges)
+    for e in combinations(pool, 3):
+        if e not in present and not _lifts(nontree, degrees, e, ell):
+            return e
+    return None
 
 
 def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyReport:
@@ -209,35 +220,20 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    links, comps, dbs = _links_and_degrees(g)
-    aggressive = _classify(g, ell, links, comps, dbs)
-    ddf_total_val = None
-    if ell == 5:
-        ddf_total_val = sum(6 - len(l.pairs) for l in links)
+    pairs, nontree, dbs = _links_and_degrees(g)
+    aggressive = _classify(ell, pairs, nontree, dbs)
+    ddf_total_val = ddf_total(g) if ell == 5 else None
 
-    bad = [v for v in range(g.vertex_count) if dbs[v] > ell - 1]
-    if bad:
-        return VerifyReport(
-            ell, False, False, dbs, aggressive, ddf_total_val, bad[0]
-        )
+    bad = next((v for v, d in enumerate(dbs) if d > ell - 1), None)
+    if bad is not None:
+        return VerifyReport(ell, False, False, dbs, aggressive, ddf_total_val, bad)
 
-    if full_scan:
-        pool = range(g.vertex_count)
-    else:
-        pool = aggressive.untagged()
-    present = set(g.edges)
-    counterexample = None
-    for e in combinations(pool, 3):
-        if e in present:
-            continue
-        if not _creates(links, e, ell):
-            counterexample = e
-            break
-    if counterexample is not None:
-        return VerifyReport(
-            ell, True, False, dbs, aggressive, ddf_total_val, counterexample
-        )
-    return VerifyReport(ell, True, True, dbs, aggressive, ddf_total_val, None)
+    pool = range(g.vertex_count) if full_scan else aggressive.untagged()
+    counterexample = _first_counterexample(g, nontree, dbs, ell, pool)
+    return VerifyReport(
+        ell, True, counterexample is None, dbs, aggressive, ddf_total_val,
+        counterexample,
+    )
 
 
 def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
@@ -259,13 +255,13 @@ def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
     this predicate is the checkable sufficient condition used by the
     builders.
     """
-    links, comps, dbs = _links_and_degrees(g)
-    aggressive = _classify(g, ell, links, comps, dbs)
+    pairs, nontree, dbs = _links_and_degrees(g)
+    aggressive = _classify(ell, pairs, nontree, dbs)
     if aggressive.all_tagged():
         return True
     if any(d != ell - 1 for d in dbs):
         return False
-    return is_saturated(g, ell).is_saturated
+    return _first_counterexample(g, nontree, dbs, ell, aggressive.untagged()) is None
 
 
 def clique_criterion(g: Hypergraph3, ell: int) -> bool:
@@ -275,9 +271,8 @@ def clique_criterion(g: Hypergraph3, ell: int) -> bool:
     vertex create by the tagged-vertex lemma, and absent triples inside
     the untagged set do not exist.
     """
-    links, comps, dbs = _links_and_degrees(g)
-    aggressive = _classify(g, ell, links, comps, dbs)
-    untagged = aggressive.untagged()
+    pairs, nontree, dbs = _links_and_degrees(g)
+    untagged = _classify(ell, pairs, nontree, dbs).untagged()
     if any(dbs[v] > ell - 1 for v in untagged):
         return False
     present = set(g.edges)

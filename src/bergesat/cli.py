@@ -3,7 +3,7 @@
 Exit codes are part of the interface and are kept apart deliberately:
 
     0  success (for verify: the input is saturated)
-    2  verify only: free but not saturated
+    2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
     4  bad arguments, unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
@@ -89,19 +89,20 @@ def _cmd_build(args):
                    f"{verdict.status} ({verdict.detail})")
         _write_report(args, report)
         return _verdict_exit(verdict)
-    if args.out:
-        _write_graph(args.out, g, args.format)
     rep = checker.is_saturated(g, args.ell)
+    certified = rep.is_saturated and rep.is_free
+    if args.out and certified:
+        _write_graph(args.out, g, args.format)
     report["edges"] = len(g.edges)
-    report["verified_saturated"] = rep.is_saturated and rep.is_free
+    report["verified_saturated"] = certified
     if verdict.plan is not None:
         report["plan"] = {k: v for k, v in vars(verdict.plan).items()}
     _write_report(args, report)
-    dest = args.out if args.out else "(not written)"
+    dest = args.out if args.out and certified else "(not written)"
     _say(args, f"build n={args.n} ell={args.ell} m={args.m} seed={args.seed}: "
-               f"{len(g.edges)} edges, saturated={report['verified_saturated']}, "
+               f"{len(g.edges)} edges, saturated={certified}, "
                f"out={dest}")
-    if not report["verified_saturated"]:
+    if not certified:
         return _EXIT_UNSATURATED
     return _EXIT_OK
 

@@ -178,7 +178,6 @@ def _find_cycle(verts, adj):
     start = verts[0]
     parent = {start: None}
     stack = [(start, iter(adj[start]))]
-    order = [start]
     while stack:
         u, it = stack[-1]
         advanced = False
@@ -197,7 +196,6 @@ def _find_cycle(verts, adj):
                 return cyc
             parent[w] = u
             stack.append((w, iter(adj[w])))
-            order.append(w)
             advanced = True
             break
         if not advanced:
@@ -255,9 +253,9 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
                 matched.add(u)
                 rest.remove(u)
 
-    wit = BergeWitness(v, tuple(assignment))
-    assert len(wit.assignment) == len(l.neighbors) - tree_components(l)
-    return wit
+    if len(assignment) != len(l.neighbors) - tree_components(l):
+        raise AssertionError(f"witness at {v} is not a maximum Berge star")
+    return BergeWitness(v, tuple(assignment))
 
 
 def disjoint_union(a: Hypergraph3, b: Hypergraph3) -> Hypergraph3:

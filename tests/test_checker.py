@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergesat.assembler import build_spectrum_witness
 from bergesat.checker import (
     TYPE_I,
     TYPE_II,
+    _links_and_degrees,
     aggressive_sufficient,
     classify_aggressive,
     classify_link_5,
@@ -29,8 +31,9 @@ from bergesat.hypercore import (
     disjoint_union,
     link,
     make,
-    tree_components,
+    remove_edge,
 )
+from bergesat.oracle import berge_degree_matching
 
 from conftest import small_3graphs, small_linear_3graphs
 
@@ -81,23 +84,47 @@ def test_fast_path_and_full_scan_agree_on_linear_inputs(g, ell):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_linear_3graphs(max_vertices=9, max_edges=8))
-def test_adding_a_pair_to_an_all_tree_link_gains_exactly_one(g):
+@given(small_3graphs())
+def test_pair_insertion_rule_matches_the_matching_oracle(g):
+    # adding the absent triple {v, p, q} leaves d_B(v) unchanged exactly
+    # when p and q both lie in NT(v), and raises it by one otherwise
+    _, nontree, dbs = _links_and_degrees(g)
     for v in range(g.vertex_count):
-        l = link(g, v)
-        if tree_components(l) * 0 != 0:
-            continue
-        # all components are trees exactly when |pairs| = |N| - tree count
-        if len(l.pairs) != len(l.neighbors) - tree_components(l):
-            continue
-        before = berge_degree(g, v)
+        before = berge_degree_matching(g, v)
+        assert dbs[v] == before
         others = [u for u in range(g.vertex_count) if u != v]
         for p, q in combinations(others, 2):
             e = tuple(sorted((v, p, q)))
             if e in g.edges:
                 continue
-            assert berge_degree(add_edge(g, e), v) == before + 1
-            break
+            gain = 0 if p in nontree[v] and q in nontree[v] else 1
+            assert berge_degree_matching(add_edge(g, e), v) == before + gain
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_3graphs(), st.integers(min_value=0, max_value=1))
+def test_creates_new_berge_matches_the_matching_oracle(g, slack):
+    # the smallest free ell (slack 0) puts the top vertices at ell - 1
+    ell = 1 + slack + max(
+        (berge_degree_matching(g, v) for v in range(g.vertex_count)), default=0
+    )
+    for e in combinations(range(g.vertex_count), 3):
+        if e in g.edges:
+            continue
+        h = add_edge(g, e)
+        expected = any(berge_degree_matching(h, v) >= ell for v in e)
+        assert creates_new_berge(g, e, ell) == expected
+
+
+def test_fast_path_and_full_scan_agree_on_a_built_witness_minus_an_edge():
+    _, g = build_spectrum_witness(120, 6, 248, seed=0)
+    assert g is not None and len(g.edges) == 248
+    h = remove_edge(g, g.edges[len(g.edges) // 2])
+    fast = is_saturated(h, 6)
+    full = is_saturated(h, 6, full_scan=True)
+    assert fast.is_free and not fast.is_saturated
+    assert (full.is_free, full.is_saturated) == (fast.is_free, fast.is_saturated)
+    assert full.counterexample == fast.counterexample
 
 
 def test_creates_new_berge_examples():

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, artifacts, determinism, reports."""
 
+import dataclasses
 import json
 from itertools import combinations
 
+from bergesat import checker
 from bergesat.cli import main
 from bergesat.hypercore import Hypergraph3, read_h3, write_h3
 
@@ -136,3 +138,18 @@ def test_no_partial_artifact_after_infeasible_build(tmp_path):
     assert run("build", "--n", "45", "--ell", "5", "--m", "88",
                "-o", str(out), "--quiet") == 6
     assert not out.exists()
+
+
+def test_uncertified_build_writes_nothing(tmp_path, monkeypatch):
+    certify = checker.is_saturated
+
+    def unsaturated(g, ell, full_scan=False):
+        rep = certify(g, ell, full_scan)
+        return dataclasses.replace(rep, is_saturated=False, counterexample=(0, 1, 2))
+
+    monkeypatch.setattr(checker, "is_saturated", unsaturated)
+    out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
+    assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
+               "-o", str(out), "--report", str(rep), "--quiet") == 2
+    assert not out.exists()
+    assert json.loads(rep.read_text())["verified_saturated"] is False
