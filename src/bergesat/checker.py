@@ -40,9 +40,9 @@ from .hypercore import (
     link,
     incidence_index,
     tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
-    _link_components,
 )
 from . import twographs
+from .twographs import components
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII"
@@ -100,7 +100,7 @@ def _summarize(l):
     """(pairs, NT, d_B) of one link from a single component search."""
     nontree = []
     trees = 0
-    for verts, ec in _link_components(l):
+    for verts, ec in components(l.neighbors, l.pairs):
         if ec == len(verts) - 1:
             trees += 1
         else:

@@ -3,35 +3,50 @@
 The target degree sequence d(n, ell, k) puts 15k vertices at degree
 ell-5 (the lantern slots), t at degree ell-2 with t = n(ell-1) mod 3
 (so the degree sum is divisible by 3), and the rest at degree ell-1.
-A draw of the configuration model partitions the degree points into
-triples uniformly at random; a draw is kept only if it is simple and
-linear (no loop, no two triples sharing a pair), its low-degree
-vertices are pairwise non-adjacent, and it admits a disjoint pair of
-full-degree edges that no third edge meets (the hook for the edge
-surgeries downstream).
+A sample must be simple and linear (no loop, no two triples sharing a
+pair), its low-degree vertices must be pairwise non-adjacent, and, when
+asked, it must admit a disjoint pair of full-degree edges that no third
+edge meets (the hook for the edge surgeries downstream).
 
-Defect counts per draw concentrate near lambda = ell - 2 loops and, in
-this implementation's measurements, about (ell-2)^2 overlapping pairs,
-which is twice the documented reference rate mu = (ell-2)^2 / 2 kept in
-SampleStats.  Straight rejection is therefore practical through ell = 5
-at moderate n (acceptance about 1e-6 near n = 45, a few seconds
-vectorized), hopeless from ell = 6 on (about 1e-9), and also hopeless
-for small dense cases like 22 edges on 17 vertices where half of all
-vertex pairs are consumed.  The default mode is therefore repair:
-defective triples are dissolved together with a few random intact ones
-and their points rethrown, iterating until clean, restarting from a
-fresh draw when progress stalls.  Repair perturbs the sampling
-distribution; every returned graph satisfies the full contract
-regardless, and downstream verification never assumes uniformity.
+Three routes produce samples:
 
-Determinism: all randomness flows from numpy Generators keyed by the
-caller's seed together with the batch or restart index, so results are
-reproducible across batch sizes and platforms for a fixed numpy.
+* Rejection (``rejection=True``, for diagnostics): a draw of the
+  configuration model partitions the degree points into triples
+  uniformly at random and is kept only if it meets the contract.
+  Defect counts per draw concentrate near lambda = ell - 2 loops and,
+  in this implementation's measurements, about (ell-2)^2 overlapping
+  pairs, twice the documented reference rate mu = (ell-2)^2 / 2 kept in
+  SampleStats.  Acceptance is about 1e-6 at ell = 5 near n = 45 and
+  about 1e-9 from ell = 6 on, so this route is kept for its calibrated
+  defect rates, not for building.
+* Hill-climbing (the default), after Stinson's algorithm for Steiner
+  triple systems (Ann. Discrete Math. 26, 1985).  A vertex is live
+  while its residual degree is positive.  Each move joins a random live
+  vertex to two live partners it does not yet share a triple with; if
+  the partners already share one, that triple is evicted.  Low-low
+  pairs count as covered from the start and are never evicted.  The
+  result follows no known distribution; every returned graph meets the
+  contract regardless, and downstream verification never assumes
+  uniformity.
+* Exhaustive search, when at most 13 vertices have positive degree:
+  such realizations are rigid packings or do not exist, a seeded
+  backtracking search settles them at once (recursion depth is the edge
+  count, at most 26), and it is the only route that can prove a spec
+  unrealizable.
+
+Every route's result is re-validated against the degree spec before it
+is returned.
+
+Determinism: all randomness flows from generators keyed by the caller's
+seed (numpy Generators for rejection and search, a ``random.Random``
+for hill-climbing), so results are reproducible across platforms for a
+fixed numpy and Python.
 """
 
 from dataclasses import dataclass
 import logging
 from math import comb
+import random
 
 import numpy as np
 
@@ -41,9 +56,8 @@ logger = logging.getLogger(__name__)
 
 _BATCH = 1024
 _PROGRESS_EVERY = 100_000
-_REPAIR_ROUNDS = 400
-_REPAIR_STALL = 40
-_REPAIR_EXTRA = 4
+_PARTNER_DRAWS = 16
+_PAIR_REJECT_EVICTIONS = 4
 
 
 class SamplerBudgetError(RuntimeError):
@@ -129,7 +143,10 @@ class SampleStats:
     twice it, see the module docstring).  loops_seen and overlaps_seen
     total the defects observed across all draws inspected; pair_rejects
     counts full realizations discarded because no admissible disjoint
-    pair of full-degree edges existed.
+    pair of full-degree edges existed.  repaired is True when the graph
+    came from the hill-climbing route, and repair_rounds counts that
+    route's evicted triples.  tries counts draws (rejection), moves
+    (hill-climbing) or search nodes (exhaustive search).
     """
 
     tries: int
@@ -145,29 +162,6 @@ class SampleStats:
 
 def _points(spec: DegreeSpec) -> np.ndarray:
     return np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
-
-
-def sample_configuration(spec: DegreeSpec, seed):
-    """One uniform configuration draw, projected to vertex triples.
-
-    Returns (triples, had_loop, had_overlap).  The triples are sorted
-    within themselves and lexicographically; loops make the projected
-    list an invalid edge set, which is exactly what the flags report.
-    """
-    rng = np.random.default_rng(seed)
-    pts = _points(spec)
-    if pts.size % 3:
-        raise ValueError("degree sum not divisible by 3")
-    trip = np.sort(rng.permutation(pts).reshape(-1, 3), axis=1)
-    had_loop = bool(
-        ((trip[:, 0] == trip[:, 1]) | (trip[:, 1] == trip[:, 2])).any()
-    )
-    keys = _pair_keys(trip[None, :, :], spec.n)[0]
-    keys.sort()
-    had_overlap = bool((keys[1:] == keys[:-1]).any()) if keys.size else False
-    order = np.lexsort((trip[:, 2], trip[:, 1], trip[:, 0]))
-    triples = [tuple(int(x) for x in row) for row in trip[order]]
-    return triples, had_loop, had_overlap
 
 
 def _pair_keys(trip, n):
@@ -203,55 +197,39 @@ def _has_disjoint_pair(g, spec):
         return False
 
 
-def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, repair=None,
+def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
                   require_pair=True):
     """A simple linear 3-graph realizing d(n, ell, k), with stats.
 
-    Repair mode is the default: it reaches every feasible size in
-    milliseconds where pure rejection needs seconds at ell = 5 and is
-    hopeless from ell = 6 on (acceptance near 1e-9).  Pass repair=False
-    for distributionally clean rejection sampling, the mode the defect
-    diagnostics are calibrated against.  require_pair=False waives the
-    disjoint-edge-pair guarantee; builders that perform no edge surgery
-    use this, since at small n the guarantee can be effectively
-    unsatisfiable even though the degree sequence itself is.
+    Hill-climbing is the default route; rejection=True selects
+    distributionally clean rejection sampling, the mode the defect
+    diagnostics are calibrated against.  Specs with at most 13 active
+    vertices go to the exhaustive search either way.  require_pair=False
+    waives the disjoint-edge-pair guarantee; builders that perform no
+    edge surgery use this, since at small n the guarantee can be
+    effectively unsatisfiable even though the degree sequence itself is.
     Deterministic in all arguments.  Raises SamplerBudgetError carrying
     the stats when max_tries runs out.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     spec = degree_spec(n, ell, k)
-    if repair is None:
-        repair = True
-    key = (n, ell, k, seed, max_tries, bool(repair), bool(require_pair))
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     if _wants_exact_search(spec):
-        result = _sample_dfs(spec, seed, max_tries, require_pair)
-    elif repair:
-        result = _sample_repair(spec, seed, max_tries, require_pair)
+        g, stats = _sample_dfs(spec, seed, max_tries, require_pair)
+    elif rejection:
+        g, stats = _sample_reject(spec, seed, max_tries, require_pair)
     else:
-        result = _sample_reject(spec, seed, max_tries, require_pair)
-    _memo[key] = result
-    return result
+        g, stats = _sample_hill(spec, seed, max_tries, require_pair)
+    _check_realizes(g, spec)
+    return g, stats
 
 
 def _wants_exact_search(spec: DegreeSpec) -> bool:
-    """Tiny or ultra-dense active parts defeat randomized search: the
-    realizations are rigid packings (or do not exist at all), so a
-    seeded backtracking search settles them instead."""
-    degs = spec.degree_array()
-    active = int((degs > 0).sum())
-    if active == 0:
-        return False
-    if active <= 13:
-        return True
-    pair_slots = 3 * spec.edge_count
-    return 20 * pair_slots > 11 * (active * (active - 1) // 2)
-
-
-_memo: dict = {}
+    """At most 13 active vertices: the realizations are rigid packings
+    (or do not exist at all), so the seeded backtracking search settles
+    them, within a recursion depth of C(13, 2) / 3 = 26 edges."""
+    active = int((spec.degree_array() > 0).sum())
+    return 0 < active <= 13
 
 
 def _sample_reject(spec, seed, max_tries, require_pair=True):
@@ -305,89 +283,104 @@ def _sample_reject(spec, seed, max_tries, require_pair=True):
     )
 
 
-def _row_defect_mask(trip, n, low_count):
-    """Boolean mask of rows taking part in any defect."""
-    a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-    bad = (a == b) | (b == c)
-    keys = _pair_keys(trip[None, :, :], n)[0].reshape(3, -1).T
-    flat = keys.ravel()
-    uniq, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
-    dup = (counts[inverse] > 1).reshape(-1, 3).any(axis=1)
-    bad |= dup
-    if low_count:
-        bad |= (trip < low_count).sum(axis=1) >= 2
-    return bad
+def _sample_hill(spec, seed, max_tries, require_pair=True):
+    """Stinson's hill-climbing with prescribed degrees (module docstring).
 
-
-def _sample_repair(spec, seed, max_tries, require_pair=True):
-    pts = _points(spec)
+    Partners come from a few random draws from the live list, then from
+    a full scan.  When the live vertex has fewer than two partners, a
+    random triple is evicted instead; a finished graph without the
+    required disjoint pair loses a few random triples and the climb goes
+    on.  Live vertices and triples sit in swap-remove lists, so every
+    draw is a list index and no result depends on set order.
+    """
     lam = float(spec.ell - 2)
     mu = (spec.ell - 2) ** 2 / 2
-    if pts.size == 0:
-        return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu)
-    low_count = 15 * spec.k if spec.ell > 5 else 0
-    loops_total = 0
-    dups_total = 0
-    lowadj_total = 0
-    pair_failures = 0
-    rounds_total = 0
+    if spec.edge_count == 0:
+        return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu, repaired=True)
+    n = spec.n
+    low = 15 * spec.k if spec.ell > 5 else 0
+    rnd = random.Random(seed)
+    rd = [int(d) for d in spec.degree_array()]
+    live = [v for v in range(n) if rd[v] > 0]
+    live_at = {v: i for i, v in enumerate(live)}
+    cover = {}  # pair (a, b), a < b -> the triple holding it
+    triples = []
+    triple_at = {}
 
-    for restart in range(max_tries):
-        rng = np.random.default_rng((seed, restart, 1))
-        trip = np.sort(rng.permutation(pts).reshape(-1, 3), axis=1)
-        loops, dups, lowadj = _batch_defects(trip[None, :, :], spec.n, low_count)
-        loops_total += int(loops[0])
-        dups_total += int(dups[0])
-        lowadj_total += int(lowadj[0])
+    def drop(items, at, x):
+        i = at.pop(x)
+        last = items.pop()
+        if last != x:
+            items[i] = last
+            at[last] = i
 
-        best = None
-        stall = 0
-        for _ in range(_REPAIR_ROUNDS):
-            bad = _row_defect_mask(trip, spec.n, low_count)
-            nbad = int(bad.sum())
-            if nbad == 0:
-                g = _finish(spec, trip)
-                stats = SampleStats(
-                    restart + 1, loops_total, dups_total, lam, mu,
-                    lowadj_seen=lowadj_total, pair_rejects=pair_failures,
-                    repaired=True, repair_rounds=rounds_total,
+    def add(t):
+        triple_at[t] = len(triples)
+        triples.append(t)
+        a, b, c = t
+        cover[(a, b)] = cover[(a, c)] = cover[(b, c)] = t
+        for x in t:
+            rd[x] -= 1
+            if rd[x] == 0:
+                drop(live, live_at, x)
+
+    def evict(t):
+        drop(triples, triple_at, t)
+        a, b, c = t
+        del cover[(a, b)], cover[(a, c)], cover[(b, c)]
+        for x in t:
+            if rd[x] == 0:
+                live_at[x] = len(live)
+                live.append(x)
+            rd[x] += 1
+
+    def eligible(u, v, x):
+        """x may join u (and v): a new vertex, {u, x} uncovered, no low-low pair."""
+        if x == u or x == v or (x < low and (u < low or v < low)):
+            return False
+        return ((u, x) if u < x else (x, u)) not in cover
+
+    def partner(u, v):
+        for _ in range(_PARTNER_DRAWS):
+            x = live[rnd.randrange(len(live))]
+            if eligible(u, v, x):
+                return x
+        found = [x for x in live if eligible(u, v, x)]
+        return rnd.choice(found) if found else None
+
+    moves = evictions = pair_failures = 0
+    while moves < max_tries:
+        moves += 1
+        if not live:
+            g = Hypergraph3(n, tuple(sorted(triples)))
+            if not require_pair or _has_disjoint_pair(g, spec):
+                return g, SampleStats(
+                    moves, 0, 0, lam, mu, pair_rejects=pair_failures,
+                    repaired=True, repair_rounds=evictions,
                 )
-                if not require_pair or _has_disjoint_pair(g, spec):
-                    return g, stats
-                pair_failures += 1
-                # dissolve a few random rows and keep going
-                bad = np.zeros(len(trip), dtype=bool)
-                bad[rng.choice(len(trip), size=min(_REPAIR_EXTRA, len(trip)), replace=False)] = True
-                nbad = int(bad.sum())
-            rounds_total += 1
-            if best is None or nbad < best:
-                best = nbad
-                stall = 0
-            else:
-                stall += 1
-                if stall >= _REPAIR_STALL:
-                    break
-            good_rows = np.flatnonzero(~bad)
-            extra = rng.choice(
-                good_rows, size=min(_REPAIR_EXTRA, good_rows.size), replace=False
-            ) if good_rows.size else np.empty(0, dtype=np.int64)
-            redo = np.concatenate((np.flatnonzero(bad), extra))
-            pool = trip[redo].ravel()
-            trip[redo] = np.sort(rng.permutation(pool).reshape(-1, 3), axis=1)
-        if (restart + 1) % 50 == 0:
-            logger.info(
-                "sample_linear(n=%d, ell=%d, k=%d): restart %d (repair)",
-                spec.n, spec.ell, spec.k, restart + 1,
-            )
-    stats = SampleStats(
-        max_tries, loops_total, dups_total, lam, mu,
-        lowadj_seen=lowadj_total, pair_rejects=pair_failures,
-        repaired=True, repair_rounds=rounds_total,
-    )
+            pair_failures += 1
+            for _ in range(min(_PAIR_REJECT_EVICTIONS, len(triples))):
+                evict(triples[rnd.randrange(len(triples))])
+                evictions += 1
+            continue
+        u = live[rnd.randrange(len(live))]
+        v = partner(u, u)
+        w = partner(u, v) if v is not None else None
+        if w is None:
+            if triples:
+                evict(triples[rnd.randrange(len(triples))])
+                evictions += 1
+            continue
+        clash = cover.get((v, w) if v < w else (w, v))
+        if clash is not None:
+            evict(clash)
+            evictions += 1
+        add(tuple(sorted((u, v, w))))
     raise SamplerBudgetError(
-        f"repair failed for (n={spec.n}, ell={spec.ell}, k={spec.k}) "
-        f"within {max_tries} restarts",
-        stats,
+        f"hill-climbing found no simple linear sample for (n={n}, ell={spec.ell}, "
+        f"k={spec.k}) within {max_tries} moves",
+        SampleStats(max_tries, 0, 0, lam, mu, pair_rejects=pair_failures,
+                    repaired=True, repair_rounds=evictions),
     )
 
 
@@ -479,14 +472,8 @@ def _sample_dfs(spec, seed, max_tries, require_pair=True):
     return g, SampleStats(nodes, 0, 0, lam, mu, pair_rejects=pair_failures)
 
 
-def find_disjoint_edge_pair(g: Hypergraph3, spec: DegreeSpec):
-    """Lexicographically first disjoint pair of full-degree edges that no
-    third edge meets on both sides.
-
-    Both edges consist of degree-(ell-1) vertices only.  Raises
-    NoDisjointPair when none exists and ValueError when g is not linear
-    or does not realize the spec.
-    """
+def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
+    """Degrees of g; ValueError unless g is linear and realizes spec."""
     if g.vertex_count != spec.n:
         raise ValueError(f"graph has {g.vertex_count} vertices, spec wants {spec.n}")
     degs = [0] * spec.n
@@ -504,7 +491,18 @@ def find_disjoint_edge_pair(g: Hypergraph3, spec: DegreeSpec):
             raise ValueError(
                 f"degree mismatch at vertex {v}: found {degs[v]}, spec says {int(want[v])}"
             )
+    return degs
 
+
+def find_disjoint_edge_pair(g: Hypergraph3, spec: DegreeSpec):
+    """Lexicographically first disjoint pair of full-degree edges that no
+    third edge meets on both sides.
+
+    Both edges consist of degree-(ell-1) vertices only.  Raises
+    NoDisjointPair when none exists and ValueError when g is not linear
+    or does not realize the spec.
+    """
+    degs = _check_realizes(g, spec)
     full = spec.ell - 1
     qualifying = [
         i for i, e in enumerate(g.edges)

@@ -25,6 +25,8 @@ threads is safe.
 from dataclasses import dataclass
 import json
 
+from .twographs import components
+
 
 class FormatError(ValueError):
     """Malformed .h3 or JSON input.  Carries a 1-based line number when known."""
@@ -36,22 +38,28 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+class _EdgeError(ValueError):
+    """A malformed edge; pos is its index in the edge sequence."""
+
+    def __init__(self, pos, edge, problem):
+        super().__init__(f"edge {pos} = {edge!r}: {problem}")
+        self.pos = pos
+
+
 def _validate_edges(vertex_count, edges):
     prev = None
     for pos, e in enumerate(edges):
         if len(e) != 3:
-            raise ValueError(f"edge {pos} = {e!r}: not a triple")
+            raise _EdgeError(pos, e, "not a triple")
         a, b, c = e
         if not (0 <= a < b < c < vertex_count):
             if a < 0 or c >= vertex_count:
-                raise ValueError(
-                    f"edge {pos} = {e!r}: vertex out of range [0, {vertex_count - 1}]"
-                )
-            raise ValueError(f"edge {pos} = {e!r}: not strictly ascending")
+                raise _EdgeError(pos, e, f"vertex out of range [0, {vertex_count - 1}]")
+            raise _EdgeError(pos, e, "not strictly ascending")
         if prev is not None and not (prev < e):
             if prev == e:
-                raise ValueError(f"edge {pos} = {e!r}: duplicate edge")
-            raise ValueError(f"edge {pos} = {e!r}: edges out of lexicographic order")
+                raise _EdgeError(pos, e, "duplicate edge")
+            raise _EdgeError(pos, e, "edges out of lexicographic order")
         prev = e
 
 
@@ -133,35 +141,9 @@ def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
     return LinkGraph(v, tuple(sorted(nbrs)), tuple(sorted(pairs)))
 
 
-def _link_components(l: LinkGraph):
-    """Connected components of the link: list of (vertices, pair count)."""
-    adj: dict[int, list[int]] = {u: [] for u in l.neighbors}
-    for x, y in l.pairs:
-        adj[x].append(y)
-        adj[y].append(x)
-    seen = set()
-    comps = []
-    for start in l.neighbors:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        verts = []
-        while stack:
-            u = stack.pop()
-            verts.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        edge_count = sum(len(adj[u]) for u in verts) // 2
-        comps.append((sorted(verts), edge_count))
-    return comps
-
-
 def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
-    return sum(1 for verts, ec in _link_components(l) if ec == len(verts) - 1)
+    return sum(1 for verts, ec in components(l.neighbors, l.pairs) if ec == len(verts) - 1)
 
 
 def berge_degree(g: Hypergraph3, v: int, index=None) -> int:
@@ -225,7 +207,7 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
         e = tuple(sorted((v, leaf, other)))
         assignment.append((e, leaf))
 
-    for verts, ec in _link_components(l):
+    for verts, ec in components(l.neighbors, l.pairs):
         if ec == len(verts) - 1:
             # tree: peel the lowest leaf until a single vertex remains
             deg = {u: len(adj[u]) for u in verts}
@@ -326,19 +308,10 @@ def read_h3(text: str) -> Hypergraph3:
     n, m = header
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
-    prev = None
-    for lineno, e in edges:
-        a, b, c = e
-        if not (0 <= a < b < c < n):
-            if a < 0 or c >= n:
-                raise FormatError(f"vertex out of range [0, {n - 1}]: {e}", lineno)
-            raise FormatError(f"edge not strictly ascending: {e}", lineno)
-        if prev is not None and not (prev < e):
-            if prev == e:
-                raise FormatError(f"duplicate edge {e}", lineno)
-            raise FormatError(f"edge {e} out of lexicographic order", lineno)
-        prev = e
-    return Hypergraph3(n, tuple(e for _, e in edges))
+    try:
+        return Hypergraph3(n, tuple(e for _, e in edges))
+    except _EdgeError as exc:
+        raise FormatError(str(exc), edges[exc.pos][0]) from exc
 
 
 def write_json(g: Hypergraph3) -> str:

@@ -275,7 +275,7 @@ def _connected_classes(max_vertices, max_edges):
             if ne > len(all_pairs):
                 break
             for sub in combinations(all_pairs, ne):
-                comps = twographs.components(nv, sub)
+                comps = twographs.components(range(nv), sub)
                 if len(comps) != 1:
                     continue
                 canon = twographs.canonical_connected(list(range(nv)), sub)

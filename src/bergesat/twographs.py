@@ -11,15 +11,17 @@ sorted multiset of its component forms.
 from itertools import combinations, permutations, product
 
 
-def components(n, pairs):
-    """Connected components as (sorted vertex list, edge count) pairs."""
-    adj = {v: [] for v in range(n)}
+def components(verts, pairs):
+    """Connected components of the graph on verts with the given pairs,
+    as (sorted vertex list, edge count) pairs in order of their first
+    vertex in verts."""
+    adj = {v: [] for v in verts}
     for x, y in pairs:
         adj[x].append(y)
         adj[y].append(x)
     seen = set()
     out = []
-    for s in range(n):
+    for s in verts:
         if s in seen:
             continue
         seen.add(s)
@@ -82,40 +84,17 @@ def canonical_form(n, pairs):
     Isolated vertices contribute the trivial component form (1, (0,), ()).
     """
     forms = []
-    for verts, _ in components(n, pairs):
+    for verts, _ in components(range(n), pairs):
         keep = set(verts)
         sub = [p for p in pairs if p[0] in keep and p[1] in keep]
         forms.append(canonical_connected(verts, sub))
     return tuple(sorted(forms))
 
 
-def are_isomorphic(g1, g2):
-    """Isomorphism of two (n, pairs) graphs; degree-multiset prefilter first."""
-    n1, p1 = g1
-    n2, p2 = g2
-    if n1 != n2 or len(p1) != len(p2):
-        return False
-    d1 = [0] * n1
-    d2 = [0] * n2
-    for x, y in p1:
-        d1[x] += 1
-        d1[y] += 1
-    for x, y in p2:
-        d2[x] += 1
-        d2[y] += 1
-    if sorted(d1) != sorted(d2):
-        return False
-    return canonical_form(n1, tuple(p1)) == canonical_form(n2, tuple(p2))
-
-
 # --- constructors for the named link shapes -------------------------------
 
 def path(k):
     return (k, tuple((i, i + 1) for i in range(k - 1)))
-
-
-def cycle(k):
-    return (k, tuple(tuple(sorted((i, (i + 1) % k))) for i in range(k)))
 
 
 def complete(k):
@@ -133,10 +112,6 @@ def star(leaves):
 
 def matching(k):
     return (2 * k, tuple((2 * i, 2 * i + 1) for i in range(k)))
-
-
-def complete_bipartite(a, b):
-    return (a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
 def t0():

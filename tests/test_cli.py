@@ -80,6 +80,11 @@ def test_sampler_budget_exit_code(tmp_path):
                "--quiet") == 5
 
 
+def test_sample_config_dense_spec_exits_cleanly(capsys):
+    assert run("sample-config", "--n", "200", "--ell", "61", "--quiet") == 0
+    assert json.loads(capsys.readouterr().err)["repaired"] is True
+
+
 def test_sample_config_emits_stats_on_stderr(capsys, tmp_path):
     out = tmp_path / "s.h3"
     assert run("sample-config", "--n", "30", "--ell", "5", "--seed", "3",

@@ -57,7 +57,8 @@ def test_degree_spec_rejects_bad_parameters():
 
 @pytest.mark.parametrize(
     "n,ell,k",
-    [(30, 5, 0), (45, 5, 0), (42, 5, 0), (60, 5, 1), (54, 6, 0), (120, 6, 1)],
+    [(30, 5, 0), (45, 5, 0), (42, 5, 0), (60, 5, 1), (54, 6, 0), (120, 6, 1),
+     (17, 5, 0), (200, 61, 0)],
 )
 def test_samples_realize_the_spec(n, ell, k):
     spec = degree_spec(n, ell, k)
@@ -76,21 +77,34 @@ def test_same_seed_same_graph():
     assert a != c
 
 
-def test_rejection_and_repair_agree_on_the_contract():
+def test_rejection_and_hill_climbing_agree_on_the_contract():
     spec = degree_spec(30, 5, 0)
-    for repair in (False, True):
-        g, stats = sample_linear(30, 5, 0, seed=2, repair=repair)
+    for rejection in (True, False):
+        g, stats = sample_linear(30, 5, 0, seed=2, rejection=rejection)
         assert count_degrees(g) == list(spec.degree_array())
         assert_linear(g)
-        assert stats.repaired == repair
+        assert stats.repaired == (not rejection)
+
+
+@pytest.mark.parametrize("require_pair", (True, False))
+def test_every_route_result_is_checked_against_the_spec(monkeypatch, require_pair):
+    from bergesat import confmodel
+    from bergesat.hypercore import Hypergraph3
+
+    def wrong_degrees(spec, seed, max_tries, require_pair=True):
+        return Hypergraph3(spec.n, ((0, 1, 2),)), None
+
+    monkeypatch.setattr(confmodel, "_sample_hill", wrong_degrees)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        sample_linear(24, 5, 0, seed=0, require_pair=require_pair)
 
 
 def test_rejection_defect_rates_match_the_loop_model():
     """Loops per configuration stay near ell - 2; overlaps run above the
-    documented asymptotic rate at this size, which is why repair is the
-    default route."""
+    documented asymptotic rate at this size, which is why hill-climbing
+    is the default route."""
     with pytest.raises(SamplerBudgetError) as e:
-        sample_linear(60, 5, 0, seed=11, max_tries=20000, repair=False)
+        sample_linear(60, 5, 0, seed=11, max_tries=20000, rejection=True)
     s = e.value.stats
     assert s.tries == 20000
     loops = s.loops_seen / s.tries
@@ -101,7 +115,8 @@ def test_rejection_defect_rates_match_the_loop_model():
 
 def test_exact_search_assembles_the_rigid_overlay_remainder():
     # 12 active vertices, all at degree 4: only a near-perfect pair
-    # packing realizes this, out of reach of local repair moves
+    # packing realizes this, and specs this small go to the exhaustive
+    # search, which settles them outright
     g, stats = sample_linear(27, 5, 1, seed=0, require_pair=False)
     assert count_degrees(g) == [0] * 15 + [4] * 12
     assert_linear(g)
@@ -123,7 +138,7 @@ def test_zero_edge_spec_yields_the_empty_graph():
 
 def test_budget_error_reports_progress():
     with pytest.raises(SamplerBudgetError) as e:
-        sample_linear(36, 5, 0, seed=1, max_tries=3, repair=False)
+        sample_linear(36, 5, 0, seed=1, max_tries=3, rejection=True)
     assert e.value.stats.tries == 3
 
 

@@ -153,10 +153,16 @@ def test_h3_parser_diagnostics_carry_line_numbers():
     assert e.value.line == 2
     with pytest.raises(FormatError, match="promises 2"):
         read_h3("h3 4 2\n0 1 2\n")
-    with pytest.raises(FormatError, match="out of range"):
-        read_h3("h3 3 1\n0 1 3\n")
-    with pytest.raises(FormatError, match="duplicate"):
-        read_h3("h3 4 2\n0 1 2\n0 1 2\n")
+    bad_edges = [
+        ("h3 3 1\n0 1 3\n", "out of range", 2),
+        ("h3 4 2\n0 1 2\n# note\n1 3 2\n", "not strictly ascending", 4),
+        ("h3 4 2\n0 1 2\n0 1 2\n", "duplicate", 3),
+        ("h3 4 3\n0 1 2\n\n1 2 3\n0 1 3\n", "lexicographic order", 5),
+    ]
+    for text, problem, line in bad_edges:
+        with pytest.raises(FormatError, match=problem) as e:
+            read_h3(text)
+        assert e.value.line == line
     # comments and blank lines are fine
     g = read_h3("# witness\nh3 4 1\n\n0 1 2\n")
     assert g.edges == ((0, 1, 2),)
