@@ -24,6 +24,7 @@ from .checker import (
 from .hypercore import (
     FormatError,
     Hypergraph3,
+    InternalError,
     berge_degree,
     berge_witness,
     link,
@@ -47,6 +48,7 @@ __all__ = [
     "DegreeSpec",
     "FormatError",
     "Hypergraph3",
+    "InternalError",
     "NoDisjointPair",
     "SamplerBudgetError",
     "Verdict",

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .hypercore import Hypergraph3, make
+from .hypercore import Hypergraph3, InternalError, make
 from . import confmodel, gadgets
 
 OK = "ok"
@@ -114,7 +114,7 @@ def select_a_star(n: int, ell: int) -> int:
     _, argmin = sat_formula(n, ell)
     window = [a for a in sorted(argmin) if 3 <= a <= max(3, ell - 3)]
     if not window:
-        raise AssertionError(f"no argmin of sat_formula({n}, {ell}) in the admissible window")
+        raise InternalError(f"no argmin of sat_formula({n}, {ell}) in the admissible window")
     return 3 if 3 in window else window[0]
 
 
@@ -399,7 +399,7 @@ def build_exact5(plan: Exact5Plan, seed=0) -> Hypergraph3:
     used = sum(g.vertex_count for g in parts)
     beta, rem = divmod(plan.n - used, 5)
     if rem or beta < 0:
-        raise AssertionError(f"vertex accounting failed for {plan}")
+        raise InternalError(f"vertex accounting failed for {plan}")
     parts += [gadgets.clique3(5)] * beta
     return _union_all(parts)
 

@@ -10,6 +10,7 @@ Exit codes are part of the interface and are kept apart deliberately:
     6  provably infeasible edge count (below the minimum, or inside the
        clique-count gap just under 2n)
     7  edge count outside the supported planning ranges
+    8  internal error: an invariant of the program failed (a bug)
 
 Artifacts are written atomically (temp file in the target directory,
 then rename), so a crashed run never leaves a half-written graph behind.
@@ -31,6 +32,7 @@ _EXIT_USAGE = 4
 _EXIT_BUDGET = 5
 _EXIT_INFEASIBLE = 6
 _EXIT_UNSUPPORTED = 7
+_EXIT_INTERNAL = 8
 
 
 def _say(args, text):
@@ -356,6 +358,9 @@ def main(argv=None):
     except (ValueError, hypercore.FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
+    except hypercore.InternalError as e:
+        print(f"error: internal error: {e}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ import random
 
 import numpy as np
 
-from .hypercore import Hypergraph3
+from .hypercore import Hypergraph3, InternalError
 
 logger = logging.getLogger(__name__)
 
@@ -209,11 +209,22 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
     edge surgery use this, since at small n the guarantee can be
     effectively unsatisfiable even though the degree sequence itself is.
     Deterministic in all arguments.  Raises SamplerBudgetError carrying
-    the stats when max_tries runs out.
+    the stats when max_tries runs out, and before any sampling when the
+    pair is required but fewer than two edges can avoid the low vertices.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     spec = degree_spec(n, ell, k)
+    # low vertices are pairwise non-adjacent, so each low incidence sits
+    # on its own edge; the disjoint pair needs two edges avoiding them
+    free_edges = spec.edge_count - 15 * k * (ell - 5)
+    if require_pair and free_edges < 2:
+        raise SamplerBudgetError(
+            f"no disjoint full-degree edge pair is possible for (n={n}, ell={ell}, "
+            f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
+            f"{15 * k} low-degree vertices",
+            SampleStats(0, 0, 0, float(ell - 2), (ell - 2) ** 2 / 2),
+        )
     if _wants_exact_search(spec):
         g, stats = _sample_dfs(spec, seed, max_tries, require_pair)
     elif rejection:
@@ -235,7 +246,7 @@ def _wants_exact_search(spec: DegreeSpec) -> bool:
 def _sample_reject(spec, seed, max_tries, require_pair=True):
     pts = _points(spec)
     if pts.size % 3:
-        raise AssertionError("degree sum not divisible by 3")
+        raise InternalError("degree sum not divisible by 3")
     lam = float(spec.ell - 2)
     mu = (spec.ell - 2) ** 2 / 2
     if pts.size == 0:

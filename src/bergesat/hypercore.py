@@ -38,6 +38,10 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+class InternalError(RuntimeError):
+    """An invariant of the program itself failed: a bug, not bad input."""
+
+
 class _EdgeError(ValueError):
     """A malformed edge; pos is its index in the edge sequence."""
 
@@ -182,7 +186,7 @@ def _find_cycle(verts, adj):
             break
         if not advanced:
             stack.pop()
-    raise AssertionError("no cycle in a non-tree component")
+    raise InternalError("no cycle in a non-tree component")
 
 
 def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
@@ -236,7 +240,7 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
                 rest.remove(u)
 
     if len(assignment) != len(l.neighbors) - tree_components(l):
-        raise AssertionError(f"witness at {v} is not a maximum Berge star")
+        raise InternalError(f"witness at {v} is not a maximum Berge star")
     return BergeWitness(v, tuple(assignment))
 
 

@@ -7,8 +7,12 @@ Three tools live here, deliberately sharing no logic with the checker:
   closed-form |N(v)| - tree(L(v));
 * an exhaustive saturation-spectrum sweep over all edge subsets for tiny
   n, vectorized over bitmasks;
-* an exhaustive enumeration of the small link shapes together with the
-  degree-deficiency bound table computed from first principles.
+* a catalog of the small link shapes together with the
+  degree-deficiency bound table computed from first principles.  The
+  connected shapes are grown from K2 by canonical augmentation (one
+  chord or one pendant vertex at a time, kept only when its canonical
+  form is new), which reaches every isomorphism class once; the
+  disconnected shapes are all multisets of connected ones.
 
 The exhaustive sweep is guaranteed for n <= 6 (2^20 subsets).  n = 7 is
 permitted behind ``allow_large=True`` and is a genuine batch job: 2^35
@@ -22,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypercore import Hypergraph3
+from .hypercore import Hypergraph3, InternalError
 from . import twographs
 
 
@@ -265,22 +269,40 @@ class CatalogReport:
 
 
 def _connected_classes(max_vertices, max_edges):
-    """Isomorphism classes of connected graphs, >= 2 vertices, <= max_edges edges."""
-    out = {}
-    for nv in range(2, max_vertices + 1):
-        if nv - 1 > max_edges:
-            break
-        all_pairs = list(combinations(range(nv), 2))
-        for ne in range(nv - 1, max_edges + 1):
-            if ne > len(all_pairs):
-                break
-            for sub in combinations(all_pairs, ne):
-                comps = twographs.components(range(nv), sub)
-                if len(comps) != 1:
-                    continue
-                canon = twographs.canonical_connected(list(range(nv)), sub)
+    """Isomorphism classes of connected graphs, >= 2 vertices, <= max_edges edges.
+
+    Grown level by level from K2 (canonical augmentation, after Read 1978
+    and McKay 1998): each new class representative on nv vertices and
+    ne < max_edges edges is extended by every chord between two of its
+    non-adjacent vertices and, while nv < max_vertices, by every pendant
+    vertex; an extension is kept only if its canonical form is new.  This
+    reaches every class: dropping non-tree edges and then leaves reduces
+    any connected graph to K2 through connected graphs, each one edge
+    smaller, so reversing the steps grows it from K2 by chords and
+    pendants.  Extending one representative per class suffices, since
+    isomorphic graphs have isomorphic extensions.  Returns
+    {canonical form: (vertices, edges)}.
+    """
+    if max_vertices < 2 or max_edges < 1:
+        return {}
+    k2 = ((0, 1),)
+    out = {twographs.canonical_connected([0, 1], k2): (2, 1)}
+    level = [(2, k2)]
+    for ne in range(2, max_edges + 1):
+        grown = []
+        for nv, pairs in level:
+            present = set(pairs)
+            steps = [p for p in combinations(range(nv), 2) if p not in present]
+            if nv < max_vertices:
+                steps += [(v, nv) for v in range(nv)]
+            for p in steps:
+                nv2 = max(nv, p[1] + 1)
+                new = pairs + (p,)
+                canon = twographs.canonical_connected(list(range(nv2)), new)
                 if canon not in out:
-                    out[canon] = (nv, ne)
+                    out[canon] = (nv2, ne)
+                    grown.append((nv2, new))
+        level = grown
     return out
 
 
@@ -348,7 +370,7 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
     for c in classes:
         if c.deficit <= 4 and c.vertices >= 5:
             if c.vertices not in strata:
-                raise AssertionError(
+                raise InternalError(
                     f"link class outside strata: {c.vertices} vertices, {c.canon}"
                 )
             strata[c.vertices].append(c)
@@ -356,7 +378,7 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
     for s, members in strata.items():
         for c in members:
             if c.name is None:
-                raise AssertionError(
+                raise InternalError(
                     f"unexpected link class in stratum |N|={s}: degrees {c.degrees}"
                 )
 
@@ -365,7 +387,7 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
         canon = twographs.canonical_form(gn, gp)
         match = [c for c in classes if c.canon == canon]
         if len(match) != 1:
-            raise AssertionError(f"named class {name} not found exactly once")
+            raise InternalError(f"named class {name} not found exactly once")
         c = match[0]
         computed.append(_bound_from_structure(c.edge_count, c.degrees))
     computed = tuple(computed)

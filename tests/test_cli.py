@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import time
 from itertools import combinations
 
-from bergesat import checker
+from bergesat import checker, oracle
 from bergesat.cli import main
-from bergesat.hypercore import Hypergraph3, read_h3, write_h3
+from bergesat.hypercore import Hypergraph3, InternalError, read_h3, write_h3
 
 
 def run(*argv):
@@ -78,6 +79,15 @@ def test_sampler_budget_exit_code(tmp_path):
     # exhausts its space and reports through the budget channel
     assert run("sample-config", "--n", "22", "--ell", "5", "--k", "1",
                "--quiet") == 5
+
+
+def test_impossible_pair_spec_fails_fast(capsys):
+    # the plan's remainder d(84, 8, 3) has 136 edges, 135 of them through
+    # its pairwise non-adjacent low vertices, so no disjoint pair exists
+    start = time.perf_counter()
+    assert run("build", "--n", "87", "--ell", "8", "--m", "207", "--quiet") == 5
+    assert time.perf_counter() - start < 10
+    assert "only 1 of its 136 edges can avoid" in capsys.readouterr().err
 
 
 def test_sample_config_dense_spec_exits_cleanly(capsys):
@@ -158,3 +168,14 @@ def test_uncertified_build_writes_nothing(tmp_path, monkeypatch):
                "-o", str(out), "--report", str(rep), "--quiet") == 2
     assert not out.exists()
     assert json.loads(rep.read_text())["verified_saturated"] is False
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalError("named class T0 not found exactly once")
+
+    monkeypatch.setattr(oracle, "enumerate_link_catalog", broken)
+    assert run("classify-links", "--enumerate", "--quiet") == 8
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error:") and "T0" in err
+    assert "Traceback" not in err

@@ -1,11 +1,16 @@
 """Ground-truth routes: matching degrees, exhaustive sweeps, the catalog."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
+from bergesat import twographs
 from bergesat.checker import is_saturated
 from bergesat.hypercore import berge_degree, incidence_index, make
 from bergesat.oracle import (
+    _connected_classes,
     berge_degree_matching,
     enumerate_link_catalog,
     exhaustive_spectrum,
@@ -87,6 +92,38 @@ def test_catalog_strata_and_bounds():
     for j, name in enumerate(rep.row_names):
         if name != "K2+K1,3":
             assert rep.computed_bounds[j] == rep.published_bounds[j]
+
+
+def _connected_classes_by_subsets(max_vertices, max_edges):
+    """Reference: canonicalize every connected labeled edge subset."""
+    out = {}
+    for nv in range(2, max_vertices + 1):
+        all_pairs = list(combinations(range(nv), 2))
+        for ne in range(nv - 1, min(max_edges, len(all_pairs)) + 1):
+            for sub in combinations(all_pairs, ne):
+                if len(twographs.components(range(nv), sub)) != 1:
+                    continue
+                canon = twographs.canonical_connected(list(range(nv)), sub)
+                out.setdefault(canon, (nv, ne))
+    return out
+
+
+def test_connected_classes_count_per_edge_count():
+    # OEIS A002905: connected graphs with 1..6 edges
+    classes = _connected_classes(8, 6)
+    by_edges = Counter(ne for _, ne in classes.values())
+    assert [by_edges[ne] for ne in range(1, 7)] == [1, 1, 3, 5, 12, 30]
+    assert len(classes) == 52
+
+
+@pytest.mark.parametrize("bounds", [(6, 5), (5, 7), (4, 6)])
+def test_augmentation_matches_the_subset_loop(bounds):
+    assert _connected_classes(*bounds) == _connected_classes_by_subsets(*bounds)
+
+
+@pytest.mark.parametrize("bounds", [(1, 6), (8, 0)])
+def test_connected_classes_degenerate_bounds(bounds):
+    assert _connected_classes(*bounds) == {}
 
 
 def test_catalog_row_bound_follows_from_the_degree_profile():
