@@ -322,22 +322,30 @@ def write_json(g: Hypergraph3) -> str:
     return json.dumps({"n": g.vertex_count, "edges": [list(e) for e in g.edges]})
 
 
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_json(text: str) -> Hypergraph3:
+    """Parse the JSON format.  Raises FormatError on any malformed input."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # the decoder recurses once per nesting level
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise FormatError("expected object with fields 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise FormatError(f"field 'n' must be an integer, got {n!r}")
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise FormatError("field 'edges' must be an array")
     edges = []
     for pos, e in enumerate(raw):
-        if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 3 and all(_is_int(x) for x in e)):
             raise FormatError(f"edges[{pos}] must be an array of 3 integers, got {e!r}")
         edges.append(tuple(e))
     try:

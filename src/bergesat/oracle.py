@@ -6,7 +6,11 @@ Three tools live here, deliberately sharing no logic with the checker:
   vertex/edge incidence structure), cross-checked everywhere against the
   closed-form |N(v)| - tree(L(v));
 * an exhaustive saturation-spectrum sweep over all edge subsets for tiny
-  n, vectorized over bitmasks;
+  n, vectorized over bitmasks: per vertex, lookup tables built once from
+  the matching route give, for each link pattern, whether the vertex
+  already has Berge degree ell and which absent triples would lift it to
+  ell, so each block of masks costs a fixed number of table gathers per
+  vertex;
 * a catalog of the small link shapes together with the
   degree-deficiency bound table computed from first principles.  The
   connected shapes are grown from K2 by canonical augmentation (one
@@ -84,6 +88,7 @@ class SpectrumResult:
 
 
 _BLOCK = 1 << 20
+_SLICE = 10  # mask bits per slice table
 
 
 def _popcount(arr):
@@ -102,18 +107,58 @@ def _degree_tables(n, triples, pos):
 
     Entry v is an int8 array of length 2^len(pos[v]): the Berge degree of
     v (by the matching route) when exactly the triples flagged by the
-    pattern are present.
+    pattern are present.  Vertices whose pair lists agree after an
+    order-preserving relabelling of the other vertices share one table
+    (in K_n^(3) that is every vertex).
     """
     tables = []
+    seen = {}
     for v in range(n):
-        plist = [tuple(x for x in triples[t] if x != v) for t in pos[v]]
-        k = len(plist)
-        tab = np.zeros(1 << k, dtype=np.int8)
-        for code in range(1 << k):
-            chosen = [plist[j] for j in range(k) if code >> j & 1]
-            tab[code] = _max_matching(chosen)
-        tables.append(tab)
+        plist = [tuple(x - (x > v) for x in triples[t] if x != v) for t in pos[v]]
+        key = tuple(plist)
+        if key not in seen:
+            k = len(plist)
+            tab = np.zeros(1 << k, dtype=np.int8)
+            for code in range(1 << k):
+                chosen = [plist[j] for j in range(k) if code >> j & 1]
+                tab[code] = _max_matching(chosen)
+            seen[key] = tab
+        tables.append(seen[key])
     return tables
+
+
+def _lift_tables(n, ell, triples, pos):
+    """The sweep's per-vertex lookup tables, all read off _degree_tables.
+
+    Vertex v's link code sets bit j when triple pos[v][j] is present.
+    Returns (slices, over, lift):
+
+    * slices[v][i][s] is the part of v's code that mask bits
+      i*_SLICE .. i*_SLICE + _SLICE - 1 contribute when they read s, so
+      the code is the OR of one lookup per slice;
+    * over[v][code] says d_B(v) >= ell;
+    * lift[v][code] is a uint64 with bit pos[v][j] set for every j such
+      that adding triple pos[v][j] brings d_B(v) to ell or more.
+    """
+    T = len(triples)
+    slices, over, lift = [], [], []
+    for v, tab in enumerate(_degree_tables(n, triples, pos)):
+        codes = np.arange(len(tab))
+        bits = np.zeros(len(tab), dtype=np.uint64)
+        for j, p in enumerate(pos[v]):
+            bits[tab[codes | (1 << j)] >= ell] |= np.uint64(1 << p)
+        over.append(tab >= ell)
+        lift.append(bits)
+        per = []
+        for start in range(0, T, _SLICE):
+            s = np.arange(1 << min(_SLICE, T - start))
+            part = np.zeros(len(s), dtype=np.uint16)
+            for j, p in enumerate(pos[v]):
+                if start <= p < start + _SLICE:
+                    part |= ((s >> (p - start) & 1) << j).astype(np.uint16)
+            per.append(part)
+        slices.append(per)
+    return slices, over, lift
 
 
 def exhaustive_spectrum(n, ell, allow_large=False, shards=1, shard=0) -> SpectrumResult:
@@ -124,6 +169,13 @@ def exhaustive_spectrum(n, ell, allow_large=False, shards=1, shard=0) -> Spectru
     For every realizable m the witness is the saturated subset with the
     smallest mask value, and counts[m] is the number of labeled saturated
     graphs with m edges.  Deterministic.
+
+    The sweep is table-driven: per block of masks, each vertex costs one
+    lookup per slice of the mask (its link code), then one lookup in
+    `over` (is d_B(v) already ell?) and one in `lift` (the absent triples
+    whose addition brings d_B(v) to ell).  A mask is saturated iff no
+    vertex is over and the mask OR the lifted triples of all vertices is
+    every triple.  All degrees come from the matching route.
     """
     if n < 0 or ell < 1:
         raise ValueError(f"bad arguments n={n}, ell={ell}")
@@ -131,6 +183,8 @@ def exhaustive_spectrum(n, ell, allow_large=False, shards=1, shard=0) -> Spectru
         raise ValueError(
             f"n={n} exceeds the exhaustive cap (6; 7 requires allow_large=True)"
         )
+    if shards < 1:
+        raise ValueError(f"shard count must be at least 1, got {shards}")
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} out of range for {shards} shards")
 
@@ -143,36 +197,32 @@ def exhaustive_spectrum(n, ell, allow_large=False, shards=1, shard=0) -> Spectru
             return SpectrumResult(n, ell, (0,), {0: g}, {0: 1}, 0, 0)
         return SpectrumResult(n, ell, (), {}, {}, None, None)
     pos = [[i for i, t in enumerate(triples) if v in t] for v in range(n)]
-    tables = _degree_tables(n, triples, pos)
+    slices, over, lift = _lift_tables(n, ell, triples, pos)
 
     total = 1 << T
     lo = total * shard // shards
     hi = total * (shard + 1) // shards
+    full = np.uint64(total - 1)
+    slice_bits = np.uint64((1 << _SLICE) - 1)
 
     best_mask = {}
     counts = {}
 
     for base in range(lo, hi, _BLOCK):
         masks = np.arange(base, min(base + _BLOCK, hi), dtype=np.uint64)
-        codes = []
+        parts = [
+            (masks >> np.uint64(s) & slice_bits).astype(np.uint16)
+            for s in range(0, T, _SLICE)
+        ]
+        bad = np.zeros(len(masks), dtype=bool)
+        cover = masks.copy()
         for v in range(n):
-            code = np.zeros(len(masks), dtype=np.uint32)
-            for j, p in enumerate(pos[v]):
-                code |= ((masks >> np.uint64(p)) & np.uint64(1)).astype(np.uint32) << j
-            codes.append(code)
-        dbs = [tables[v][codes[v]] for v in range(n)]
-        ok = np.ones(len(masks), dtype=bool)
-        for v in range(n):
-            ok &= dbs[v] <= ell - 1
-        for t in range(T):
-            if not ok.any():
-                break
-            present = (masks >> np.uint64(t)) & np.uint64(1) != 0
-            creates = np.zeros(len(masks), dtype=bool)
-            for v in triples[t]:
-                j = pos[v].index(t)
-                creates |= tables[v][codes[v] | (1 << j)] >= ell
-            ok &= present | creates
+            code = slices[v][0][parts[0]]
+            for tab, part in zip(slices[v][1:], parts[1:]):
+                code |= tab[part]
+            bad |= over[v][code]
+            cover |= lift[v][code]
+        ok = (cover == full) & ~bad
         if not ok.any():
             continue
         sel = masks[ok]

@@ -69,6 +69,26 @@ def test_missing_file_is_a_usage_error(tmp_path):
     assert run("verify", str(tmp_path / "absent.h3"), "--ell", "5") == 4
 
 
+def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys):
+    for name, text in [
+        ("deep.json", '{"n": ' + "[" * 5000),
+        ("bool_n.json", '{"n": true, "edges": []}'),
+        ("bool_edge.json", '{"n": 3, "edges": [[false, true, 2]]}'),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("verify", str(path), "--ell", "5") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spectrum_rejects_a_nonpositive_shard_count(capsys):
+    for shards in ("0", "-1"):
+        assert run("spectrum", "--exhaustive", "--n", "6", "--ell", "3",
+                   "--shards", shards) == 4
+        assert "shard count must be at least 1" in capsys.readouterr().err
+
+
 def test_bad_arguments_are_usage_errors():
     assert run("build", "--n", "45") == 4
     assert run("nonsense") == 4

@@ -1,9 +1,11 @@
 """Data structure, Berge degrees, witnesses, and the text formats."""
 
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergesat.hypercore import (
     FormatError,
@@ -175,3 +177,66 @@ def test_json_parser_rejects_malformed_objects():
         read_json('{"n": 3}')
     with pytest.raises(FormatError):
         read_json('{"n": "x", "edges": []}')
+
+
+def test_json_parser_rejects_booleans_as_integers():
+    with pytest.raises(FormatError, match="field 'n'"):
+        read_json('{"n": true, "edges": []}')
+    with pytest.raises(FormatError, match=r"edges\[1\]"):
+        read_json('{"n": 3, "edges": [[0, 1, 2], [false, true, 2]]}')
+
+
+def test_json_parser_does_not_recurse_into_deep_nesting():
+    with pytest.raises(FormatError, match="invalid JSON"):
+        read_json('{"n": ' + "[" * 5000)
+    with pytest.raises(FormatError, match="invalid JSON"):
+        read_json('{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}")
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "m"]), inner, max_size=3),
+    max_leaves=12,
+)
+_json_ids = st.booleans() | st.integers(min_value=-1, max_value=5)
+_json_graphs = st.fixed_dictionaries(
+    {
+        "n": _json_ids | _json_values,
+        "edges": st.lists(st.lists(_json_ids | _json_values, max_size=4), max_size=3)
+        | _json_values,
+    }
+)
+_json_texts = st.one_of(
+    st.builds(json.dumps, _json_graphs),
+    st.builds(json.dumps, _json_values),
+    st.builds(
+        lambda head, depth: head + "[" * depth,
+        st.sampled_from(["", '{"n": ', '{"n": 3, "edges": [']),
+        st.integers(min_value=0, max_value=5000),
+    ),
+)
+_h3_tokens = st.sampled_from(["h3", "0", "1", "2", "3", "-1", "4", "x", "1.5", "#", "99"])
+_h3_texts = st.lists(
+    st.lists(_h3_tokens, max_size=4).map(" ".join), max_size=6
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_json_texts, _h3_texts, st.text()))
+def test_readers_give_a_graph_or_a_format_error(text):
+    for reader in (read_h3, read_json):
+        try:
+            g = reader(text)
+        except FormatError:
+            continue
+        # bool passes isinstance(x, int), so a parsed true/false shows here
+        assert type(g.vertex_count) is int
+        assert all(type(x) is int for e in g.edges for x in e)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 
 from bergesat import twographs
 from bergesat.checker import is_saturated
-from bergesat.hypercore import berge_degree, incidence_index, make
+from bergesat.hypercore import (
+    Hypergraph3,
+    add_edge,
+    berge_degree,
+    incidence_index,
+    make,
+)
 from bergesat.oracle import (
     _connected_classes,
     berge_degree_matching,
@@ -71,6 +77,71 @@ def test_sharded_sweep_merges_to_the_plain_answer():
 def test_large_n_guard():
     with pytest.raises(ValueError):
         exhaustive_spectrum(7, 3)
+
+
+def _reference_spectra(n, ells, lo, hi):
+    """Per-mask reference for the sweep over masks lo..hi-1, one dict per ell.
+
+    Every Berge degree comes from berge_degree_matching on the graph itself:
+    a mask is saturated at ell iff its largest degree is below ell and
+    every absent triple, once added, gives one of its vertices degree at
+    least ell.  Returns {ell: (counts, witnesses)} with the smallest mask
+    per edge count as the witness.
+    """
+    triples = list(combinations(range(n), 3))
+    out = {ell: ({}, {}) for ell in ells}
+    for mask in range(lo, hi):
+        g = Hypergraph3(n, tuple(t for i, t in enumerate(triples) if mask >> i & 1))
+        top = max(berge_degree_matching(g, v) for v in range(n))
+        need = min(
+            (
+                max(berge_degree_matching(add_edge(g, t), v) for v in t)
+                for t in triples
+                if t not in g.edges
+            ),
+            default=float("inf"),
+        )
+        for ell in ells:
+            if top < ell <= need:
+                counts, witnesses = out[ell]
+                m = len(g.edges)
+                counts[m] = counts.get(m, 0) + 1
+                witnesses.setdefault(m, g)
+    return out
+
+
+def test_sweep_matches_the_per_mask_reference_at_five():
+    ref = _reference_spectra(5, range(1, 7), 0, 1 << 10)
+    for ell, (counts, witnesses) in ref.items():
+        res = exhaustive_spectrum(5, ell)
+        assert res.counts == counts
+        assert res.witnesses == witnesses
+
+
+def test_sweep_matches_the_reference_on_an_n7_shard():
+    # masks 0x104d00000 .. 0x104d003ff: triple 32 present, triples 33
+    # and 34 absent, so the sweep must set lift bits above 31, and the
+    # 35-bit masks span four slice tables
+    shards, shard = 1 << 25, 0x104D00000 >> 10
+    ref = _reference_spectra(7, (3, 4, 5), shard << 10, (shard + 1) << 10)
+    assert [sum(ref[ell][0].values()) for ell in (3, 4, 5)] == [0, 1, 10]
+    for ell, (counts, witnesses) in ref.items():
+        res = exhaustive_spectrum(7, ell, allow_large=True, shards=shards, shard=shard)
+        assert res.counts == counts
+        assert res.witnesses == witnesses
+
+
+@pytest.mark.parametrize(
+    "ell, counts",
+    [
+        (2, {2: 10}),
+        (3, {3: 180, 4: 75}),
+        (4, {4: 15, 5: 1812, 6: 330}),
+        (5, {6: 90, 7: 8400, 8: 1290, 10: 6}),
+    ],
+)
+def test_counts_at_six(ell, counts):
+    assert exhaustive_spectrum(6, ell).counts == counts
 
 
 def test_merge_rejects_mixed_parameters():
