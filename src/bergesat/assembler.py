@@ -3,23 +3,24 @@
 The planning layer turns (n, ell, m) into a recipe over the fixed
 component kit: the core graph W (a sampled near-regular linear graph
 with lantern overlays, an attached clique, and up to two edge
-surgeries), disjoint cliques, lanterns, suns, the H blocks, and for
-ell = 5 the small exact-count pieces.  Builders realize a plan
-deterministically per seed, and everything they emit is re-verified by
-the checker in the test suite rather than trusted.
+surgeries), disjoint cliques, and for ell = 5 the small exact-count
+pieces.  Builders realize a plan deterministically per seed, and
+everything they emit is re-verified by the checker rather than trusted.
 
-Supported ranges follow the underlying counting arguments: the lower
-range runs from the saturation number to ell(ell-1)n/12, the upper
-range covers a constant-width window below the extremal number via the
-H-block construction, and for ell = 5 with 5 | n the exact mixture
-cases close everything from 5n/3 up to 2n - 5 plus the extremal value
-2n itself, with 2n-4 .. 2n-1 provably unrealizable.
+For ell >= 5 one clique-split planner serves every m from the
+saturation number to the extremal number, except in the ell = 5,
+5 | n zone from 5n/3 up, where the exact mixture cases close
+everything up to 2n - 5 plus the extremal value 2n itself, with
+2n-4 .. 2n-1 provably unrealizable.  The paper proves the clique split
+only up to ell(ell-1)n/12; above that the planner goes on with the same
+decomposition, and certification of each built witness is what vouches
+for it.  A plan is accepted only when confmodel.degree_spec accepts its
+core degree sequence.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .hypercore import Hypergraph3, InternalError, make
 from . import confmodel, gadgets
@@ -56,18 +57,10 @@ class LowerPlan:
     i: int
     s: int
 
-
-@dataclass(frozen=True)
-class UpperPlan:
-    n: int
-    n0: int
-    ell: int
-    m: int
-    alpha: int
-    r: int
-    a: int
-    b: int
-    beta: int
+    def sampler_refusal(self):
+        """confmodel's up-front refusal of this plan's core, or None."""
+        core = confmodel.degree_spec(self.n - self.c * self.ell - self.a_star, self.ell, self.k)
+        return confmodel.refusal(core, require_pair=self.i > 0)
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,10 @@ def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
 
 
 def build_H1(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    """H block with three lantern overlays; (ell-1)n0/3 + 9 edges."""
+    """H block with three lantern overlays; (ell-1)n0/3 + 9 edges.
+
+    No planner uses the H blocks; they stay as certified aggressive
+    components of the paper's upper construction."""
     if n0 % (3 * ell):
         raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
     g, _ = confmodel.sample_linear(n0, ell, 3, seed=seed, max_tries=max_tries,
@@ -222,70 +218,57 @@ def build_H2(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
     return make(n0, edges)
 
 
-def alpha_constant(ell: int) -> int:
-    """(2 ell - 4) C(ell,3) - ell (ell-1)(ell-3): the edge cost of one
-    sun swap in the upper construction."""
-    return (2 * ell - 4) * comb(ell, 3) - ell * (ell - 1) * (ell - 3)
+def _largest_split(n, ell, m):
+    """Largest c with n - c ell > ell and s(c) = m - C(ell,3) c
+    - sat(n - c ell) >= 0, and s(c); needs m >= sat(n), so s(0) >= 0.
 
+    sat rises by at most ceil(ell(ell-1)/3) < C(ell,3) per ell vertices,
+    so s falls strictly as c grows and bisection finds the largest c.
+    """
+    def residue(c):
+        return m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0]
 
-def build_U(n, n0, ell, s, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    """The upper-range union: K_r + i H2 + (alpha - i) H1 + s*ell suns
-    + beta ell-cliques.  Each i-step adds one edge; each s-step removes
-    alpha edges."""
-    alpha = alpha_constant(ell)
-    if not 0 <= i <= alpha:
-        raise ValueError(f"i = {i} outside [0, alpha = {alpha}]")
-    r = n % ell
-    rest = n - r - alpha * n0 - s * (2 * ell - 4) * ell
-    if s < 0 or rest < 0 or rest % ell:
-        raise ValueError(f"no valid beta for (n={n}, n0={n0}, ell={ell}, s={s})")
-    beta = rest // ell
-    h1 = build_H1(n0, ell, seed=seed, max_tries=max_tries)
-    h2 = build_H2(n0, ell, seed=seed, max_tries=max_tries)
-    parts = [gadgets.clique3(r)]
-    parts.extend([h2] * i)
-    parts.extend([h1] * (alpha - i))
-    sun = gadgets.sun(ell)
-    parts.extend([sun] * (s * ell))
-    parts.extend([gadgets.clique3(ell)] * beta)
-    return _union_all(parts)
+    lo, hi = 0, (n - ell - 1) // ell
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if residue(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, residue(lo)
 
 
 def plan_lower(n, ell, m) -> Verdict:
     """Decompose m as C(ell,3) c + sat(n - c ell) + 3k + i with the
-    largest admissible number of split-off cliques c."""
+    largest number of split-off cliques c, for any m in [sat, ex].
+
+    The plan stands only when confmodel.degree_spec accepts the core
+    sequence d(n - c ell - a, ell, k); its refusal is the verdict.
+    """
     if ell < 5 or n <= ell:
         return Verdict(UNSUPPORTED, f"lower planner needs ell >= 5 and n > ell, got ({n}, {ell})")
     sat, _ = sat_formula(n, ell)
     if m < sat:
         return Verdict(BELOW_SAT, f"m = {m} below the saturation number {sat}")
-    if 12 * m > ell * (ell - 1) * n:
-        return Verdict(
-            OUT_OF_RANGE,
-            f"m = {m} above the lower-range cap ell(ell-1)n/12 = {ell * (ell - 1) * n / 12:g}",
-        )
-    chosen = None
-    c = 0
-    while n - c * ell > ell:
-        s = m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0]
-        if s < 0:
-            break
-        chosen = (c, s)
-        c += 1
-    if chosen is None:
-        return Verdict(UNSUPPORTED, f"no clique split covers m = {m} at n = {n}")
-    c, s = chosen
+    ex, _ = ex_formula(n, ell)
+    if m > ex:
+        return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {ex}")
+    c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
         return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1")
     k, i = divmod(s, 3)
     a_star = select_a_star(n - c * ell, ell)
-    if 15 * k > n - c * ell - a_star:
-        return Verdict(
-            UNSUPPORTED,
-            f"k = {k} lantern blocks do not fit on {n - c * ell - a_star} core vertices",
-        )
+    try:
+        confmodel.degree_spec(n - c * ell - a_star, ell, k)
+    except ValueError as exc:
+        return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}")
     plan = LowerPlan(n, ell, m, c, a_star, k, i, s)
     return Verdict(OK, f"core graph with {k} lanterns and {i} surgeries plus {c} cliques", plan)
+
+
+# perfbench/tracer.py wraps the planners by name, this one included; the
+# alias goes when the tracer stops naming it
+plan_upper = plan_lower
 
 
 def build_lower(plan: LowerPlan, seed=0, max_tries=10_000_000) -> Hypergraph3:
@@ -293,60 +276,6 @@ def build_lower(plan: LowerPlan, seed=0, max_tries=10_000_000) -> Hypergraph3:
                 seed=seed, max_tries=max_tries)
     parts = [w] + [gadgets.clique3(plan.ell)] * plan.c
     return _union_all(parts)
-
-
-def default_n0(ell: int) -> int:
-    """Smallest multiple of 3 ell accommodating three lantern blocks."""
-    base = 45 + 3 * ell
-    step = 3 * ell
-    return ((base + step - 1) // step) * step
-
-
-def upper_gap(ell: int, n0: int) -> int:
-    """Width of the window below the extremal number that the upper
-    construction cannot reach: alpha (C(ell,3) n0 / ell - (ell-1) n0 / 3 - 9)."""
-    alpha = alpha_constant(ell)
-    return alpha * (comb(ell, 3) * n0 // ell - (ell - 1) * n0 // 3 - 9)
-
-
-def plan_upper(n, ell, m, n0: Optional[int] = None) -> Verdict:
-    """Fit m as |E(U(n, n0, ell, 0, 0))| - a alpha + b."""
-    if ell < 5:
-        return Verdict(UNSUPPORTED, f"upper planner needs ell >= 5, got {ell}")
-    if n0 is None:
-        n0 = default_n0(ell)
-    if n0 % (3 * ell):
-        return Verdict(UNSUPPORTED, f"n0 = {n0} not a multiple of 3*ell")
-    alpha = alpha_constant(ell)
-    r = n % ell
-    rest = n - r - alpha * n0
-    if rest < 0 or rest % ell:
-        return Verdict(UNSUPPORTED, f"n = {n} too small for {alpha} H blocks of {n0} vertices")
-    beta0 = rest // ell
-    base_edges = (
-        alpha * ((ell - 1) * n0 // 3 + 9)
-        + beta0 * comb(ell, 3)
-        + comb(r, 3)
-    )
-    m_star = base_edges - m
-    if m_star < 0:
-        return Verdict(
-            OUT_OF_RANGE,
-            f"m = {m} exceeds the construction maximum {base_edges} "
-            f"(the window of width {upper_gap(ell, n0)} below the extremal number is open)",
-        )
-    a = -(-m_star // alpha)
-    b = a * alpha - m_star
-    beta = beta0 - a * (2 * ell - 4)
-    if beta < 0:
-        return Verdict(OUT_OF_RANGE, f"m = {m} needs {a} sun swaps but only {beta0 // (2 * ell - 4)} fit")
-    plan = UpperPlan(n, n0, ell, m, alpha, r, a, b, beta)
-    return Verdict(OK, f"H-block union with {a} sun swaps and {b} block upgrades", plan)
-
-
-def build_upper(plan: UpperPlan, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    return build_U(plan.n, plan.n0, plan.ell, plan.a, plan.b,
-                   seed=seed, max_tries=max_tries)
 
 
 def plan_exact5(n, m) -> Verdict:
@@ -466,12 +395,20 @@ def _union_pad(g: Hypergraph3, n: int, extra_edges) -> Hypergraph3:
     return make(n, edges)
 
 
+def plan_witness(n, ell, m) -> Verdict:
+    """The planner's verdict for ell >= 5: the exact mixtures in the
+    ell = 5, 5 | n zone from 5n/3 up, the clique split everywhere else."""
+    if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
+        return plan_exact5(n, m)
+    return plan_lower(n, ell, m)
+
+
 def build_spectrum_witness(n, ell, m, seed=0, n0=None, max_tries=10_000_000):
     """Dispatch: returns (Verdict, graph or None).
 
-    Small ell goes through the complete spectra; ell >= 5 routes m to
-    the lower planner up to ell(ell-1)n/12, then to the exact mixtures
-    when ell = 5 and 5 | n, otherwise to the H-block upper planner.
+    Small ell goes through the complete spectra, ell >= 5 through
+    plan_witness.  n0 is accepted and ignored: it was the block size of
+    an H-block upper-range route that the clique split now covers.
     """
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
@@ -488,21 +425,9 @@ def build_spectrum_witness(n, ell, m, seed=0, n0=None, max_tries=10_000_000):
             BY_THEOREM,
             f"the spectrum for ell = {ell} is exactly {sorted(table)} around [{lo}, {hi}]",
         ), None
-    sat, _ = sat_formula(n, ell)
-    if m < sat:
-        return Verdict(BELOW_SAT, f"m = {m} below the saturation number {sat}"), None
-    exact5_zone = ell == 5 and n % 5 == 0 and 3 * m >= 5 * n
-    if 12 * m <= ell * (ell - 1) * n and not exact5_zone:
-        verdict = plan_lower(n, ell, m)
-        if not verdict.feasible:
-            return verdict, None
-        return verdict, build_lower(verdict.plan, seed=seed, max_tries=max_tries)
-    if ell == 5 and n % 5 == 0:
-        verdict = plan_exact5(n, m)
-        if not verdict.feasible:
-            return verdict, None
-        return verdict, build_exact5(verdict.plan, seed=seed)
-    verdict = plan_upper(n, ell, m, n0=n0)
+    verdict = plan_witness(n, ell, m)
     if not verdict.feasible:
         return verdict, None
-    return verdict, build_upper(verdict.plan, seed=seed, max_tries=max_tries)
+    if isinstance(verdict.plan, Exact5Plan):
+        return verdict, build_exact5(verdict.plan, seed=seed)
+    return verdict, build_lower(verdict.plan, seed=seed, max_tries=max_tries)

@@ -126,8 +126,30 @@ def _cmd_verify(args):
     return _EXIT_OK
 
 
+def _theory_label(verdict):
+    """(status, rule) of one planner verdict, the key that runs share."""
+    plan = verdict.plan
+    if isinstance(plan, assembler.Exact5Plan):
+        if plan.m_star == 0:
+            return "feasible", "disjoint 5-cliques"
+        return "feasible", "exact-fifth-zone gadget unions"
+    if plan is not None:
+        if plan.sampler_refusal() is not None:
+            return ("sampler-refused",
+                    "clique-split plan whose core degree spec no simple linear "
+                    "3-graph realizes (too few active vertices or edges); exit 5")
+        return ("feasible",
+                "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
+                "is vouched for by certification only")
+    if verdict.status == assembler.BY_THEOREM:
+        return "infeasible", "clique-count gap just under the maximum"
+    return ("unsupported",
+            "no clique split with an admissible residue and core degree spec; exit 7")
+
+
 def _theory_ranges(n, ell):
-    """Predicted feasible and infeasible m-ranges with the rule behind each."""
+    """Maximal runs of m in [0, ex] that share the planner's verdict,
+    with the rule behind each."""
     ranges = []
     if ell <= 4:
         ms = sorted(assembler.small_star_spectrum(n, ell))
@@ -135,22 +157,17 @@ def _theory_ranges(n, ell):
                        "rule": "small-star direct constructions"})
         return ranges
     sat, _ = assembler.sat_formula(n, ell)
-    lo_top = ell * (ell - 1) * n // 12
+    ex, _ = assembler.ex_formula(n, ell)
     ranges.append({"lo": 0, "hi": sat - 1, "status": "infeasible",
                    "rule": "below the saturation minimum"})
-    ranges.append({"lo": sat, "hi": lo_top, "status": "feasible",
-                   "rule": "clique-plus-sparse lower-range plan"})
-    if ell == 5 and n % 5 == 0:
-        ranges.append({"lo": lo_top + 1, "hi": 2 * n - 5, "status": "feasible",
-                       "rule": "exact-fifth-zone gadget unions"})
-        ranges.append({"lo": 2 * n - 4, "hi": 2 * n - 1, "status": "infeasible",
-                       "rule": "clique-count gap just under the maximum"})
-        ranges.append({"lo": 2 * n, "hi": 2 * n, "status": "feasible",
-                       "rule": "disjoint 5-cliques"})
-    else:
-        ranges.append({"lo": lo_top + 1, "status": "upper-range",
-                       "rule": "dense-component unions near the maximum; "
-                               "coverage depends on n and the block size n0"})
+    key = None
+    for m in range(sat, ex + 1):
+        label = _theory_label(assembler.plan_witness(n, ell, m))
+        if label == key:
+            ranges[-1]["hi"] = m
+        else:
+            key = label
+            ranges.append({"lo": m, "hi": m, "status": label[0], "rule": label[1]})
     return ranges
 
 
@@ -290,7 +307,8 @@ def _build_parser():
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n0", type=int, default=None,
-                   help="block size for the upper-range plan")
+                   help="ignored: the one clique-split planner needs no block "
+                        "size; accepted so that older command lines still run")
     p.add_argument("--max-tries", type=int, default=10_000_000)
     common(p)
     p.set_defaults(func=_cmd_build)

@@ -209,22 +209,15 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
     edge surgery use this, since at small n the guarantee can be
     effectively unsatisfiable even though the degree sequence itself is.
     Deterministic in all arguments.  Raises SamplerBudgetError carrying
-    the stats when max_tries runs out, and before any sampling when the
-    pair is required but fewer than two edges can avoid the low vertices.
+    the stats when max_tries runs out, and before any sampling when
+    refusal() proves the spec unrealizable.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     spec = degree_spec(n, ell, k)
-    # low vertices are pairwise non-adjacent, so each low incidence sits
-    # on its own edge; the disjoint pair needs two edges avoiding them
-    free_edges = spec.edge_count - 15 * k * (ell - 5)
-    if require_pair and free_edges < 2:
-        raise SamplerBudgetError(
-            f"no disjoint full-degree edge pair is possible for (n={n}, ell={ell}, "
-            f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
-            f"{15 * k} low-degree vertices",
-            SampleStats(0, 0, 0, float(ell - 2), (ell - 2) ** 2 / 2),
-        )
+    reason = refusal(spec, require_pair)
+    if reason is not None:
+        raise SamplerBudgetError(reason, SampleStats(0, 0, 0, float(ell - 2), (ell - 2) ** 2 / 2))
     if _wants_exact_search(spec):
         g, stats = _sample_dfs(spec, seed, max_tries, require_pair)
     elif rejection:
@@ -233,6 +226,36 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
         g, stats = _sample_hill(spec, seed, max_tries, require_pair)
     _check_realizes(g, spec)
     return g, stats
+
+
+def refusal(spec: DegreeSpec, require_pair=True):
+    """Why no sample can exist, from counting alone, or None.
+
+    Low vertices are pairwise non-adjacent, so each low incidence sits
+    on its own edge and the disjoint pair needs two edges avoiding them.
+    In a linear 3-graph a vertex of degree d has 2d distinct neighbours,
+    all of positive degree.  The pair e1, e2 and the ell-2 other edges
+    at each of their six full-degree vertices are all distinct (no third
+    edge meets both), so the pair needs 6 ell - 10 edges.
+    """
+    n, ell, k = spec.n, spec.ell, spec.k
+    free_edges = spec.edge_count - 15 * k * (ell - 5)
+    if require_pair and free_edges < 2:
+        return (f"no disjoint full-degree edge pair is possible for (n={n}, ell={ell}, "
+                f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
+                f"{15 * k} low-degree vertices")
+    blocks = ((ell - 5, 15 * k), (ell - 2, spec.t), (ell - 1, n - 15 * k - spec.t))
+    active = sum(size for d, size in blocks if d > 0)
+    d_max = max((d for d, size in blocks if d > 0 and size), default=0)
+    head = f"no simple linear realization of (n={n}, ell={ell}, k={k})"
+    if d_max and active < 2 * d_max + 1:
+        return (f"{head}: a vertex of degree {d_max} needs {2 * d_max} neighbours "
+                f"of positive degree, and only {active} vertices have any")
+    if require_pair and spec.edge_count < 6 * ell - 10:
+        return (f"{head} with the disjoint-pair guarantee: the pair and the edges at "
+                f"its six vertices need {6 * ell - 10} edges, the spec has "
+                f"{spec.edge_count}")
+    return None
 
 
 def _wants_exact_search(spec: DegreeSpec) -> bool:

@@ -269,6 +269,18 @@ def remove_edge(g: Hypergraph3, e) -> Hypergraph3:
 
 # --- text formats ---------------------------------------------------------
 
+# Largest vertex count the readers accept.  Every command that takes a
+# graph file does per-vertex work, so a header alone must not be able to
+# ask for billions of vertices.  2^20 is far above the n = 10008 of the
+# largest witnesses that the tests and the benchmark build.
+MAX_VERTICES = 2**20
+
+
+def _check_vertex_cap(n, line=None):
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the reader limit {MAX_VERTICES}", line)
+
+
 def write_h3(g: Hypergraph3) -> str:
     lines = [f"h3 {g.vertex_count} {len(g.edges)}"]
     lines.extend(f"{a} {b} {c}" for a, b, c in g.edges)
@@ -294,6 +306,7 @@ def read_h3(text: str) -> Hypergraph3:
                 raise FormatError(f"non-integer header field in {raw!r}", lineno)
             if n < 0 or m < 0:
                 raise FormatError(f"negative count in header {raw!r}", lineno)
+            _check_vertex_cap(n, lineno)
             header = (n, m)
             expect = m
             continue
@@ -340,6 +353,7 @@ def read_json(text: str) -> Hypergraph3:
     n = obj["n"]
     if not _is_int(n):
         raise FormatError(f"field 'n' must be an integer, got {n!r}")
+    _check_vertex_cap(n)
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise FormatError("field 'edges' must be an array")

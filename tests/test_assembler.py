@@ -12,25 +12,24 @@ from bergesat.assembler import (
     BY_THEOREM,
     OK,
     OUT_OF_RANGE,
-    alpha_constant,
+    UNSUPPORTED,
+    LowerPlan,
     build_exact5,
     build_H1,
     build_H2,
     build_lower,
     build_spectrum_witness,
-    build_U,
     build_W,
-    default_n0,
     ex_formula,
     plan_exact5,
     plan_lower,
-    plan_upper,
+    plan_witness,
     sat_formula,
     select_a_star,
     small_star_spectrum,
-    upper_gap,
 )
 from bergesat.checker import aggressive_sufficient, is_saturated
+from bergesat.confmodel import SamplerBudgetError
 from bergesat.hypercore import incidence_index
 
 
@@ -62,16 +61,6 @@ def test_extremal_values():
     assert ex_formula(30, 4) == (30, "exact")
     assert ex_formula(31, 3) == (20, "exact")
     assert ex_formula(120, 6) == (400, "exact")
-
-
-def test_alpha_constants():
-    assert alpha_constant(5) == 20
-    assert alpha_constant(6) == 70
-
-
-def test_default_block_sizes():
-    assert default_n0(5) == 60
-    assert default_n0(6) == 72
 
 
 def test_sun_swap_beats_columns_for_all_moderate_ell():
@@ -112,44 +101,68 @@ def test_pair_surgeries_add_one_edge_each():
         assert certified(g, 5)
 
 
-def test_upper_plan_matches_built_edge_count():
-    for m in (25590, 25589, 25520):
-        verdict = plan_upper(10008, 6, m, n0=72)
-        assert verdict.status == OK
-        g = build_U(
-            verdict.plan.n, verdict.plan.n0, 6, verdict.plan.a, verdict.plan.b,
-            seed=0,
-        )
-        assert g.vertex_count == 10008 and len(g.edges) == m
-
-
-def test_upper_plan_refuses_the_uncovered_gap():
-    gap = upper_gap(6, 72)
-    assert gap == 70 * (20 * 12 - 129)
+def test_lower_plan_reaches_the_extremal_end():
+    # the clique split runs past ell(ell-1)n/12 = 25020 at (10008, 6)
+    for m, c in ((25590, 891), (25589, 891), (25520, 884), (25021, 834)):
+        verdict = plan_lower(10008, 6, m)
+        assert verdict.status == OK, (m, verdict.detail)
+        assert isinstance(verdict.plan, LowerPlan) and verdict.plan.c == c
     ex_val, _ = ex_formula(10008, 6)
-    deep = ex_val - gap - 10**6
-    verdict = plan_upper(10008, 6, deep, n0=72)
-    assert verdict.status == OUT_OF_RANGE
+    assert plan_lower(10008, 6, ex_val + 1).status == OUT_OF_RANGE
 
 
-def test_sun_swap_trades_alpha_edges():
-    n0 = 72
-    h1_edges = len(build_H1(n0, 6, seed=0).edges)
-    h2_edges = len(build_H2(n0, 6, seed=0).edges)
-    assert h2_edges == h1_edges + 1
-    alpha = alpha_constant(6)
-    n = 6 * alpha * n0 // 6 + 6 * (2 * 6 - 4) * 6
-    # one s-step at fixed n converts beta cliques into suns
-    u0 = build_U(n, n0, 6, 0, 0, seed=0)
-    u1 = build_U(n, n0, 6, 1, 0, seed=0)
-    assert u0.vertex_count == u1.vertex_count == n
-    assert len(u0.edges) - len(u1.edges) == alpha
+def test_lower_plan_keeps_the_largest_clique_split():
+    # the bisection agrees with a linear scan over every clique count
+    for n, ell in ((45, 5), (61, 5), (120, 6), (120, 7), (87, 8)):
+        sat, _ = sat_formula(n, ell)
+        for m in range(sat, ex_formula(n, ell)[0] + 1):
+            verdict = plan_lower(n, ell, m)
+            if verdict.plan is None:
+                continue
+            c = verdict.plan.c
+            assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == verdict.plan.s
+            if n - (c + 1) * ell > ell:
+                assert m - comb(ell, 3) * (c + 1) - sat_formula(n - (c + 1) * ell, ell)[0] < 0
+
+
+def test_unrealizable_core_specs_are_unsupported():
+    # these plans' cores fail degree_spec (too few edges for the
+    # pairwise non-adjacent low vertices), so the plan itself is refused
+    for n, m in ((45, 87), (100, 232)):
+        verdict = plan_witness(n, 6, m)
+        assert verdict.status == UNSUPPORTED
+        assert "pairwise non-adjacent" in verdict.detail
+
+
+COVERAGE_FLOOR = {(120, 6): 148, (61, 5): 30, (120, 7): 143}
+
+
+@pytest.mark.parametrize("n,ell", sorted(COVERAGE_FLOOR))
+def test_every_m_from_sat_to_ex_is_built_or_refused(n, ell):
+    # each m either builds a certified witness or ends in a documented
+    # verdict (exit 6/7) or a sampler refusal (exit 5); never exit 4
+    certified_ms = 0
+    for m in range(sat_formula(n, ell)[0], ex_formula(n, ell)[0] + 1):
+        try:
+            verdict, g = build_spectrum_witness(n, ell, m, seed=0, max_tries=20000)
+        except SamplerBudgetError:
+            continue
+        if g is None:
+            assert verdict.status in (BY_THEOREM, OUT_OF_RANGE, UNSUPPORTED), m
+            continue
+        assert g.vertex_count == n and len(g.edges) == m
+        assert certified(g, ell), m
+        certified_ms += 1
+    assert certified_ms >= COVERAGE_FLOOR[(n, ell)]
 
 
 def test_h_components_are_aggressive():
     for ell, n0 in ((5, 60), (6, 72)):
-        assert aggressive_sufficient(build_H1(n0, ell, seed=0), ell)
-        assert aggressive_sufficient(build_H2(n0, ell, seed=0), ell)
+        h1, h2 = build_H1(n0, ell, seed=0), build_H2(n0, ell, seed=0)
+        assert len(h1.edges) == (ell - 1) * n0 // 3 + 9
+        assert len(h2.edges) == len(h1.edges) + 1
+        assert aggressive_sufficient(h1, ell)
+        assert aggressive_sufficient(h2, ell)
 
 
 def test_exact5_zone_covers_the_top_band():
@@ -190,7 +203,7 @@ def test_dispatch_boundaries_at_45():
 
 
 def test_dispatch_prefers_exact_zone_only_on_multiples_of_five():
-    # n = 60: the lower plan reaches 99, the exact zone starts at 100
+    # n = 60: the lower plan serves up to 99, the exact zone from 100
     v, g = build_spectrum_witness(60, 5, 99, seed=0)
     assert v.status == OK and len(g.edges) == 99
     v, g = build_spectrum_witness(60, 5, 100, seed=0)

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
 from itertools import combinations
 
-from bergesat import checker, oracle
+import bergesat
+from bergesat import assembler, checker, oracle
 from bergesat.cli import main
 from bergesat.hypercore import Hypergraph3, InternalError, read_h3, write_h3
 
@@ -28,6 +33,39 @@ def test_build_reports_provable_infeasibility(capsys):
     assert "infeasible_by_theorem" in capsys.readouterr().out
     assert run("build", "--n", "45", "--ell", "5", "--m", "10") == 6
     assert run("build", "--n", "45", "--ell", "5", "--m", "500") == 7
+
+
+def test_unrealizable_core_plans_exit_7_not_4(capsys):
+    # the clique split leaves cores with too few edges for their
+    # pairwise non-adjacent low vertices; degree_spec refuses the plan
+    for n, m in (("45", "87"), ("100", "232")):
+        assert run("build", "--n", n, "--ell", "6", "--m", m) == 7
+        out = capsys.readouterr()
+        assert "unsupported" in out.out and "pairwise non-adjacent" in out.out
+        assert out.err == ""
+
+
+def test_tiny_cores_near_ex_are_refused_at_once(capsys):
+    # cores d(27, 6, 1) and d(15, 6, 0) with the disjoint pair: 25 edges,
+    # while the pair and the edges at its six vertices need 26
+    for m in ("350", "367"):
+        start = time.perf_counter()
+        assert run("build", "--n", "120", "--ell", "6", "--m", m, "--quiet") == 5
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err.startswith("error: no simple linear realization of")
+    start = time.perf_counter()
+    assert run("sample-config", "--n", "12", "--ell", "7", "--quiet") == 5
+    assert time.perf_counter() - start < 5
+
+
+def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
+    # 12 m > ell(ell-1)n at (120, 6, 320); n0 is accepted and ignored
+    out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
+    assert run("build", "--n", "120", "--ell", "6", "--m", "320", "--n0", "72",
+               "-o", str(out), "--report", str(rep), "--quiet") == 0
+    obj = json.loads(rep.read_text())
+    assert obj["verified_saturated"] is True and set(obj["plan"]) >= {"c", "k", "i"}
+    assert run("verify", str(out), "--ell", "6", "--quiet") == 0
 
 
 def test_build_summary_echoes_the_seed(capsys, tmp_path):
@@ -63,6 +101,15 @@ def test_verify_report_carries_the_verdict(tmp_path):
                "--report", str(rep), "--quiet") == 0
     obj = json.loads(rep.read_text())
     assert obj["is_saturated"] is True and obj["ell"] == 5
+
+
+def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
+    for name, text in [("huge.h3", "h3 99999999999 0\n"),
+                       ("huge.json", '{"n": 99999999999, "edges": []}')]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("verify", str(path), "--ell", "5") == 4
+        assert "exceeds the reader limit" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
@@ -142,6 +189,37 @@ def test_spectrum_theory_names_each_range(capsys):
     assert any("lower-range" in r for r in rules)
     statuses = [r["status"] for r in obj["ranges"]]
     assert "infeasible" in statuses and "feasible" in statuses
+
+
+def test_spectrum_theory_runs_follow_the_planner(capsys):
+    assert run("spectrum", "--theory", "--n", "120", "--ell", "6", "--quiet") == 0
+    obj = json.loads(capsys.readouterr().out)
+    ranges = obj["ranges"]
+    assert ranges[0] == {"lo": 0, "hi": 195, "status": "infeasible",
+                         "rule": "below the saturation minimum"}
+    assert [r["lo"] for r in ranges[1:]] == [r["hi"] + 1 for r in ranges[:-1]]
+    assert ranges[-1]["hi"] == obj["ex"] == 400
+    want = {"feasible": assembler.OK, "unsupported": assembler.UNSUPPORTED,
+            "sampler-refused": assembler.OK}
+    for r in ranges[1:]:
+        for m in range(r["lo"], r["hi"] + 1):
+            assert assembler.plan_witness(120, 6, m).status == want[r["status"]], m
+    statuses = {(r["lo"], r["hi"]): r["status"] for r in ranges}
+    assert statuses[(350, 351)] == "sampler-refused"
+    assert any(r["status"] == "feasible" and r["hi"] > 300 for r in ranges)
+
+
+def test_perfbench_tracer_installs_on_the_current_names():
+    # the traced benchmark wraps planner, sampler and checker functions by
+    # name; deleting one of them must fail here, not only in perfbench
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    src = str(Path(bergesat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=root / "perfbench",
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_spectrum_exhaustive_small(capsys):

@@ -1,5 +1,7 @@
 """Sampler contracts: degree specs, determinism, defect rates, exact search."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from bergesat.confmodel import (
     NoDisjointPair,
     SamplerBudgetError,
     degree_spec,
+    _sample_dfs,
     find_disjoint_edge_pair,
+    refusal,
     sample_linear,
 )
 from bergesat.hypercore import incidence_index
@@ -129,6 +133,43 @@ def test_exact_search_assembles_the_rigid_overlay_remainder():
 def test_exact_search_proves_tiny_specs_unrealizable(n):
     with pytest.raises(SamplerBudgetError, match="no simple linear"):
         sample_linear(n, 5, 1, seed=0, require_pair=False, max_tries=200000)
+
+
+@pytest.mark.parametrize("n", (22, 17))
+def test_exact_search_itself_proves_the_refused_specs_unrealizable(n):
+    # sample_linear refuses these by counting; the search reaches the
+    # same verdict by exhausting its space
+    spec = degree_spec(n, 5, 1)
+    assert refusal(spec, require_pair=False) is not None
+    with pytest.raises(SamplerBudgetError, match="exhaustive search: no simple linear"):
+        _sample_dfs(spec, 0, 200000, require_pair=False)
+
+
+def test_counting_refusals_come_before_any_sampling():
+    # d(12, 7, 0): twelve vertices of degree 6 each need 12 neighbours
+    start = time.perf_counter()
+    with pytest.raises(SamplerBudgetError) as e:
+        sample_linear(12, 7, 0, seed=0)
+    assert time.perf_counter() - start < 1
+    assert str(e.value).startswith("no simple linear realization of (n=12, ell=7, k=0)")
+    assert e.value.stats.tries == 0
+    # d(27, 6, 1): 25 edges, but the disjoint pair needs 6 ell - 10 = 26
+    spec = degree_spec(27, 6, 1)
+    assert refusal(spec, require_pair=False) is None
+    assert "need 26 edges, the spec has 25" in refusal(spec, require_pair=True)
+    # the free-edge count is still the first test
+    assert refusal(degree_spec(84, 8, 3), require_pair=True).startswith(
+        "no disjoint full-degree edge pair")
+
+
+@pytest.mark.parametrize("n,ell,k", [(45, 5, 0), (60, 5, 1), (54, 6, 0), (84, 7, 1)])
+def test_disjoint_pair_spans_six_ell_minus_ten_distinct_edges(n, ell, k):
+    g, _ = sample_linear(n, ell, k, seed=1)
+    spec = degree_spec(n, ell, k)
+    e1, e2 = find_disjoint_edge_pair(g, spec)
+    around = {e for e in g.edges if set(e) & (set(e1) | set(e2))}
+    assert len(around) == 6 * ell - 10
+    assert refusal(spec) is None
 
 
 def test_zero_edge_spec_yields_the_empty_graph():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergesat.hypercore import (
+    MAX_VERTICES,
     FormatError,
     Hypergraph3,
     add_edge,
@@ -186,6 +187,18 @@ def test_json_parser_rejects_booleans_as_integers():
         read_json('{"n": 3, "edges": [[0, 1, 2], [false, true, 2]]}')
 
 
+def test_readers_cap_the_vertex_count():
+    with pytest.raises(FormatError, match="line 2: vertex count 99999999999 exceeds"):
+        read_h3("# huge\nh3 99999999999 0\n")
+    with pytest.raises(FormatError, match="vertex count 99999999999 exceeds"):
+        read_json('{"n": 99999999999, "edges": []}')
+    for text in (f"h3 {MAX_VERTICES + 1} 0\n", f'{{"n": {MAX_VERTICES + 1}, "edges": []}}'):
+        with pytest.raises(FormatError, match="reader limit"):
+            (read_json if text.startswith("{") else read_h3)(text)
+    assert read_h3(f"h3 {MAX_VERTICES} 0\n").vertex_count == MAX_VERTICES
+    assert read_json(f'{{"n": {MAX_VERTICES}, "edges": []}}').vertex_count == MAX_VERTICES
+
+
 def test_json_parser_does_not_recurse_into_deep_nesting():
     with pytest.raises(FormatError, match="invalid JSON"):
         read_json('{"n": ' + "[" * 5000)
@@ -238,5 +251,5 @@ def test_readers_give_a_graph_or_a_format_error(text):
         except FormatError:
             continue
         # bool passes isinstance(x, int), so a parsed true/false shows here
-        assert type(g.vertex_count) is int
+        assert type(g.vertex_count) is int and g.vertex_count <= MAX_VERTICES
         assert all(type(x) is int for e in g.edges for x in e)
