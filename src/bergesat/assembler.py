@@ -4,8 +4,9 @@ The planning layer turns (n, ell, m) into a recipe over the fixed
 component kit: the core graph W (a sampled near-regular linear graph
 with lantern overlays, an attached clique, and up to two edge
 surgeries), disjoint cliques, and for ell = 5 the small exact-count
-pieces.  Builders realize a plan deterministically per seed, and
-everything they emit is re-verified by the checker rather than trusted.
+pieces.  Builders realize a plan deterministically per seed, gluing
+blocks with hypercore.disjoint_union, and everything they emit is
+re-verified by the checker rather than trusted.
 
 For ell >= 5 one clique-split planner serves every m from the
 saturation number to the extremal number, except in the ell = 5,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .hypercore import Hypergraph3, InternalError, make
+from .hypercore import Hypergraph3, InternalError, disjoint_union, make
 from . import confmodel, gadgets
 
 OK = "ok"
@@ -126,17 +127,6 @@ def ex_formula(n: int, ell: int):
     return comb(ell, 3) * n // ell, "bound-only"
 
 
-def _union_all(parts) -> Hypergraph3:
-    """Disjoint union of many graphs in one pass, ids in block order."""
-    edges = []
-    offset = 0
-    for g in parts:
-        for a, b, c in g.edges:
-            edges.append((a + offset, b + offset, c + offset))
-        offset += g.vertex_count
-    return Hypergraph3(offset, tuple(sorted(edges)))
-
-
 def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
     """The core lower-range graph on n vertices.
 
@@ -153,13 +143,7 @@ def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
     spec = confmodel.degree_spec(n - a, ell, k)
     g, _ = confmodel.sample_linear(n - a, ell, k, seed=seed, max_tries=max_tries,
                                    require_pair=i > 0)
-    edges = list(g.edges)
-
-    lantern5 = gadgets.lantern(5)
-    for j in range(k):
-        base = 15 * j
-        for x, y, z in lantern5.edges:
-            edges.append((x + base, y + base, z + base))
+    edges = list(g.edges + disjoint_union(*[gadgets.lantern(5)] * k).edges)
 
     cl = [n - a + j for j in range(a)]
     edges.extend(combinations(cl, 3))
@@ -196,13 +180,7 @@ def build_H1(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
         raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
     g, _ = confmodel.sample_linear(n0, ell, 3, seed=seed, max_tries=max_tries,
                                    require_pair=False)
-    edges = list(g.edges)
-    lantern5 = gadgets.lantern(5)
-    for j in range(3):
-        base = 15 * j
-        for x, y, z in lantern5.edges:
-            edges.append((x + base, y + base, z + base))
-    return make(n0, edges)
+    return make(n0, g.edges + disjoint_union(*[gadgets.lantern(5)] * 3).edges)
 
 
 def build_H2(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
@@ -211,11 +189,7 @@ def build_H2(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
         raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
     g, _ = confmodel.sample_linear(n0, ell, 1, seed=seed, max_tries=max_tries,
                                    require_pair=False)
-    edges = list(g.edges)
-    for j in range(3):
-        base = 5 * j
-        edges.extend(combinations(range(base, base + 5), 3))
-    return make(n0, edges)
+    return make(n0, g.edges + disjoint_union(*[gadgets.clique3(5)] * 3).edges)
 
 
 def _largest_split(n, ell, m):
@@ -243,7 +217,8 @@ def plan_lower(n, ell, m) -> Verdict:
     largest number of split-off cliques c, for any m in [sat, ex].
 
     The plan stands only when confmodel.degree_spec accepts the core
-    sequence d(n - c ell - a, ell, k); its refusal is the verdict.
+    sequence d(n - c ell - a, ell, k); its refusal is the verdict.  When
+    ell | n, m = ex is n / ell cliques and no core.
     """
     if ell < 5 or n <= ell:
         return Verdict(UNSUPPORTED, f"lower planner needs ell >= 5 and n > ell, got ({n}, {ell})")
@@ -253,6 +228,9 @@ def plan_lower(n, ell, m) -> Verdict:
     ex, _ = ex_formula(n, ell)
     if m > ex:
         return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {ex}")
+    if m == ex and n % ell == 0:
+        plan = LowerPlan(n, ell, m, n // ell, 0, 0, 0, 0)
+        return Verdict(OK, f"{n // ell} disjoint cliques and no core graph", plan)
     c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
         return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1")
@@ -272,10 +250,29 @@ plan_upper = plan_lower
 
 
 def build_lower(plan: LowerPlan, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    w = build_W(plan.n - plan.c * plan.ell, plan.ell, plan.k, plan.a_star, plan.i,
-                seed=seed, max_tries=max_tries)
-    parts = [w] + [gadgets.clique3(plan.ell)] * plan.c
-    return _union_all(parts)
+    core = plan.n - plan.c * plan.ell
+    parts = [build_W(core, plan.ell, plan.k, plan.a_star, plan.i, seed=seed,
+                     max_tries=max_tries)] if core else []
+    return disjoint_union(*parts, *[gadgets.clique3(plan.ell)] * plan.c)
+
+
+# residue b of the deficit m* = 7a + b: its special units, built on call
+# through the gadgets module, and how many of the a lanterns they replace
+_EXACT5_UNITS = {
+    0: (lambda: [], 0),
+    1: (lambda: [gadgets.sun(5), gadgets.clique3(4)], 1),
+    2: (lambda: [gadgets.gadget_R()], 1),
+    3: (lambda: [gadgets.broken_lantern(), gadgets.broken_lantern()], 1),
+    4: (lambda: [gadgets.gadget_Q()], 1),
+    5: (lambda: [gadgets.broken_lantern()], 0),
+    6: (lambda: [gadgets.gadget_D()], 0),
+}
+
+
+def _exact5_units(a, b):
+    """(special units, lantern count) of the mixture for m* = 7a + b."""
+    units, replaced = _EXACT5_UNITS[b]
+    return units(), a - replaced
 
 
 def plan_exact5(n, m) -> Verdict:
@@ -296,9 +293,8 @@ def plan_exact5(n, m) -> Verdict:
         return Verdict(OUT_OF_RANGE, f"m = {m} below the exact-range floor 5n/3")
     m_star = 2 * n - m
     a, b = divmod(m_star, 7)
-    sizes = {0: 0, 1: 10, 2: 15, 3: 20, 4: 20, 5: 10, 6: 10}
-    lanterns = a if b in (0, 5, 6) else a - 1
-    used = sizes[b] + 15 * lanterns
+    units, lanterns = _exact5_units(a, b)
+    used = sum(g.vertex_count for g in units) + 15 * lanterns
     if used > n:
         return Verdict(UNSUPPORTED, f"mixture for m* = {m_star} needs {used} vertices, n = {n}")
     plan = Exact5Plan(n, m, m_star, a, b)
@@ -306,31 +302,12 @@ def plan_exact5(n, m) -> Verdict:
 
 
 def build_exact5(plan: Exact5Plan, seed=0) -> Hypergraph3:
-    b = plan.b
-    parts = []
-    if b in (1, 2, 3, 4):
-        lanterns = plan.a - 1
-        if b == 1:
-            parts += [gadgets.sun(5), gadgets.clique3(4)]
-        elif b == 2:
-            parts += [gadgets.gadget_R()]
-        elif b == 3:
-            parts += [gadgets.broken_lantern(), gadgets.broken_lantern()]
-        else:
-            parts += [gadgets.gadget_Q()]
-    else:
-        lanterns = plan.a
-        if b == 5:
-            parts += [gadgets.broken_lantern()]
-        elif b == 6:
-            parts += [gadgets.gadget_D()]
-    parts += [gadgets.lantern(5)] * lanterns
-    used = sum(g.vertex_count for g in parts)
-    beta, rem = divmod(plan.n - used, 5)
+    units, lanterns = _exact5_units(plan.a, plan.b)
+    parts = units + [gadgets.lantern(5)] * lanterns
+    beta, rem = divmod(plan.n - sum(g.vertex_count for g in parts), 5)
     if rem or beta < 0:
         raise InternalError(f"vertex accounting failed for {plan}")
-    parts += [gadgets.clique3(5)] * beta
-    return _union_all(parts)
+    return disjoint_union(*parts, *[gadgets.clique3(5)] * beta)
 
 
 def small_star_spectrum(n: int, ell: int) -> dict:
@@ -345,24 +322,25 @@ def small_star_spectrum(n: int, ell: int) -> dict:
     if ell == 1:
         return {0: make(n, [])}
     if ell == 2:
-        edges = [(3 * j, 3 * j + 1, 3 * j + 2) for j in range(n // 3)]
-        return {n // 3: make(n, edges)}
+        triples = [gadgets.clique3(3)] * (n // 3)
+        return {n // 3: disjoint_union(*triples, gadgets.clique3(n % 3))}
     if ell == 3:
         out = {}
         ex = (2 * n) // 3
         if n % 3 == 0:
             out[ex] = _wrap_cycle(n)
-            out[ex - 1] = _union_pad(_wrap_cycle(n - 3), n, [(n - 3, n - 2, n - 1)])
+            out[ex - 1] = disjoint_union(_wrap_cycle(n - 3), gadgets.clique3(3))
         elif n % 3 == 1:
-            out[ex] = _union_pad(_wrap_cycle(n - 1), n, [])
+            out[ex] = disjoint_union(_wrap_cycle(n - 1), gadgets.clique3(1))
         else:
-            out[ex] = _union_pad(_wrap_cycle(n - 5), n, _five_piece(n - 5))
-            out[ex - 1] = _union_pad(_wrap_cycle(n - 2), n, [])
+            # five vertices carrying three edges, degrees (2, 2, 2, 2, 1)
+            five = make(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3)])
+            out[ex] = disjoint_union(_wrap_cycle(n - 5), five)
+            out[ex - 1] = disjoint_union(_wrap_cycle(n - 2), gadgets.clique3(2))
         return out
-    out = {n - 2: _union_pad(_tight_cycle(n - 2), n, []),
-           n - 1: gadgets.l4_sparse(n),
-           n: _tight_cycle(n)}
-    return out
+    return {n - 2: disjoint_union(_tight_cycle(n - 2), gadgets.clique3(2)),
+            n - 1: gadgets.l4_sparse(n),
+            n: _tight_cycle(n)}
 
 
 def _wrap_cycle(q: int) -> Hypergraph3:
@@ -381,18 +359,6 @@ def _tight_cycle(q: int) -> Hypergraph3:
         raise ValueError(f"tight cycle needs q >= 4, got {q}")
     edges = {tuple(sorted((j, (j + 1) % q, (j + 2) % q))) for j in range(q)}
     return make(q, edges)
-
-
-def _five_piece(base: int):
-    """Five extra vertices carrying three edges, degrees (2,2,2,2,1)."""
-    a, b, c, d, e = range(base, base + 5)
-    return [(a, b, c), (c, d, e), (a, b, d)]
-
-
-def _union_pad(g: Hypergraph3, n: int, extra_edges) -> Hypergraph3:
-    """g placed on the first ids of [0, n) plus literal extra edges."""
-    edges = list(g.edges) + [tuple(sorted(e)) for e in extra_edges]
-    return make(n, edges)
 
 
 def plan_witness(n, ell, m) -> Verdict:

@@ -297,34 +297,9 @@ def ddf_total(g: Hypergraph3) -> int:
 
 # --- the ell = 5 link catalog ---------------------------------------------
 
-def _catalog_shapes():
-    m, p, s, k = (
-        twographs.matching,
-        twographs.path,
-        twographs.star,
-        twographs.complete,
-    )
-    d = twographs.disjoint
-    return (
-        ("4K2", m(4)),
-        ("2K2+P3", d(m(2), p(3))),
-        ("3K2", m(3)),
-        ("K2+K1,3", d(m(1), s(3))),
-        ("K2+P4", d(m(1), p(4))),
-        ("2P3", d(p(3), p(3))),
-        ("K2+K3", d(m(1), k(3))),
-        ("K2+P3", d(m(1), p(3))),
-        ("P5", p(5)),
-        ("K1,4", s(4)),
-        ("T0", twographs.t0()),
-        ("K4", k(4)),
-        ("K4-", twographs.complete_minus_edge(4)),
-    )
-
-
-CATALOG_LABELS = tuple(name for name, _ in _catalog_shapes()) + ("OTHER",)
-
-_catalog_forms = None
+_CATALOG_FORMS = {
+    twographs.canonical_form(*shape): name for name, shape in twographs.LINK_SHAPES
+}
 
 
 def classify_link_5(g: Hypergraph3, v: int) -> str:
@@ -334,18 +309,13 @@ def classify_link_5(g: Hypergraph3, v: int) -> str:
     Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with a
     link other than K4 or K4-.
     """
-    global _catalog_forms
-    if _catalog_forms is None:
-        _catalog_forms = {}
-        for name, (cn, cp) in _catalog_shapes():
-            _catalog_forms[twographs.canonical_form(cn, cp)] = name
     l = link(g, v)
     relabel = {u: i for i, u in enumerate(l.neighbors)}
     pairs = tuple(
         tuple(sorted((relabel[x], relabel[y]))) for x, y in l.pairs
     )
     form = twographs.canonical_form(len(l.neighbors), pairs)
-    return _catalog_forms.get(form, "OTHER")
+    return _CATALOG_FORMS.get(form, "OTHER")
 
 
 def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:
@@ -360,30 +330,15 @@ def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) 
     if not report.is_saturated:
         raise ValueError("claim requires a Berge-K_{1,5}-saturated input")
     index = incidence_index(g)
-    parent = list(range(g.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c in g.edges:
-        ra, rb, rc = find(a), find(b), find(c)
-        parent[ra] = rb
-        parent[rb] = rc
-    comp_vertices = {}
-    for v in range(g.vertex_count):
-        comp_vertices.setdefault(find(v), []).append(v)
-    comp_edges = {}
-    for e in g.edges:
-        comp_edges[find(e[0])] = comp_edges.get(find(e[0]), 0) + 1
-
-    for e in g.edges:
-        heavy = [v for v in e if len(index[v]) == 6]
-        if len(heavy) < 2:
-            continue
-        root = find(e[0])
-        if len(comp_vertices[root]) != 5 or comp_edges.get(root, 0) != 10:
-            return False
-    return True
+    # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
+    # so a component with 10 edges counts 20 pairs
+    pairs = [p for a, b, c in g.edges for p in ((a, b), (b, c))]
+    comp_of = {}
+    for verts, pair_count in components(range(g.vertex_count), pairs):
+        for v in verts:
+            comp_of[v] = (len(verts), pair_count)
+    return all(
+        comp_of[e[0]] == (5, 20)
+        for e in g.edges
+        if sum(1 for v in e if len(index[v]) == 6) >= 2
+    )

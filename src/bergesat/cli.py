@@ -134,6 +134,8 @@ def _theory_label(verdict):
             return "feasible", "disjoint 5-cliques"
         return "feasible", "exact-fifth-zone gadget unions"
     if plan is not None:
+        if plan.c * plan.ell == plan.n:
+            return "feasible", "disjoint ell-cliques"
         if plan.sampler_refusal() is not None:
             return ("sampler-refused",
                     "clique-split plan whose core degree spec no simple linear "

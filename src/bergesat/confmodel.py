@@ -85,15 +85,6 @@ class DegreeSpec:
     k: int
     t: int
 
-    def degree_of(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex id {v} out of range [0, {self.n - 1}]")
-        if v < 15 * self.k:
-            return self.ell - 5
-        if v < 15 * self.k + self.t:
-            return self.ell - 2
-        return self.ell - 1
-
     def degree_array(self) -> np.ndarray:
         d = np.full(self.n, self.ell - 1, dtype=np.int64)
         d[: 15 * self.k] = self.ell - 5

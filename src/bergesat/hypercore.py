@@ -244,13 +244,16 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
     return BergeWitness(v, tuple(assignment))
 
 
-def disjoint_union(a: Hypergraph3, b: Hypergraph3) -> Hypergraph3:
-    """a with b appended, b's vertices shifted up by a.vertex_count."""
-    shift = a.vertex_count
-    shifted = tuple(
-        (x + shift, y + shift, z + shift) for x, y, z in b.edges
-    )
-    return Hypergraph3(a.vertex_count + b.vertex_count, a.edges + shifted)
+def disjoint_union(*parts: Hypergraph3) -> Hypergraph3:
+    """The parts side by side, each shifted up by the vertex counts before
+    it.  Each part's edges are sorted and the shifts ascend, so the
+    concatenation is already canonical."""
+    edges = []
+    shift = 0
+    for g in parts:
+        edges.extend((x + shift, y + shift, z + shift) for x, y, z in g.edges)
+        shift += g.vertex_count
+    return Hypergraph3(shift, tuple(edges))
 
 
 def add_edge(g: Hypergraph3, e) -> Hypergraph3:

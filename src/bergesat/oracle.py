@@ -279,20 +279,8 @@ def sat_ex_observed(n, ell, allow_large=False):
 
 # --- link catalog and the deficiency bound table ---------------------------
 
-# the named shapes, in the published row order
-_NAMED_ROWS = (
-    ("4K2", 8, twographs.matching(4)),
-    ("2K2+P3", 7, twographs.disjoint(twographs.matching(2), twographs.path(3))),
-    ("3K2", 6, twographs.matching(3)),
-    ("K2+K1,3", 6, twographs.disjoint(twographs.matching(1), twographs.star(3))),
-    ("K2+P4", 6, twographs.disjoint(twographs.matching(1), twographs.path(4))),
-    ("2P3", 6, twographs.disjoint(twographs.path(3), twographs.path(3))),
-    ("K2+K3", 5, twographs.disjoint(twographs.matching(1), twographs.complete(3))),
-    ("K2+P3", 5, twographs.disjoint(twographs.matching(1), twographs.path(3))),
-    ("P5", 5, twographs.path(5)),
-    ("K1,4", 5, twographs.star(4)),
-    ("T0", 5, twographs.t0()),
-)
+# the published catalog rows: the named link shapes on five or more vertices
+_NAMED_ROWS = tuple(row for row in twographs.LINK_SHAPES if row[1][0] >= 5)
 
 PUBLISHED_BOUNDS = (18, 15, 15, 14, 12, 12, 9, 12, 9, 12, 9)
 
@@ -393,17 +381,14 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
     extend(0, 0, 0, [])
 
     named_canon = {}
-    for name, stratum, (gn, gp) in _NAMED_ROWS:
+    for name, (gn, gp) in _NAMED_ROWS:
         named_canon[twographs.canonical_form(gn, gp)] = name
 
+    # combos are non-decreasing index tuples, so each is a distinct multiset
     classes = []
-    seen = set()
     for combo in combos:
         parts = [conn_list[i] for i in combo]
         canon_multi = tuple(sorted(p[0] for p in parts))
-        if canon_multi in seen:
-            continue
-        seen.add(canon_multi)
         nv = sum(p[1][0] for p in parts)
         ne = sum(p[1][1] for p in parts)
         tree = sum(1 for p in parts if p[1][1] == p[1][0] - 1)
@@ -433,7 +418,7 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
                 )
 
     computed = []
-    for name, stratum, (gn, gp) in _NAMED_ROWS:
+    for name, (gn, gp) in _NAMED_ROWS:
         canon = twographs.canonical_form(gn, gp)
         match = [c for c in classes if c.canon == canon]
         if len(match) != 1:

@@ -123,3 +123,22 @@ def disjoint(g1, g2):
     n1, p1 = g1
     n2, p2 = g2
     return (n1 + n2, p1 + tuple((x + n1, y + n1) for x, y in p2))
+
+
+# the named link shapes of the ell = 5 analysis: the published catalog
+# rows (five or more vertices) in row order, then the two dense 4-vertex links
+LINK_SHAPES = (
+    ("4K2", matching(4)),
+    ("2K2+P3", disjoint(matching(2), path(3))),
+    ("3K2", matching(3)),
+    ("K2+K1,3", disjoint(matching(1), star(3))),
+    ("K2+P4", disjoint(matching(1), path(4))),
+    ("2P3", disjoint(path(3), path(3))),
+    ("K2+K3", disjoint(matching(1), complete(3))),
+    ("K2+P3", disjoint(matching(1), path(3))),
+    ("P5", path(5)),
+    ("K1,4", star(4)),
+    ("T0", t0()),
+    ("K4", complete(4)),
+    ("K4-", complete_minus_edge(4)),
+)

@@ -120,6 +120,10 @@ def test_lower_plan_keeps_the_largest_clique_split():
             if verdict.plan is None:
                 continue
             c = verdict.plan.c
+            if c * ell == n:
+                # m = ex with ell | n: the cliques alone, no core graph
+                assert m == ex_formula(n, ell)[0] and verdict.plan.s == 0
+                continue
             assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == verdict.plan.s
             if n - (c + 1) * ell > ell:
                 assert m - comb(ell, 3) * (c + 1) - sat_formula(n - (c + 1) * ell, ell)[0] < 0
@@ -134,7 +138,7 @@ def test_unrealizable_core_specs_are_unsupported():
         assert "pairwise non-adjacent" in verdict.detail
 
 
-COVERAGE_FLOOR = {(120, 6): 148, (61, 5): 30, (120, 7): 143}
+COVERAGE_FLOOR = {(120, 6): 149, (61, 5): 30, (120, 7): 143}
 
 
 @pytest.mark.parametrize("n,ell", sorted(COVERAGE_FLOOR))

@@ -216,6 +216,10 @@ def test_degree6_component_claim_on_clique_unions():
     assert degree6_component_claim(g)
     with pytest.raises(ValueError, match="saturated"):
         degree6_component_claim(make(6, [(0, 1, 2)]))
+    # the edge (0, 5, 6) puts the degree-6 pairs of K5 in a 7-vertex
+    # component; the claim fails even when the report says saturated
+    wide = add_edge(disjoint_union(k5(), make(2, [])), (0, 5, 6))
+    assert not degree6_component_claim(wide, report=is_saturated(k5(), 5))
 
 
 def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():

@@ -68,6 +68,17 @@ def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
     assert run("verify", str(out), "--ell", "6", "--quiet") == 0
 
 
+def test_ex_with_ell_dividing_n_builds_disjoint_cliques(tmp_path):
+    for n, ell, m in (("120", "6", "400"), ("84", "7", "420")):
+        out, rep = tmp_path / f"w{n}.h3", tmp_path / f"rep{n}.json"
+        assert run("build", "--n", n, "--ell", ell, "--m", m, "-o", str(out),
+                   "--report", str(rep), "--quiet") == 0
+        obj = json.loads(rep.read_text())
+        assert obj["verified_saturated"] is True
+        assert obj["plan"]["c"] == int(n) // int(ell) and obj["plan"]["k"] == 0
+        assert run("verify", str(out), "--ell", ell, "--quiet") == 0
+
+
 def test_build_summary_echoes_the_seed(capsys, tmp_path):
     out = tmp_path / "w.h3"
     run("build", "--n", "45", "--ell", "5", "--m", "59",
@@ -198,7 +209,8 @@ def test_spectrum_theory_runs_follow_the_planner(capsys):
     assert ranges[0] == {"lo": 0, "hi": 195, "status": "infeasible",
                          "rule": "below the saturation minimum"}
     assert [r["lo"] for r in ranges[1:]] == [r["hi"] + 1 for r in ranges[:-1]]
-    assert ranges[-1]["hi"] == obj["ex"] == 400
+    assert ranges[-1] == {"lo": 400, "hi": 400, "status": "feasible",
+                          "rule": "disjoint ell-cliques"}
     want = {"feasible": assembler.OK, "unsupported": assembler.UNSUPPORTED,
             "sampler-refused": assembler.OK}
     for r in ranges[1:]:

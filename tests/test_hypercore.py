@@ -122,6 +122,10 @@ def test_disjoint_union_shifts_the_second_block():
     u = disjoint_union(a, b)
     assert u.vertex_count == 7
     assert u.edges == ((0, 1, 2), (4, 5, 6))
+    three = disjoint_union(b, a, b)
+    assert three.vertex_count == 10
+    assert three.edges == ((0, 1, 2), (3, 4, 5), (7, 8, 9))
+    assert disjoint_union() == make(0, [])
 
 
 def test_add_and_remove_edge():
