@@ -1,22 +1,19 @@
 """Planners and builders for saturated graphs with prescribed size.
 
-The planning layer turns (n, ell, m) into a recipe over the fixed
-component kit: the core graph W (a sampled near-regular linear graph
-with lantern overlays, an attached clique, and up to two edge
-surgeries), disjoint cliques, and for ell = 5 the small exact-count
-pieces.  Builders realize a plan deterministically per seed, gluing
-blocks with hypercore.disjoint_union, and everything they emit is
-re-verified by the checker rather than trusted.
+plan_witness is the one planner for every (n, ell, m), and it builds
+nothing; build_spectrum_witness builds only the plan it returns, gluing
+blocks with hypercore.disjoint_union, and the checker re-verifies every
+witness rather than trusting it.  Three branches:
 
-For ell >= 5 one clique-split planner serves every m from the
-saturation number to the extremal number, except in the ell = 5,
-5 | n zone from 5n/3 up, where the exact mixture cases close
-everything up to 2n - 5 plus the extremal value 2n itself, with
-2n-4 .. 2n-1 provably unrealizable.  The paper proves the clique split
-only up to ell(ell-1)n/12; above that the planner goes on with the same
-decomposition, and certification of each built witness is what vouches
-for it.  A plan is accepted only when confmodel.degree_spec accepts its
-core degree sequence.
+- closed form, ell <= 4 or n <= ell: a table from m to the construction
+  (and the vertices it needs); any other m below its top is infeasible.
+- exact mixtures, ell = 5 with 5 | n, from 5n/3 up: every m up to 2n - 5
+  and 2n itself, with 2n-4 .. 2n-1 provably unrealizable.
+- clique split, every other m from sat to ex: disjoint ell-cliques beside
+  a core W (a sampled near-regular linear graph with lantern overlays,
+  an attached clique and up to two edge surgeries), accepted only when
+  confmodel.degree_spec accepts the core.  The paper proves it up to
+  ell(ell-1)n/12; above that certification alone vouches for a witness.
 """
 
 from dataclasses import dataclass
@@ -58,11 +55,6 @@ class LowerPlan:
     i: int
     s: int
 
-    def sampler_refusal(self):
-        """confmodel's up-front refusal of this plan's core, or None."""
-        core = confmodel.degree_spec(self.n - self.c * self.ell - self.a_star, self.ell, self.k)
-        return confmodel.refusal(core, require_pair=self.i > 0)
-
 
 @dataclass(frozen=True)
 class Exact5Plan:
@@ -71,6 +63,13 @@ class Exact5Plan:
     m_star: int
     a: int
     b: int
+
+
+@dataclass(frozen=True)
+class ClosedPlan:
+    n: int
+    ell: int
+    m: int
 
 
 def sat_formula(n: int, ell: int):
@@ -310,44 +309,46 @@ def build_exact5(plan: Exact5Plan, seed=0) -> Hypergraph3:
     return disjoint_union(*parts, *[gadgets.clique3(5)] * beta)
 
 
-def small_star_spectrum(n: int, ell: int) -> dict:
-    """Complete witness map {m: graph} for ell <= 4.
+# ell = 3 by n mod 3: (ex - m, the block beside the wrap cycle, its name)
+_WRAP_ROWS = {
+    0: ((0, make(0, []), ""), (1, make(3, [(0, 1, 2)]), " and a disjoint triple")),
+    1: ((0, make(1, []), " and an isolated vertex"),),
+    2: ((0, make(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3)]), " and three edges on five vertices"),
+        (1, make(2, []), " and two isolated vertices")),
+}
 
-    ell = 1: the empty graph only.  ell = 2: a maximum matching.
-    ell = 3: the extremal value and, when n is not 1 mod 3, one below.
-    ell = 4: {n-2, n-1, n} via tight cycles and the sparse split.
-    """
-    if not 1 <= ell <= 4:
-        raise ValueError(f"small-star spectrum needs 1 <= ell <= 4, got {ell}")
+
+def _closed_form(n, ell):
+    """{m: (vertices the construction needs, its name, its builder)} for
+    n <= ell, where no Berge degree can reach ell and K_n^(3) is the only
+    saturated graph, and for ell <= 4; None otherwise.  Builders take the
+    sampler's seed and max_tries as keywords."""
+    if n < 1 or ell < 1:
+        raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
+    if n <= ell:
+        return {comb(n, 3): (n, "the complete 3-graph, the only saturated graph when n <= ell",
+                             lambda **_: gadgets.clique3(n))}
     if ell == 1:
-        return {0: make(n, [])}
+        return {0: (1, "the empty graph", lambda **_: make(n, []))}
     if ell == 2:
-        triples = [gadgets.clique3(3)] * (n // 3)
-        return {n // 3: disjoint_union(*triples, gadgets.clique3(n % 3))}
+        return {n // 3: (3, "a maximum matching", lambda **_: disjoint_union(
+            *[gadgets.clique3(3)] * (n // 3), gadgets.clique3(n % 3)))}
     if ell == 3:
-        out = {}
-        ex = (2 * n) // 3
-        if n % 3 == 0:
-            out[ex] = _wrap_cycle(n)
-            out[ex - 1] = disjoint_union(_wrap_cycle(n - 3), gadgets.clique3(3))
-        elif n % 3 == 1:
-            out[ex] = disjoint_union(_wrap_cycle(n - 1), gadgets.clique3(1))
-        else:
-            # five vertices carrying three edges, degrees (2, 2, 2, 2, 1)
-            five = make(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3)])
-            out[ex] = disjoint_union(_wrap_cycle(n - 5), five)
-            out[ex - 1] = disjoint_union(_wrap_cycle(n - 2), gadgets.clique3(2))
-        return out
-    return {n - 2: disjoint_union(_tight_cycle(n - 2), gadgets.clique3(2)),
-            n - 1: gadgets.l4_sparse(n),
-            n: _tight_cycle(n)}
+        return {2 * n // 3 - d: (6 + b.vertex_count, "a wrap cycle" + what, lambda b=b, **_:
+                                 disjoint_union(_wrap_cycle(n - b.vertex_count), b))
+                for d, b, what in _WRAP_ROWS[n % 3]}
+    if ell == 4:
+        return {n - 2: (6, "a tight cycle and two isolated vertices",
+                        lambda **_: disjoint_union(_tight_cycle(n - 2), gadgets.clique3(2))),
+                n - 1: (16, "the sparse split of a 3-regular linear graph",
+                        lambda **kw: gadgets.l4_sparse(n, **kw)),
+                n: (4, "a tight cycle", lambda **_: _tight_cycle(n))}
+    return None
 
 
 def _wrap_cycle(q: int) -> Hypergraph3:
     """Two overlapping triple layers on q vertices (3 | q, q >= 6); every
     vertex ends with Berge degree exactly 2."""
-    if q % 3 or q < 6:
-        raise ValueError(f"wrap cycle needs 3 | q and q >= 6, got {q}")
     edges = [(3 * j, 3 * j + 1, 3 * j + 2) for j in range(q // 3)]
     for j in range(q // 3):
         edges.append(tuple(sorted(((3 * j + 1), (3 * j + 2), (3 * j + 3) % q))))
@@ -355,45 +356,95 @@ def _wrap_cycle(q: int) -> Hypergraph3:
 
 
 def _tight_cycle(q: int) -> Hypergraph3:
-    if q < 4:
-        raise ValueError(f"tight cycle needs q >= 4, got {q}")
     edges = {tuple(sorted((j, (j + 1) % q, (j + 2) % q))) for j in range(q)}
     return make(q, edges)
 
 
 def plan_witness(n, ell, m) -> Verdict:
-    """The planner's verdict for ell >= 5: the exact mixtures in the
-    ell = 5, 5 | n zone from 5n/3 up, the clique split everywhere else."""
-    if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
-        return plan_exact5(n, m)
-    return plan_lower(n, ell, m)
+    """The one planner for every (n, ell, m), building nothing: the
+    closed-form table for ell <= 4 and n <= ell, the exact mixtures in the
+    ell = 5, 5 | n zone from 5n/3 up, and the clique split elsewhere."""
+    table = _closed_form(n, ell)
+    if table is None:
+        if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
+            return plan_exact5(n, m)
+        return plan_lower(n, ell, m)
+    if m in table:
+        need, name, _ = table[m]
+        if need > n:
+            return Verdict(UNSUPPORTED, f"{name} needs n >= {need}, got n = {n}")
+        return Verdict(OK, name, ClosedPlan(n, ell, m))
+    if m > max(table):
+        return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {max(table)}")
+    return Verdict(BY_THEOREM, f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
 
 
 def build_spectrum_witness(n, ell, m, seed=0, n0=None, max_tries=10_000_000):
-    """Dispatch: returns (Verdict, graph or None).
-
-    Small ell goes through the complete spectra, ell >= 5 through
-    plan_witness.  n0 is accepted and ignored: it was the block size of
-    an H-block upper-range route that the clique split now covers.
-    """
+    """(plan_witness's verdict, the graph its plan describes or None).
+    n0 is ignored: the H-block route it sized is gone."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if m < 0:
         raise ValueError(f"negative m = {m}")
-    if ell <= 4:
-        table = small_star_spectrum(n, ell)
-        if m in table:
-            return Verdict(OK, f"complete small-star spectrum, ell = {ell}"), table[m]
-        lo, hi = min(table), max(table)
-        if m > hi:
-            return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {hi}"), None
-        return Verdict(
-            BY_THEOREM,
-            f"the spectrum for ell = {ell} is exactly {sorted(table)} around [{lo}, {hi}]",
-        ), None
     verdict = plan_witness(n, ell, m)
     if not verdict.feasible:
         return verdict, None
+    if isinstance(verdict.plan, ClosedPlan):
+        return verdict, _closed_form(n, ell)[m][2](seed=seed, max_tries=max_tries)
     if isinstance(verdict.plan, Exact5Plan):
         return verdict, build_exact5(verdict.plan, seed=seed)
     return verdict, build_lower(verdict.plan, seed=seed, max_tries=max_tries)
+
+
+def _split_label(verdict):
+    """(status, rule) of one clique-split or exact-range verdict."""
+    plan = verdict.plan
+    if isinstance(plan, Exact5Plan):
+        if plan.m_star == 0:
+            return "feasible", "disjoint 5-cliques"
+        return "feasible", "exact-fifth-zone gadget unions"
+    if plan is not None:
+        if plan.c * plan.ell == plan.n:
+            return "feasible", "disjoint ell-cliques"
+        core = confmodel.degree_spec(plan.n - plan.c * plan.ell - plan.a_star, plan.ell, plan.k)
+        if confmodel.refusal(core, require_pair=plan.i > 0) is not None:
+            return ("sampler-refused",
+                    "clique-split plan whose core degree spec no simple linear "
+                    "3-graph realizes (too few active vertices or edges); exit 5")
+        return ("feasible",
+                "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
+                "is vouched for by certification only")
+    if verdict.status == BY_THEOREM:
+        return "infeasible", "clique-count gap just under the maximum"
+    return ("unsupported",
+            "no clique split with an admissible residue and core degree spec; exit 7")
+
+
+# the run status of each closed-form verdict
+_WORD = {OK: "feasible", BY_THEOREM: "infeasible", UNSUPPORTED: "unsupported"}
+
+
+def spectrum_runs(n, ell):
+    """Maximal runs of m in [0, top] sharing the planner's verdict, with the
+    rule behind each; top is the largest closed-form m, else ex.  The run
+    below sat comes from sat_formula, and the closed form plans only its
+    table entries and the m just past each."""
+    table = _closed_form(n, ell)
+    if table is None:
+        sat = sat_formula(n, ell)[0]
+        bounds = range(sat, ex_formula(n, ell)[0] + 2)
+        runs = [{"lo": 0, "hi": sat - 1, "status": "infeasible",
+                 "rule": "below the saturation minimum"}]
+    else:
+        # the verdict changes only at a table entry and just past one
+        bounds, runs = sorted({0, *table, *(m + 1 for m in table)}), []
+    key = None
+    for m, nxt in zip(bounds, bounds[1:]):
+        verdict = plan_witness(n, ell, m)
+        label = _split_label(verdict) if table is None else (_WORD[verdict.status], verdict.detail)
+        if label == key:
+            runs[-1]["hi"] = nxt - 1
+        else:
+            key = label
+            runs.append({"lo": m, "hi": nxt - 1, "status": label[0], "rule": label[1]})
+    return runs

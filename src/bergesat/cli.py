@@ -5,11 +5,12 @@ Exit codes are part of the interface and are kept apart deliberately:
     0  success (for verify: the input is saturated)
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
-    4  bad arguments, unreadable input, or malformed graph file
+    4  bad arguments (build and sample-config cap --n at 2^20, as the
+       readers do), unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
-    6  provably infeasible edge count (below the minimum, or inside the
-       clique-count gap just under 2n)
-    7  edge count outside the supported planning ranges
+    6  provably infeasible edge count: below sat, inside the gap just
+       under 2n, or off the closed-form spectrum (ell <= 4 or n <= ell)
+    7  edge count outside the planned ranges, or too few vertices for its construction
     8  internal error: an invariant of the program failed (a bug)
 
 Artifacts are written atomically (temp file in the target directory,
@@ -77,7 +78,13 @@ def _verdict_exit(verdict):
     return _EXIT_UNSUPPORTED
 
 
+def _check_n(args):
+    if args.n > hypercore.MAX_VERTICES:
+        raise ValueError(f"--n {args.n} exceeds the vertex limit {hypercore.MAX_VERTICES}")
+
+
 def _cmd_build(args):
+    _check_n(args)
     verdict, g = assembler.build_spectrum_witness(
         args.n, args.ell, args.m, seed=args.seed, n0=args.n0,
         max_tries=args.max_tries,
@@ -97,8 +104,7 @@ def _cmd_build(args):
         _write_graph(args.out, g, args.format)
     report["edges"] = len(g.edges)
     report["verified_saturated"] = certified
-    if verdict.plan is not None:
-        report["plan"] = {k: v for k, v in vars(verdict.plan).items()}
+    report["plan"] = vars(verdict.plan)
     _write_report(args, report)
     dest = args.out if args.out and certified else "(not written)"
     _say(args, f"build n={args.n} ell={args.ell} m={args.m} seed={args.seed}: "
@@ -126,53 +132,6 @@ def _cmd_verify(args):
     return _EXIT_OK
 
 
-def _theory_label(verdict):
-    """(status, rule) of one planner verdict, the key that runs share."""
-    plan = verdict.plan
-    if isinstance(plan, assembler.Exact5Plan):
-        if plan.m_star == 0:
-            return "feasible", "disjoint 5-cliques"
-        return "feasible", "exact-fifth-zone gadget unions"
-    if plan is not None:
-        if plan.c * plan.ell == plan.n:
-            return "feasible", "disjoint ell-cliques"
-        if plan.sampler_refusal() is not None:
-            return ("sampler-refused",
-                    "clique-split plan whose core degree spec no simple linear "
-                    "3-graph realizes (too few active vertices or edges); exit 5")
-        return ("feasible",
-                "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
-                "is vouched for by certification only")
-    if verdict.status == assembler.BY_THEOREM:
-        return "infeasible", "clique-count gap just under the maximum"
-    return ("unsupported",
-            "no clique split with an admissible residue and core degree spec; exit 7")
-
-
-def _theory_ranges(n, ell):
-    """Maximal runs of m in [0, ex] that share the planner's verdict,
-    with the rule behind each."""
-    ranges = []
-    if ell <= 4:
-        ms = sorted(assembler.small_star_spectrum(n, ell))
-        ranges.append({"m": ms, "status": "feasible",
-                       "rule": "small-star direct constructions"})
-        return ranges
-    sat, _ = assembler.sat_formula(n, ell)
-    ex, _ = assembler.ex_formula(n, ell)
-    ranges.append({"lo": 0, "hi": sat - 1, "status": "infeasible",
-                   "rule": "below the saturation minimum"})
-    key = None
-    for m in range(sat, ex + 1):
-        label = _theory_label(assembler.plan_witness(n, ell, m))
-        if label == key:
-            ranges[-1]["hi"] = m
-        else:
-            key = label
-            ranges.append({"lo": m, "hi": m, "status": label[0], "rule": label[1]})
-    return ranges
-
-
 def _cmd_spectrum(args):
     if args.exhaustive:
         res = oracle.exhaustive_spectrum(
@@ -188,20 +147,19 @@ def _cmd_spectrum(args):
         print(json.dumps(obj, indent=2))
         _write_report(args, obj)
         return _EXIT_OK
-    obj = {"n": args.n, "ell": args.ell, "ranges": _theory_ranges(args.n, args.ell)}
+    obj = {"n": args.n, "ell": args.ell, "ranges": assembler.spectrum_runs(args.n, args.ell)}
     if args.ell >= 2:
         sat, argmin = assembler.sat_formula(args.n, args.ell)
         obj["sat"] = sat
         obj["sat_clique_sizes"] = sorted(argmin)
-        ex, kind = assembler.ex_formula(args.n, args.ell)
-        obj["ex"] = ex
-        obj["ex_kind"] = kind
+        obj["ex"], obj["ex_kind"] = assembler.ex_formula(args.n, args.ell)
     print(json.dumps(obj, indent=2))
     _write_report(args, obj)
     return _EXIT_OK
 
 
 def _cmd_sample_config(args):
+    _check_n(args)
     g, stats = confmodel.sample_linear(
         args.n, args.ell, args.k, seed=args.seed, max_tries=args.max_tries,
     )
@@ -213,37 +171,28 @@ def _cmd_sample_config(args):
     return _EXIT_OK
 
 
-_GADGET_NAMES = (
-    "lantern", "sun", "clique", "broken-lantern", "gadget-d", "gadget-q",
-    "gadget-r", "l4-sparse",
-)
+def _given_n(args):
+    if args.n is None:
+        raise ValueError(f"{args.name} needs --n")
+    return args.n
 
 
-def _make_gadget(args):
-    name = args.name
-    if name == "lantern":
-        return gadgets.lantern(args.ell)
-    if name == "sun":
-        return gadgets.sun(args.ell)
-    if name == "clique":
-        return gadgets.clique3(args.n if args.n is not None else args.ell)
-    if name == "broken-lantern":
-        return gadgets.broken_lantern()
-    if name == "gadget-d":
-        return gadgets.gadget_D()
-    if name == "gadget-q":
-        return gadgets.gadget_Q()
-    if name == "gadget-r":
-        return gadgets.gadget_R()
-    if name == "l4-sparse":
-        if args.n is None:
-            raise ValueError("l4-sparse needs --n")
-        return gadgets.l4_sparse(args.n, seed=args.seed)
-    raise ValueError(f"unknown gadget {name!r}")
+# name -> constructor of the parsed arguments; each looks its gadget up in
+# the gadgets module when called
+_GADGETS = {
+    "lantern": lambda a: gadgets.lantern(a.ell),
+    "sun": lambda a: gadgets.sun(a.ell),
+    "clique": lambda a: gadgets.clique3(a.n if a.n is not None else a.ell),
+    "broken-lantern": lambda a: gadgets.broken_lantern(),
+    "gadget-d": lambda a: gadgets.gadget_D(),
+    "gadget-q": lambda a: gadgets.gadget_Q(),
+    "gadget-r": lambda a: gadgets.gadget_R(),
+    "l4-sparse": lambda a: gadgets.l4_sparse(_given_n(a), seed=a.seed),
+}
 
 
 def _cmd_gadget(args):
-    g = _make_gadget(args)
+    g = _GADGETS[args.name](args)
     if args.out:
         _write_graph(args.out, g, args.format)
     _say(args, f"gadget {args.name}: {g.vertex_count} vertices, "
@@ -345,7 +294,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_sample_config)
 
     p = sub.add_parser("gadget", help="emit a named gadget graph")
-    p.add_argument("--name", choices=_GADGET_NAMES, required=True)
+    p.add_argument("--name", choices=_GADGETS, required=True)
     p.add_argument("--ell", type=int, default=5)
     p.add_argument("--n", type=int, default=None)
     common(p)

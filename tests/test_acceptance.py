@@ -18,7 +18,6 @@ from bergesat.assembler import (
     build_spectrum_witness,
     ex_formula,
     sat_formula,
-    small_star_spectrum,
 )
 from bergesat.checker import (
     aggressive_sufficient,
@@ -43,6 +42,12 @@ from bergesat.oracle import (
     exhaustive_spectrum,
 )
 from bergesat.checker import _links_and_degrees
+
+
+def small_star_spectrum(n, ell):
+    """{m: seed-0 witness} of every m in [0, 2n + 1] the planner builds."""
+    built = {m: build_spectrum_witness(n, ell, m, seed=0) for m in range(2 * n + 2)}
+    return {m: g for m, (verdict, g) in built.items() if verdict.feasible}
 
 
 def _report(capsys, name, started, ok, note=""):

@@ -26,11 +26,17 @@ from bergesat.assembler import (
     plan_witness,
     sat_formula,
     select_a_star,
-    small_star_spectrum,
 )
 from bergesat.checker import aggressive_sufficient, is_saturated
 from bergesat.confmodel import SamplerBudgetError
 from bergesat.hypercore import incidence_index
+from bergesat.oracle import exhaustive_spectrum
+
+
+def small_star_spectrum(n, ell):
+    """{m: seed-0 witness} of every m in [0, 2n + 1] the planner builds."""
+    built = {m: build_spectrum_witness(n, ell, m, seed=0) for m in range(2 * n + 2)}
+    return {m: g for m, (verdict, g) in built.items() if verdict.feasible}
 
 
 def certified(g, ell):
@@ -234,6 +240,25 @@ def test_small_star_witnesses_certify():
             for m, g in small_star_spectrum(n, ell).items():
                 assert g.vertex_count == n and len(g.edges) == m
                 assert certified(g, ell), (n, ell, m)
+
+
+def test_planner_agrees_with_tiny_n_ground_truth():
+    # every (n, ell, m) with n <= 6 against the exhaustive sweep: an ok
+    # verdict builds a certified witness of a realizable m, an infeasible
+    # verdict names an unrealizable m, and only the sampler may raise
+    for n in range(1, 7):
+        for ell in range(1, 8):
+            realizable = set(exhaustive_spectrum(n, ell).realizable)
+            for m in range(comb(n, 3) + 2):
+                try:
+                    verdict, g = build_spectrum_witness(n, ell, m, seed=0)
+                except SamplerBudgetError:
+                    continue
+                if verdict.feasible:
+                    assert m in realizable and certified(g, ell), (n, ell, m)
+                    assert g.vertex_count == n and len(g.edges) == m
+                elif verdict.status in (BELOW_SAT, BY_THEOREM):
+                    assert m not in realizable, (n, ell, m)
 
 
 def test_witnesses_use_every_vertex_budget():

@@ -10,7 +10,7 @@ import time
 from itertools import combinations
 
 import bergesat
-from bergesat import assembler, checker, oracle
+from bergesat import assembler, checker, confmodel, gadgets, oracle
 from bergesat.cli import main
 from bergesat.hypercore import Hypergraph3, InternalError, read_h3, write_h3
 
@@ -79,6 +79,41 @@ def test_ex_with_ell_dividing_n_builds_disjoint_cliques(tmp_path):
         assert run("verify", str(out), "--ell", ell, "--quiet") == 0
 
 
+def test_closed_form_requests_build(tmp_path, capsys):
+    # K_6^(3) is the only saturated graph when n <= ell; a tight cycle
+    # serves m = n at ell = 4 without the n >= 16 sparse split
+    for n, ell, m in (("6", "6", "20"), ("15", "4", "15")):
+        out = tmp_path / f"w{n}.h3"
+        assert run("build", "--n", n, "--ell", ell, "--m", m, "-o", str(out), "--quiet") == 0
+        assert run("verify", str(out), "--ell", ell, "--quiet") == 0
+    assert run("spectrum", "--theory", "--n", "10", "--ell", "4", "--quiet") == 0
+    ranges = json.loads(capsys.readouterr().out)["ranges"]
+    assert ranges[0]["lo"] == 0 and ranges[-1]["hi"] == 10
+    assert [r["lo"] for r in ranges[1:]] == [r["hi"] + 1 for r in ranges[:-1]]
+    assert [r["status"] for r in ranges] == ["infeasible", "feasible", "unsupported", "feasible"]
+
+
+def test_l4_sparse_build_follows_seed_and_max_tries(tmp_path):
+    out = tmp_path / "w.h3"
+    assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--seed", "3",
+               "-o", str(out), "--quiet") == 0
+    assert read_h3(out.read_text()) == gadgets.l4_sparse(30, seed=3)
+    assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--max-tries", "0",
+               "--quiet") == 4
+
+
+def test_small_star_requests_sample_only_what_they_return(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a graph the request does not return")
+
+    monkeypatch.setattr(confmodel, "sample_linear", refuse)
+    for m, status in ((3000, assembler.OK), (2998, assembler.OK),
+                      (5000, assembler.OUT_OF_RANGE)):
+        assert assembler.build_spectrum_witness(3000, 4, m)[0].status == status
+    assert run("spectrum", "--theory", "--n", "3000", "--ell", "4", "--quiet") == 0
+    assert json.loads(capsys.readouterr().out)["ranges"][-1]["hi"] == 3000
+
+
 def test_build_summary_echoes_the_seed(capsys, tmp_path):
     out = tmp_path / "w.h3"
     run("build", "--n", "45", "--ell", "5", "--m", "59",
@@ -121,6 +156,13 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
         path.write_text(text)
         assert run("verify", str(path), "--ell", "5") == 4
         assert "exceeds the reader limit" in capsys.readouterr().err
+    # the commands that take --n themselves apply the same cap
+    for argv in (("build", "--n", "100000000", "--ell", "6", "--m", "300000000"),
+                 ("sample-config", "--n", "1048577", "--ell", "5")):
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the vertex limit" in err
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
