@@ -77,11 +77,14 @@ def sat_formula(n: int, ell: int):
 
     Minimizes ceil((ell-1)(n-a)/3) + C(a,3) over integers a >= 1 with
     C(a-1,2) <= ell-2.  Returns (value, frozenset of minimizing a).
+    For n <= ell, K_n^(3) is the only saturated graph: (C(n,3), {n}).
     """
     if ell < 2:
         raise ValueError(f"sat_formula needs ell >= 2, got {ell}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n <= ell:
+        return comb(n, 3), frozenset({n})
     best = None
     argmin = []
     a = 1
@@ -114,11 +117,14 @@ def select_a_star(n: int, ell: int) -> int:
 def ex_formula(n: int, ell: int):
     """Extremal number, with an exactness flag.
 
-    For ell <= 4 the value floor((ell-1)n/3) is exact; for ell >= 5 it
-    is C(ell,3) n / ell, exact exactly when ell divides n.
+    For n <= ell it is C(n,3), from the only saturated graph K_n^(3).
+    Otherwise, for ell <= 4 the value floor((ell-1)n/3) is exact; for
+    ell >= 5 it is C(ell,3) n / ell, exact exactly when ell divides n.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
+    if n <= ell:
+        return comb(n, 3), "exact"
     if ell <= 4:
         return ((ell - 1) * n) // 3, "exact"
     if n % ell == 0:

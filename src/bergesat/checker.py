@@ -38,6 +38,7 @@ from itertools import combinations
 from .hypercore import (
     Hypergraph3,
     link,
+    link_summary,
     incidence_index,
     tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
 )
@@ -96,22 +97,10 @@ class VerifyReport:
         return obj
 
 
-def _summarize(l):
-    """(pairs, NT, d_B) of one link from a single component search."""
-    nontree = []
-    trees = 0
-    for verts, ec in components(l.neighbors, l.pairs):
-        if ec == len(verts) - 1:
-            trees += 1
-        else:
-            nontree.extend(verts)
-    return l.pairs, frozenset(nontree), len(l.neighbors) - trees
-
-
 def _links_and_degrees(g):
     """Per-vertex summary (pairs of L(v), NT(v), d_B(v)), one tuple each."""
     index = incidence_index(g)
-    rows = [_summarize(link(g, v, index)) for v in range(g.vertex_count)]
+    rows = [link_summary(link(g, v, index)) for v in range(g.vertex_count)]
     return tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
 
 
@@ -157,7 +146,7 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
     index = incidence_index(g)
     nontree, degrees = {}, {}
     for v in e:
-        _, nontree[v], degrees[v] = _summarize(link(g, v, index))
+        _, nontree[v], degrees[v] = link_summary(link(g, v, index))
     return _lifts(nontree, degrees, e, ell)
 
 
@@ -302,14 +291,16 @@ _CATALOG_FORMS = {
 }
 
 
-def classify_link_5(g: Hypergraph3, v: int) -> str:
+def classify_link_5(g: Hypergraph3, v: int, index=None) -> str:
     """Label the link of v against the fixed small-shape catalog.
+
+    `index` may be a precomputed incidence_index(g), as for `link`.
 
     Returns "OTHER" for anything outside the catalog; in a
     Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with a
     link other than K4 or K4-.
     """
-    l = link(g, v)
+    l = link(g, v, index)
     relabel = {u: i for i, u in enumerate(l.neighbors)}
     pairs = tuple(
         tuple(sorted((relabel[x], relabel[y]))) for x, y in l.pairs

@@ -5,8 +5,8 @@ Exit codes are part of the interface and are kept apart deliberately:
     0  success (for verify: the input is saturated)
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
-    4  bad arguments (build and sample-config cap --n at 2^20, as the
-       readers do), unreadable input, or malformed graph file
+    4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
+       as the readers do), unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
     6  provably infeasible edge count: below sat, inside the gap just
        under 2n, or off the closed-form spectrum (ell <= 4 or n <= ell)
@@ -133,6 +133,7 @@ def _cmd_verify(args):
 
 
 def _cmd_spectrum(args):
+    _check_n(args)
     if args.exhaustive:
         res = oracle.exhaustive_spectrum(
             args.n, args.ell, allow_large=args.allow_n7,
@@ -231,7 +232,7 @@ def _cmd_classify_links(args):
         l = hypercore.link(g, v, index)
         if len(l.neighbors) < 5:
             continue
-        rows.append((v, checker.classify_link_5(g, v)))
+        rows.append((v, checker.classify_link_5(g, v, index)))
     for v, label in rows:
         print(f"vertex {v}: {label}")
     _write_report(args, {"classes": {str(v): label for v, label in rows}})
@@ -245,13 +246,13 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("h3", "json"), default="h3")
+    def common(p, writes_graph=False):
+        if writes_graph:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--format", choices=("h3", "json"), default="h3")
+            p.add_argument("-o", "--out", help="output graph file")
         p.add_argument("--report", help="also write a JSON report here")
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("-o", "--out", default=out_default,
-                       help="output graph file")
 
     p = sub.add_parser("build", help="construct a witness for (n, ell, m)")
     p.add_argument("--n", type=int, required=True)
@@ -261,7 +262,7 @@ def _build_parser():
                    help="ignored: the one clique-split planner needs no block "
                         "size; accepted so that older command lines still run")
     p.add_argument("--max-tries", type=int, default=10_000_000)
-    common(p)
+    common(p, writes_graph=True)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="check a graph file for saturation")
@@ -290,14 +291,14 @@ def _build_parser():
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--max-tries", type=int, default=10_000_000)
-    common(p)
+    common(p, writes_graph=True)
     p.set_defaults(func=_cmd_sample_config)
 
     p = sub.add_parser("gadget", help="emit a named gadget graph")
     p.add_argument("--name", choices=_GADGETS, required=True)
     p.add_argument("--ell", type=int, default=5)
     p.add_argument("--n", type=int, default=None)
-    common(p)
+    common(p, writes_graph=True)
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("classify-links", help="link catalog and per-vertex classes")

@@ -145,101 +145,72 @@ def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
     return LinkGraph(v, tuple(sorted(nbrs)), tuple(sorted(pairs)))
 
 
+def link_summary(l: LinkGraph):
+    """(pairs, NT, d_B) of one link from a single component search.
+
+    NT is the set of link vertices in non-tree components and d_B is
+    |N(v)| - tree(L(v)).  Every Berge degree in the package reads this.
+    """
+    nontree = []
+    trees = 0
+    for verts, ec in components(l.neighbors, l.pairs):
+        if ec == len(verts) - 1:
+            trees += 1
+        else:
+            nontree.extend(verts)
+    return l.pairs, frozenset(nontree), len(l.neighbors) - trees
+
+
 def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
-    return sum(1 for verts, ec in components(l.neighbors, l.pairs) if ec == len(verts) - 1)
+    return len(l.neighbors) - link_summary(l)[2]
 
 
 def berge_degree(g: Hypergraph3, v: int, index=None) -> int:
-    """d_B(v) = |N(v)| - tree(L(v))."""
-    l = link(g, v, index)
-    return len(l.neighbors) - tree_components(l)
-
-
-def _find_cycle(verts, adj):
-    """First cycle by DFS from the lowest vertex, neighbors in ascending order.
-
-    Returns the cycle as a list of vertices in cycle order.
-    """
-    start = verts[0]
-    parent = {start: None}
-    stack = [(start, iter(adj[start]))]
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent[u]:
-                continue
-            if w in parent:
-                # back edge u-w closes the cycle: walk u up to w
-                cyc = [u]
-                p = parent[u]
-                while p != w:
-                    cyc.append(p)
-                    p = parent[p]
-                cyc.append(w)
-                cyc.reverse()
-                return cyc
-            parent[w] = u
-            stack.append((w, iter(adj[w])))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-    raise InternalError("no cycle in a non-tree component")
+    """d_B(v), as link_summary reads it off the link of v."""
+    return link_summary(link(g, v, index))[2]
 
 
 def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
-    """Greedy maximum Berge star at v.
+    """A maximum Berge star at v, from one search per link component.
 
-    Tree components are leaf-peeled (their size minus one edges), non-tree
-    components are matched around a cycle first and then expanded outward,
-    always taking the lowest-index choice.  The result size always equals
-    berge_degree(g, v).
+    Each non-root vertex of a search tree takes the pair to its parent.
+    A component with a pair (x, y) outside its tree is rerooted at x,
+    which then takes (x, y), so only tree components leave a vertex
+    without a pair: |N(v)| - tree(L(v)) = d_B(v) leaves in all.
     """
     l = link(g, v, index)
     adj: dict[int, list[int]] = {u: [] for u in l.neighbors}
     for x, y in l.pairs:
         adj[x].append(y)
         adj[y].append(x)
-    for u in adj:
-        adj[u].sort()
-
+    parent: dict[int, int | None] = {}
     assignment = []
+    for root in l.neighbors:
+        if root in parent:
+            continue
+        parent[root] = None
+        order, spare = [root], None
+        for u in order:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+                elif spare is None and w != parent[u] and parent[w] != u:
+                    spare = (u, w)
+        if spare is not None:
+            # reroot at the spare pair's first end by reversing its tree
+            # path; the pair itself becomes that end's link to its parent
+            u, up = spare
+            while u is not None:
+                nxt = parent[u]
+                parent[u] = up
+                u, up = nxt, u
+        for u in order:
+            if parent[u] is not None:
+                assignment.append((tuple(sorted((v, u, parent[u]))), u))
 
-    def emit(leaf, other):
-        e = tuple(sorted((v, leaf, other)))
-        assignment.append((e, leaf))
-
-    for verts, ec in components(l.neighbors, l.pairs):
-        if ec == len(verts) - 1:
-            # tree: peel the lowest leaf until a single vertex remains
-            deg = {u: len(adj[u]) for u in verts}
-            local = {u: list(adj[u]) for u in verts}
-            alive = set(verts)
-            while len(alive) > 1:
-                leaf = min(u for u in alive if deg[u] == 1)
-                other = next(w for w in local[leaf] if w in alive)
-                emit(leaf, other)
-                alive.remove(leaf)
-                deg[other] -= 1
-        else:
-            cyc = _find_cycle(verts, adj)
-            r = len(cyc)
-            for i in range(r):
-                emit(cyc[i], cyc[(i + 1) % r])
-            matched = set(cyc)
-            rest = [u for u in verts if u not in matched]
-            while rest:
-                u = min(
-                    u for u in rest if any(w in matched for w in adj[u])
-                )
-                w = min(w for w in adj[u] if w in matched)
-                emit(u, w)
-                matched.add(u)
-                rest.remove(u)
-
-    if len(assignment) != len(l.neighbors) - tree_components(l):
+    if len(assignment) != link_summary(l)[2]:
         raise InternalError(f"witness at {v} is not a maximum Berge star")
     return BergeWitness(v, tuple(assignment))
 

@@ -269,20 +269,16 @@ def merge_spectrum_results(parts) -> SpectrumResult:
     return SpectrumResult(n, ell, realizable, witnesses, counts, sat, ex)
 
 
-def sat_ex_observed(n, ell, allow_large=False):
-    """(min, max) of the realizable set, or None when nothing is realizable."""
-    res = exhaustive_spectrum(n, ell, allow_large=allow_large)
-    if not res.realizable:
-        return None
-    return (res.sat_observed, res.ex_observed)
-
-
 # --- link catalog and the deficiency bound table ---------------------------
 
 # the published catalog rows: the named link shapes on five or more vertices
 _NAMED_ROWS = tuple(row for row in twographs.LINK_SHAPES if row[1][0] >= 5)
 
 PUBLISHED_BOUNDS = (18, 15, 15, 14, 12, 12, 9, 12, 9, 12, 9)
+
+# the catalog covers links on at most this many vertices and pairs
+CATALOG_MAX_VERTICES = 8
+CATALOG_MAX_EDGES = 6
 
 
 @dataclass
@@ -351,18 +347,19 @@ def _bound_from_structure(edge_count, degrees):
     return 6 - edge_count + 2 * l1 + l2 + 2 * l4
 
 
-def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
-    """All link shapes up to the given size, with the deficiency bound table.
+def enumerate_link_catalog() -> CatalogReport:
+    """All link shapes up to the catalog size, with the deficiency bound table.
 
     Enumerates every isomorphism class of 2-graphs without isolated
-    vertices on at most max_vertices vertices with at most max_edges
-    edges (connected classes first, then all disjoint combinations).
-    Classes whose deficit |V| - tree is at most 4 and that span at least
-    5 vertices are asserted to be exactly the named catalog, stratum by
-    stratum, and for each named row both the recomputed bound
-    6 - |E| + 2*L1 + L2 + 2*L4 and the published value are reported.
+    vertices on at most CATALOG_MAX_VERTICES vertices with at most
+    CATALOG_MAX_EDGES edges (connected classes first, then all disjoint
+    combinations).  Classes whose deficit |V| - tree is at most 4 and
+    that span at least 5 vertices are asserted to be exactly the named
+    catalog, stratum by stratum, and for each named row both the
+    recomputed bound 6 - |E| + 2*L1 + L2 + 2*L4 and the published value
+    are reported.
     """
-    conn = _connected_classes(max_vertices, max_edges)
+    conn = _connected_classes(CATALOG_MAX_VERTICES, CATALOG_MAX_EDGES)
     conn_list = sorted(conn.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
 
     combos = []
@@ -372,7 +369,7 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
             combos.append(tuple(acc))
         for i in range(start, len(conn_list)):
             canon, (nv, ne) = conn_list[i]
-            if used_v + nv > max_vertices or used_e + ne > max_edges:
+            if used_v + nv > CATALOG_MAX_VERTICES or used_e + ne > CATALOG_MAX_EDGES:
                 continue
             acc.append(i)
             extend(i, used_v + nv, used_e + ne, acc)
@@ -401,13 +398,9 @@ def enumerate_link_catalog(max_vertices=8, max_edges=6) -> CatalogReport:
             LinkClass(nv, ne, tree, nv - tree, degrees, canon_multi, name)
         )
 
-    strata = {s: [] for s in (5, 6, 7, 8)}
+    strata = {s: [] for s in range(5, CATALOG_MAX_VERTICES + 1)}
     for c in classes:
         if c.deficit <= 4 and c.vertices >= 5:
-            if c.vertices not in strata:
-                raise InternalError(
-                    f"link class outside strata: {c.vertices} vertices, {c.canon}"
-                )
             strata[c.vertices].append(c)
 
     for s, members in strata.items():

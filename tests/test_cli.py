@@ -158,7 +158,8 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
         assert "exceeds the reader limit" in capsys.readouterr().err
     # the commands that take --n themselves apply the same cap
     for argv in (("build", "--n", "100000000", "--ell", "6", "--m", "300000000"),
-                 ("sample-config", "--n", "1048577", "--ell", "5")):
+                 ("sample-config", "--n", "1048577", "--ell", "5"),
+                 ("spectrum", "--theory", "--n", "100000000", "--ell", "6")):
         assert run(*argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -189,9 +190,16 @@ def test_spectrum_rejects_a_nonpositive_shard_count(capsys):
         assert "shard count must be at least 1" in capsys.readouterr().err
 
 
-def test_bad_arguments_are_usage_errors():
+def test_bad_arguments_are_usage_errors(tmp_path):
     assert run("build", "--n", "45") == 4
     assert run("nonsense") == 4
+    # only the commands that write a graph take --seed, --format and -o
+    g, out = tmp_path / "k5.h3", tmp_path / "f.h3"
+    g.write_text(write_h3(Hypergraph3(5, tuple(combinations(range(5), 3)))))
+    assert run("verify", str(g), "--ell", "5", "--quiet") == 0
+    assert run("verify", str(g), "--ell", "5", "--seed", "9", "--format", "json",
+               "-o", str(out)) == 4
+    assert not out.exists()
 
 
 def test_sampler_budget_exit_code(tmp_path):
@@ -242,6 +250,18 @@ def test_spectrum_theory_names_each_range(capsys):
     assert any("lower-range" in r for r in rules)
     statuses = [r["status"] for r in obj["ranges"]]
     assert "infeasible" in statuses and "feasible" in statuses
+
+
+def test_spectrum_theory_sat_and_ex_at_n_up_to_ell(capsys):
+    # K_n^(3) is the only saturated graph, so sat = ex = C(n,3), the one
+    # feasible run
+    for n, ell, edges in (("6", "7", 20), ("3", "4", 1)):
+        assert run("spectrum", "--theory", "--n", n, "--ell", ell, "--quiet") == 0
+        obj = json.loads(capsys.readouterr().out)
+        feasible = [r for r in obj["ranges"] if r["status"] == "feasible"]
+        assert feasible == [{"lo": edges, "hi": edges, "status": "feasible",
+                             "rule": feasible[0]["rule"]}]
+        assert obj["sat"] == obj["ex"] == edges and obj["ex_kind"] == "exact"
 
 
 def test_spectrum_theory_runs_follow_the_planner(capsys):
@@ -298,6 +318,25 @@ def test_classify_links_per_vertex(tmp_path, capsys):
     assert run("classify-links", str(g), "--quiet") == 0
     out = capsys.readouterr().out
     assert out.count("K2+K3") == 6
+
+
+def test_classify_links_reuses_the_incidence_index(tmp_path, monkeypatch, capsys):
+    # one incidence index serves every link; a link built without it
+    # scans all edges, which makes the command quadratic in n
+    g = tmp_path / "w.h3"
+    assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
+               "-o", str(g), "--quiet") == 0
+    calls = []
+    link = checker.link
+
+    def recorded(g, v, index=None):
+        calls.append(index is not None)
+        return link(g, v, index)
+
+    monkeypatch.setattr(checker, "link", recorded)
+    assert run("classify-links", str(g)) == 0
+    assert capsys.readouterr().out.count("vertex ") == len(calls) > 0
+    assert all(calls)
 
 
 def test_no_partial_artifact_after_infeasible_build(tmp_path):

@@ -27,6 +27,8 @@ from bergesat.hypercore import (
     write_json,
 )
 
+from bergesat.oracle import berge_degree_matching
+
 from conftest import small_3graphs
 
 
@@ -106,7 +108,7 @@ def test_witness_matches_degree_and_is_a_valid_berge_star(g):
         d = berge_degree(g, v, idx)
         w = berge_witness(g, v, idx)
         assert w.center == v
-        assert len(w.assignment) == d
+        assert len(w.assignment) == d == berge_degree_matching(g, v)
         leaves = [leaf for _, leaf in w.assignment]
         used = [e for e, _ in w.assignment]
         assert len(set(leaves)) == len(leaves)

@@ -21,7 +21,6 @@ from bergesat.oracle import (
     enumerate_link_catalog,
     exhaustive_spectrum,
     merge_spectrum_results,
-    sat_ex_observed,
 )
 
 from conftest import small_3graphs
@@ -51,7 +50,8 @@ def test_unique_extremal_witness_at_five():
 
 
 def test_observed_range_at_four():
-    assert sat_ex_observed(5, 4) == (4, 5)
+    res = exhaustive_spectrum(5, 4)
+    assert (res.sat_observed, res.ex_observed) == (4, 5)
 
 
 def test_all_witnesses_reverify():
