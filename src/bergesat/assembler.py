@@ -385,9 +385,8 @@ def plan_witness(n, ell, m) -> Verdict:
     return Verdict(BY_THEOREM, f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
 
 
-def build_spectrum_witness(n, ell, m, seed=0, n0=None, max_tries=10_000_000):
-    """(plan_witness's verdict, the graph its plan describes or None).
-    n0 is ignored: the H-block route it sized is gone."""
+def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
+    """(plan_witness's verdict, the graph its plan describes or None)."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if m < 0:

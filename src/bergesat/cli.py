@@ -6,7 +6,8 @@ Exit codes are part of the interface and are kept apart deliberately:
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
     4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
-       as the readers do), unreadable input, or malformed graph file
+       as the readers do; spectrum --exhaustive refuses n >= 8),
+       unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
     6  provably infeasible edge count: below sat, inside the gap just
        under 2n, or off the closed-form spectrum (ell <= 4 or n <= ell)
@@ -86,7 +87,7 @@ def _check_n(args):
 def _cmd_build(args):
     _check_n(args)
     verdict, g = assembler.build_spectrum_witness(
-        args.n, args.ell, args.m, seed=args.seed, n0=args.n0,
+        args.n, args.ell, args.m, seed=args.seed,
         max_tries=args.max_tries,
     )
     report = {
@@ -135,15 +136,11 @@ def _cmd_verify(args):
 def _cmd_spectrum(args):
     _check_n(args)
     if args.exhaustive:
-        res = oracle.exhaustive_spectrum(
-            args.n, args.ell, allow_large=args.allow_n7,
-            shards=args.shards, shard=args.shard,
-        )
+        res = oracle.exhaustive_spectrum(args.n, args.ell)
         obj = {
             "n": res.n, "ell": res.ell, "realizable": list(res.realizable),
-            "counts": {str(m): c for m, c in sorted((res.counts or {}).items())},
+            "counts": {str(m): c for m, c in sorted(res.counts.items())},
             "sat_observed": res.sat_observed, "ex_observed": res.ex_observed,
-            "shards": args.shards, "shard": args.shard,
         }
         print(json.dumps(obj, indent=2))
         _write_report(args, obj)
@@ -273,16 +270,14 @@ def _build_parser():
     common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("spectrum", help="predicted or exhaustively observed spectra")
+    p = sub.add_parser("spectrum", help="planned or exhaustively observed spectra")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--theory", action="store_true")
-    mode.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--allow-n7", action="store_true",
-                   help="permit the expensive n=7 exhaustive sweep")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--shard", type=int, default=0)
+    mode.add_argument("--theory", action="store_true",
+                      help="the planner's verdicts, as runs of m")
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="sweep every graph on n <= 7 vertices")
     common(p)
     p.set_defaults(func=_cmd_spectrum)
 

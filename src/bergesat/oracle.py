@@ -5,28 +5,26 @@ Three tools live here, deliberately sharing no logic with the checker:
 * a matching-based Berge degree (augmenting paths on the link's
   vertex/edge incidence structure), cross-checked everywhere against the
   closed-form |N(v)| - tree(L(v));
-* an exhaustive saturation-spectrum sweep over all edge subsets for tiny
-  n, vectorized over bitmasks: per vertex, lookup tables built once from
-  the matching route give, for each link pattern, whether the vertex
-  already has Berge degree ell and which absent triples would lift it to
-  ell, so each block of masks costs a fixed number of table gathers per
-  vertex;
+* an exhaustive saturation-spectrum sweep over all edge subsets for
+  n <= 7, vectorized over bitmasks: per vertex, lookup tables built once
+  from the matching route give, for each link pattern, whether the
+  vertex already has Berge degree ell and which absent triples would
+  lift it to ell, so each block of masks costs a fixed number of table
+  gathers per vertex.  Relabelling the other vertices permutes vertex
+  0's link within its isomorphism class and keeps edge counts and
+  saturation, so one least link code per class is swept, with every
+  setting of the other triples, and its counts are weighted by the
+  class size (156 blocks of 2^20 masks at n = 7 instead of 2^35 masks);
 * a catalog of the small link shapes together with the
   degree-deficiency bound table computed from first principles.  The
   connected shapes are grown from K2 by canonical augmentation (one
   chord or one pendant vertex at a time, kept only when its canonical
   form is new), which reaches every isomorphism class once; the
   disconnected shapes are all multisets of connected ones.
-
-The exhaustive sweep is guaranteed for n <= 6 (2^20 subsets).  n = 7 is
-permitted behind ``allow_large=True`` and is a genuine batch job: 2^35
-subsets, intended to be split with ``shards``/``shard`` and merged with
-``merge_spectrum_results``.  No per-mask isomorphism pruning is applied;
-deduplication happens only among recorded witnesses.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -82,12 +80,11 @@ class SpectrumResult:
     ell: int
     realizable: tuple[int, ...]
     witnesses: dict
-    counts: dict | None
-    sat_observed: int | None
-    ex_observed: int | None
+    counts: dict
+    sat_observed: int
+    ex_observed: int
 
 
-_BLOCK = 1 << 20
 _SLICE = 10  # mask bits per slice table
 
 
@@ -161,112 +158,108 @@ def _lift_tables(n, ell, triples, pos):
     return slices, over, lift
 
 
-def exhaustive_spectrum(n, ell, allow_large=False, shards=1, shard=0) -> SpectrumResult:
-    """Every saturated edge count on n labeled vertices, by full sweep.
+def _link_classes(n):
+    """Vertex 0's link codes up to relabelling of vertices 1..n-1.
 
-    Iterates all 2^C(n,3) edge subsets in bitmask order (bit i is the
-    i-th triple in lexicographic order) and records each saturated one.
-    For every realizable m the witness is the saturated subset with the
-    smallest mask value, and counts[m] is the number of labeled saturated
-    graphs with m edges.  Deterministic.
+    The first C(n-1, 2) triples in lexicographic order are the triples
+    through vertex 0, so bit j of a code is the j-th pair of 1..n-1.  A
+    permutation of 1..n-1 permutes the pairs and so the codes; each
+    code's least image over all (n-1)! permutations names its class.
+    Returns (reps, sizes): the least code of every class, ascending, and
+    the number of codes in it.
+    """
+    pairs = list(combinations(range(n - 1), 2))
+    index = {p: j for j, p in enumerate(pairs)}
+    codes = np.arange(1 << len(pairs))
+    bits = [codes >> j & 1 for j in range(len(pairs))]
+    least = codes.copy()
+    for perm in permutations(range(n - 1)):
+        image = np.zeros_like(codes)
+        for j, (a, b) in enumerate(pairs):
+            image |= bits[j] << index[tuple(sorted((perm[a], perm[b])))]
+        np.minimum(least, image, out=least)
+    return np.unique(least, return_counts=True)
 
-    The sweep is table-driven: per block of masks, each vertex costs one
-    lookup per slice of the mask (its link code), then one lookup in
-    `over` (is d_B(v) already ell?) and one in `lift` (the absent triples
-    whose addition brings d_B(v) to ell).  A mask is saturated iff no
-    vertex is over and the mask OR the lifted triples of all vertices is
-    every triple.  All degrees come from the matching route.
+
+def _saturated(masks, T, slices, over, lift):
+    """Which of `masks` (a uint64 array of T-bit masks) are saturated.
+
+    Per vertex: one lookup per slice of the mask gives its link code,
+    then one lookup in `over` (is d_B(v) already ell?) and one in `lift`
+    (the absent triples whose addition brings d_B(v) to ell).  A mask is
+    saturated iff no vertex is over and the mask OR the lifted triples
+    of all vertices is every triple.
+    """
+    slice_bits = np.uint64((1 << _SLICE) - 1)
+    parts = [
+        (masks >> np.uint64(s) & slice_bits).astype(np.uint16)
+        for s in range(0, T, _SLICE)
+    ]
+    bad = np.zeros(len(masks), dtype=bool)
+    cover = masks.copy()
+    for per, o, l in zip(slices, over, lift):
+        code = per[0][parts[0]]
+        for tab, part in zip(per[1:], parts[1:]):
+            code |= tab[part]
+        bad |= o[code]
+        cover |= l[code]
+    return (cover == np.uint64((1 << T) - 1)) & ~bad
+
+
+def exhaustive_spectrum(n, ell) -> SpectrumResult:
+    """Every saturated edge count on n <= 7 labeled vertices, by full sweep.
+
+    Bit i of a mask is the i-th triple in lexicographic order, so the
+    low k = C(n-1, 2) bits are vertex 0's link code.  Relabelling
+    vertices 1..n-1 is a bijection between the graphs of two codes of
+    one class (`_link_classes`) that keeps the edge count and
+    saturation, so the sweep visits, for each class, only its least
+    code with every setting of the other triples (one 2^20 block per
+    class at n = 7; a class whose code already gives vertex 0 Berge
+    degree ell is skipped), and weights each count by the class size.
+    counts[m] is the number of labeled saturated graphs with m edges.
+    For every realizable m the witness is the smallest saturated mask
+    among the swept ones, that is among the graphs whose vertex-0 link
+    code is the least code of its class.  Deterministic; all degrees
+    come from the matching route.
     """
     if n < 0 or ell < 1:
         raise ValueError(f"bad arguments n={n}, ell={ell}")
-    if n > 7 or (n == 7 and not allow_large):
-        raise ValueError(
-            f"n={n} exceeds the exhaustive cap (6; 7 requires allow_large=True)"
-        )
-    if shards < 1:
-        raise ValueError(f"shard count must be at least 1, got {shards}")
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} out of range for {shards} shards")
+    if n > 7:
+        raise ValueError(f"n={n} exceeds the exhaustive cap of 7")
 
     triples = list(combinations(range(n), 3))
     T = len(triples)
     if T == 0:
         # no possible edges: the empty graph is vacuously saturated
-        g = Hypergraph3(n, ())
-        if shard == 0:
-            return SpectrumResult(n, ell, (0,), {0: g}, {0: 1}, 0, 0)
-        return SpectrumResult(n, ell, (), {}, {}, None, None)
+        return SpectrumResult(n, ell, (0,), {0: Hypergraph3(n, ())}, {0: 1}, 0, 0)
     pos = [[i for i, t in enumerate(triples) if v in t] for v in range(n)]
     slices, over, lift = _lift_tables(n, ell, triples, pos)
-
-    total = 1 << T
-    lo = total * shard // shards
-    hi = total * (shard + 1) // shards
-    full = np.uint64(total - 1)
-    slice_bits = np.uint64((1 << _SLICE) - 1)
+    k = len(pos[0])
+    rest = np.arange(1 << (T - k), dtype=np.uint64) << np.uint64(k)
 
     best_mask = {}
     counts = {}
-
-    for base in range(lo, hi, _BLOCK):
-        masks = np.arange(base, min(base + _BLOCK, hi), dtype=np.uint64)
-        parts = [
-            (masks >> np.uint64(s) & slice_bits).astype(np.uint16)
-            for s in range(0, T, _SLICE)
-        ]
-        bad = np.zeros(len(masks), dtype=bool)
-        cover = masks.copy()
-        for v in range(n):
-            code = slices[v][0][parts[0]]
-            for tab, part in zip(slices[v][1:], parts[1:]):
-                code |= tab[part]
-            bad |= over[v][code]
-            cover |= lift[v][code]
-        ok = (cover == full) & ~bad
-        if not ok.any():
-            continue
-        sel = masks[ok]
-        ms = _popcount(sel)
-        for m, c in zip(*np.unique(ms, return_counts=True)):
-            m = int(m)
-            counts[m] = counts.get(m, 0) + int(c)
-        for m in np.unique(ms):
-            first = int(sel[ms == m][0])
-            m = int(m)
-            if m not in best_mask or first < best_mask[m]:
-                best_mask[m] = first
+    for rep, size in zip(*_link_classes(n)):
+        if over[0][rep]:
+            continue  # vertex 0's link code is rep: d_B(0) >= ell in every mask
+        masks = rest | np.uint64(rep)
+        # ascending, so the first mask of each edge count is its least
+        sel = masks[_saturated(masks, T, slices, over, lift)]
+        ms, first, cs = np.unique(_popcount(sel), return_index=True, return_counts=True)
+        for m, i, c in zip(ms.tolist(), first.tolist(), cs.tolist()):
+            counts[m] = counts.get(m, 0) + int(size) * c
+            if m not in best_mask or sel[i] < best_mask[m]:
+                best_mask[m] = int(sel[i])
 
     witnesses = {}
     for m, mask in best_mask.items():
         edges = tuple(triples[i] for i in range(T) if mask >> i & 1)
         witnesses[m] = Hypergraph3(n, edges)
     realizable = tuple(sorted(counts))
-    sat = realizable[0] if realizable else None
-    ex = realizable[-1] if realizable else None
-    return SpectrumResult(n, ell, realizable, witnesses, counts, sat, ex)
-
-
-def merge_spectrum_results(parts) -> SpectrumResult:
-    """Merge shard results of one (n, ell) sweep; deterministic."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    n, ell = parts[0].n, parts[0].ell
-    if any(p.n != n or p.ell != ell for p in parts):
-        raise ValueError("mismatched shards")
-    counts = {}
-    witnesses = {}
-    for p in parts:
-        for m, c in (p.counts or {}).items():
-            counts[m] = counts.get(m, 0) + c
-        for m, w in p.witnesses.items():
-            # earlier shards hold smaller masks; keep the first seen
-            if m not in witnesses:
-                witnesses[m] = w
-    realizable = tuple(sorted(counts))
-    sat = realizable[0] if realizable else None
-    ex = realizable[-1] if realizable else None
-    return SpectrumResult(n, ell, realizable, witnesses, counts, sat, ex)
+    return SpectrumResult(
+        n, ell, realizable, witnesses, counts, realizable[0], realizable[-1]
+    )
 
 
 # --- link catalog and the deficiency bound table ---------------------------

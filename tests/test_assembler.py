@@ -242,13 +242,29 @@ def test_small_star_witnesses_certify():
                 assert certified(g, ell), (n, ell, m)
 
 
+# oracle.exhaustive_spectrum(7, ell).realizable, pinned because the n = 7
+# sweep is too slow to rerun here (up to about 35 s per ell on a 2-core VM)
+REALIZABLE_AT_SEVEN = {
+    1: (0,),
+    2: (2,),
+    3: (4,),
+    4: (5, 6, 7),
+    5: (7, 8, 9, 10),
+    6: (10, 11, 12, 13, 14, 15, 16, 17, 20),
+    7: (35,),
+}
+
+
 def test_planner_agrees_with_tiny_n_ground_truth():
-    # every (n, ell, m) with n <= 6 against the exhaustive sweep: an ok
+    # every (n, ell, m) with n <= 7 against the exhaustive sweep: an ok
     # verdict builds a certified witness of a realizable m, an infeasible
     # verdict names an unrealizable m, and only the sampler may raise
-    for n in range(1, 7):
+    for n in range(1, 8):
         for ell in range(1, 8):
-            realizable = set(exhaustive_spectrum(n, ell).realizable)
+            if n == 7:
+                realizable = set(REALIZABLE_AT_SEVEN[ell])
+            else:
+                realizable = set(exhaustive_spectrum(n, ell).realizable)
             for m in range(comb(n, 3) + 2):
                 try:
                     verdict, g = build_spectrum_witness(n, ell, m, seed=0)

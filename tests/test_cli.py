@@ -183,11 +183,17 @@ def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_spectrum_rejects_a_nonpositive_shard_count(capsys):
-    for shards in ("0", "-1"):
-        assert run("spectrum", "--exhaustive", "--n", "6", "--ell", "3",
-                   "--shards", shards) == 4
-        assert "shard count must be at least 1" in capsys.readouterr().err
+def test_spectrum_exhaustive_refuses_n8_and_shards(capsys):
+    assert run("spectrum", "--exhaustive", "--n", "8", "--ell", "3") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the exhaustive cap of 7" in err
+    # one sweep covers n = 7, so there is nothing to shard
+    assert run("spectrum", "--exhaustive", "--n", "6", "--ell", "3",
+               "--shards", "2") == 4
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --shards 2" in err
+    assert "Traceback" not in err
 
 
 def test_bad_arguments_are_usage_errors(tmp_path):

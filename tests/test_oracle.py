@@ -1,7 +1,10 @@
 """Ground-truth routes: matching degrees, exhaustive sweeps, the catalog."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb, factorial
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,12 @@ from bergesat.hypercore import (
 )
 from bergesat.oracle import (
     _connected_classes,
+    _lift_tables,
+    _link_classes,
+    _saturated,
     berge_degree_matching,
     enumerate_link_catalog,
     exhaustive_spectrum,
-    merge_spectrum_results,
 )
 
 from conftest import small_3graphs
@@ -64,33 +69,47 @@ def test_all_witnesses_reverify():
                 assert len(g.edges) == m
 
 
-def test_sharded_sweep_merges_to_the_plain_answer():
-    plain = exhaustive_spectrum(6, 4)
-    parts = [exhaustive_spectrum(6, 4, shards=4, shard=i) for i in range(4)]
-    merged = merge_spectrum_results(parts)
-    assert merged.realizable == plain.realizable
-    assert merged.counts == plain.counts
-    for m in plain.realizable:
-        assert is_saturated(merged.witnesses[m], 4).is_saturated
-
-
 def test_large_n_guard():
     with pytest.raises(ValueError):
-        exhaustive_spectrum(7, 3)
+        exhaustive_spectrum(8, 3)
 
 
-def _reference_spectra(n, ells, lo, hi):
-    """Per-mask reference for the sweep over masks lo..hi-1, one dict per ell.
+@pytest.mark.parametrize("n, classes", [(4, 4), (5, 11), (6, 34), (7, 156)])
+def test_link_class_table(n, classes):
+    # one class per graph on n - 1 labeled vertices up to isomorphism
+    reps, sizes = _link_classes(n)
+    assert len(reps) == classes
+    assert sizes.sum() == 1 << comb(n - 1, 2)
+    assert all(factorial(n - 1) % int(s) == 0 for s in sizes)
+
+
+def _is_least_link_code(n, mask):
+    """Whether vertex 0's link code, the low C(n-1, 2) bits of mask, is
+    the least of its images under every relabelling of 1..n-1."""
+    pairs = list(combinations(range(1, n), 2))
+    code = mask & ((1 << len(pairs)) - 1)
+    present = [p for j, p in enumerate(pairs) if code >> j & 1]
+    for perm in permutations(range(1, n)):
+        to = dict(zip(range(1, n), perm))
+        image = sum(1 << pairs.index(tuple(sorted((to[a], to[b])))) for a, b in present)
+        if image < code:
+            return False
+    return True
+
+
+def _reference_spectra(n, ells, masks, swept=lambda mask: True):
+    """Per-mask reference for the sweep over masks, one dict per ell.
 
     Every Berge degree comes from berge_degree_matching on the graph itself:
     a mask is saturated at ell iff its largest degree is below ell and
     every absent triple, once added, gives one of its vertices degree at
-    least ell.  Returns {ell: (counts, witnesses)} with the smallest mask
-    per edge count as the witness.
+    least ell.  Returns {ell: (counts, witnesses)}: counts over every
+    mask, and as the witness per edge count the smallest saturated mask
+    that `swept` accepts.
     """
     triples = list(combinations(range(n), 3))
     out = {ell: ({}, {}) for ell in ells}
-    for mask in range(lo, hi):
+    for mask in sorted(masks):
         g = Hypergraph3(n, tuple(t for i, t in enumerate(triples) if mask >> i & 1))
         top = max(berge_degree_matching(g, v) for v in range(n))
         need = min(
@@ -106,12 +125,15 @@ def _reference_spectra(n, ells, lo, hi):
                 counts, witnesses = out[ell]
                 m = len(g.edges)
                 counts[m] = counts.get(m, 0) + 1
-                witnesses.setdefault(m, g)
+                if swept(mask):
+                    witnesses.setdefault(m, g)
     return out
 
 
 def test_sweep_matches_the_per_mask_reference_at_five():
-    ref = _reference_spectra(5, range(1, 7), 0, 1 << 10)
+    ref = _reference_spectra(
+        5, range(1, 7), range(1 << 10), lambda mask: _is_least_link_code(5, mask)
+    )
     for ell, (counts, witnesses) in ref.items():
         res = exhaustive_spectrum(5, ell)
         assert res.counts == counts
@@ -122,13 +144,20 @@ def test_sweep_matches_the_reference_on_an_n7_shard():
     # masks 0x104d00000 .. 0x104d003ff: triple 32 present, triples 33
     # and 34 absent, so the sweep must set lift bits above 31, and the
     # 35-bit masks span four slice tables
-    shards, shard = 1 << 25, 0x104D00000 >> 10
-    ref = _reference_spectra(7, (3, 4, 5), shard << 10, (shard + 1) << 10)
+    lo = 0x104D00000
+    ref = _reference_spectra(7, (3, 4, 5), range(lo, lo + 1024))
     assert [sum(ref[ell][0].values()) for ell in (3, 4, 5)] == [0, 1, 10]
+    triples = list(combinations(range(7), 3))
+    pos = [[i for i, t in enumerate(triples) if v in t] for v in range(7)]
+    masks = np.arange(lo, lo + 1024, dtype=np.uint64)
     for ell, (counts, witnesses) in ref.items():
-        res = exhaustive_spectrum(7, ell, allow_large=True, shards=shards, shard=shard)
-        assert res.counts == counts
-        assert res.witnesses == witnesses
+        ok = _saturated(masks, len(triples), *_lift_tables(7, ell, triples, pos))
+        got = {}
+        for mask in masks[ok].tolist():
+            got.setdefault(bin(mask).count("1"), []).append(mask)
+        assert {m: len(ms) for m, ms in got.items()} == counts
+        assert {m: Hypergraph3(7, tuple(t for i, t in enumerate(triples) if ms[0] >> i & 1))
+                for m, ms in got.items()} == witnesses
 
 
 @pytest.mark.parametrize(
@@ -142,13 +171,6 @@ def test_sweep_matches_the_reference_on_an_n7_shard():
 )
 def test_counts_at_six(ell, counts):
     assert exhaustive_spectrum(6, ell).counts == counts
-
-
-def test_merge_rejects_mixed_parameters():
-    a = exhaustive_spectrum(5, 3)
-    b = exhaustive_spectrum(5, 4)
-    with pytest.raises(ValueError):
-        merge_spectrum_results([a, b])
 
 
 def test_catalog_strata_and_bounds():
