@@ -1,4 +1,4 @@
-"""Decision procedures for Berge star freeness and saturation.
+"""Freeness and saturation verdicts, vertex tags and the l = 5 link checks.
 
 Freeness is a degree cap: a 3-graph has no Berge K_{1,ell} exactly when
 every Berge degree is at most ell-1.  Saturation additionally demands
@@ -29,7 +29,8 @@ L(v)).  Type II defers each to one of its Type I vertices x, whose new
 pair {v, y} is absent from L(x) and so not inside the clique NT(x).
 ``full_scan=True`` forces the literal all-triples scan; both paths
 report the same verdict and the same lexicographically first
-counterexample.
+counterexample.  For l = 5, `classify_link_5` names a link the caller
+has built, and `degree6_component_claim` checks the degree-6 claim.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from itertools import combinations
 
 from .hypercore import (
     Hypergraph3,
+    LinkGraph,
     link,
     link_summary,
     incidence_index,
@@ -71,14 +73,15 @@ class AggressiveClass:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Aggregated verdict of one saturation check."""
+    """Verdict of one saturation check, with the per-vertex Berge degrees
+    and tags.  counterexample is the first vertex above the cap when g is
+    not free, else the first absent triple that creates nothing, or None."""
 
     ell: int
     is_free: bool
     is_saturated: bool
     berge_degrees: tuple
     aggressive: AggressiveClass
-    ddf_total: int | None
     counterexample: object
 
     def to_json(self) -> dict:
@@ -89,8 +92,6 @@ class VerifyReport:
             "berge_degrees": list(self.berge_degrees),
             "aggressive": list(self.aggressive.tags),
         }
-        if self.ddf_total is not None:
-            obj["ddf_total"] = self.ddf_total
         if self.counterexample is not None:
             ce = self.counterexample
             obj["counterexample"] = list(ce) if isinstance(ce, tuple) else ce
@@ -139,8 +140,6 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
     e = tuple(sorted(e))
     if len(set(e)) != 3:
         raise ValueError(f"triple {e!r} has repeated vertices")
-    if not all(0 <= v < g.vertex_count for v in e):
-        raise ValueError(f"triple {e!r} out of range [0, {g.vertex_count - 1}]")
     if e in g.edges:
         raise ValueError(f"edge {e} already present")
     index = incidence_index(g)
@@ -211,17 +210,15 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
         raise ValueError(f"ell must be positive, got {ell}")
     pairs, nontree, dbs = _links_and_degrees(g)
     aggressive = _classify(ell, pairs, nontree, dbs)
-    ddf_total_val = ddf_total(g) if ell == 5 else None
 
     bad = next((v for v, d in enumerate(dbs) if d > ell - 1), None)
     if bad is not None:
-        return VerifyReport(ell, False, False, dbs, aggressive, ddf_total_val, bad)
+        return VerifyReport(ell, False, False, dbs, aggressive, bad)
 
     pool = range(g.vertex_count) if full_scan else aggressive.untagged()
     counterexample = _first_counterexample(g, nontree, dbs, ell, pool)
     return VerifyReport(
-        ell, True, counterexample is None, dbs, aggressive, ddf_total_val,
-        counterexample,
+        ell, True, counterexample is None, dbs, aggressive, counterexample
     )
 
 
@@ -244,69 +241,28 @@ def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
     this predicate is the checkable sufficient condition used by the
     builders.
     """
-    pairs, nontree, dbs = _links_and_degrees(g)
-    aggressive = _classify(ell, pairs, nontree, dbs)
-    if aggressive.all_tagged():
-        return True
-    if any(d != ell - 1 for d in dbs):
-        return False
-    return _first_counterexample(g, nontree, dbs, ell, aggressive.untagged()) is None
-
-
-def clique_criterion(g: Hypergraph3, ell: int) -> bool:
-    """Untagged vertices all below the cap and forming a complete 3-graph.
-
-    When true the graph is saturated: absent triples meeting a tagged
-    vertex create by the tagged-vertex lemma, and absent triples inside
-    the untagged set do not exist.
-    """
-    pairs, nontree, dbs = _links_and_degrees(g)
-    untagged = _classify(ell, pairs, nontree, dbs).untagged()
-    if any(dbs[v] > ell - 1 for v in untagged):
-        return False
-    present = set(g.edges)
-    return all(e in present for e in combinations(untagged, 3))
-
-
-# --- degree deficiency (the ell = 5 analysis) ------------------------------
-
-def ddf(g: Hypergraph3, v: int) -> int:
-    """6 - d(v).  Negative values signal degree above the extremal 6."""
-    return 6 - sum(1 for e in g.edges if v in e)
-
-
-def ddf_set(g: Hypergraph3, vs) -> int:
-    index = incidence_index(g)
-    return sum(6 - len(index[v]) for v in set(vs))
-
-
-def ddf_total(g: Hypergraph3) -> int:
-    return 6 * g.vertex_count - 3 * g.edge_count
+    rep = is_saturated(g, ell)
+    return rep.aggressive.all_tagged() or (
+        rep.is_saturated and all(d == ell - 1 for d in rep.berge_degrees)
+    )
 
 
 # --- the ell = 5 link catalog ---------------------------------------------
 
 _CATALOG_FORMS = {
-    twographs.canonical_form(*shape): name for name, shape in twographs.LINK_SHAPES
+    twographs.canonical_form(range(k), p): name for name, (k, p) in twographs.LINK_SHAPES
 }
 
 
-def classify_link_5(g: Hypergraph3, v: int, index=None) -> str:
-    """Label the link of v against the fixed small-shape catalog.
+def classify_link_5(l: LinkGraph) -> str:
+    """Label a link against the fixed small-shape catalog.
 
-    `index` may be a precomputed incidence_index(g), as for `link`.
-
-    Returns "OTHER" for anything outside the catalog; in a
-    Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with a
-    link other than K4 or K4-.
+    The canonical form does not depend on vertex labels, so the link is
+    read as built.  Returns "OTHER" for anything outside the catalog; in
+    a Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with
+    a link other than K4 or K4-.
     """
-    l = link(g, v, index)
-    relabel = {u: i for i, u in enumerate(l.neighbors)}
-    pairs = tuple(
-        tuple(sorted((relabel[x], relabel[y]))) for x, y in l.pairs
-    )
-    form = twographs.canonical_form(len(l.neighbors), pairs)
-    return _CATALOG_FORMS.get(form, "OTHER")
+    return _CATALOG_FORMS.get(twographs.canonical_form(l.neighbors, l.pairs), "OTHER")
 
 
 def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:

@@ -6,9 +6,11 @@ Exit codes are part of the interface and are kept apart deliberately:
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
     4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
-       as the readers do; spectrum --exhaustive refuses n >= 8),
-       unreadable input, or malformed graph file
+       as the readers do; build caps --m at 2^22 before planning;
+       spectrum --exhaustive refuses n >= 8), unreadable input, or
+       malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
+       (build still writes its --report, with status "sampler_budget")
     6  provably infeasible edge count: below sat, inside the gap just
        under 2n, or off the closed-form spectrum (ell <= 4 or n <= ell)
     7  edge count outside the planned ranges, or too few vertices for its construction
@@ -86,14 +88,19 @@ def _check_n(args):
 
 def _cmd_build(args):
     _check_n(args)
-    verdict, g = assembler.build_spectrum_witness(
-        args.n, args.ell, args.m, seed=args.seed,
-        max_tries=args.max_tries,
-    )
-    report = {
-        "n": args.n, "ell": args.ell, "m": args.m, "seed": args.seed,
-        "status": verdict.status, "rule": verdict.detail,
-    }
+    if args.m > hypercore.MAX_EDGES:
+        raise ValueError(f"--m {args.m} exceeds the edge limit {hypercore.MAX_EDGES}")
+    report = {"n": args.n, "ell": args.ell, "m": args.m, "seed": args.seed}
+    try:
+        verdict, g = assembler.build_spectrum_witness(
+            args.n, args.ell, args.m, seed=args.seed,
+            max_tries=args.max_tries,
+        )
+    except confmodel.SamplerBudgetError as exc:
+        report.update(status="sampler_budget", rule=str(exc), stats=vars(exc.stats))
+        _write_report(args, report)
+        raise
+    report.update(status=verdict.status, rule=verdict.detail)
     if g is None:
         _say(args, f"build n={args.n} ell={args.ell} m={args.m}: "
                    f"{verdict.status} ({verdict.detail})")
@@ -224,12 +231,8 @@ def _cmd_classify_links(args):
         raise ValueError("classify-links needs a graph file or --enumerate")
     g = _read_graph(args.graph)
     index = hypercore.incidence_index(g)
-    rows = []
-    for v in range(g.vertex_count):
-        l = hypercore.link(g, v, index)
-        if len(l.neighbors) < 5:
-            continue
-        rows.append((v, checker.classify_link_5(g, v, index)))
+    links = (hypercore.link(g, v, index) for v in range(g.vertex_count))
+    rows = [(l.center, checker.classify_link_5(l)) for l in links if len(l.neighbors) >= 5]
     for v, label in rows:
         print(f"vertex {v}: {label}")
     _write_report(args, {"classes": {str(v): label for v, label in rows}})

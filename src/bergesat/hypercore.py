@@ -117,21 +117,10 @@ def incidence_index(g: Hypergraph3) -> list[list[int]]:
     return idx
 
 
-def _check_vertex(g, v):
-    if not isinstance(v, int) or not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex id {v!r} out of range [0, {g.vertex_count - 1}]")
-
-
-def degree(g: Hypergraph3, v: int, index=None) -> int:
-    _check_vertex(g, v)
-    if index is not None:
-        return len(index[v])
-    return sum(1 for e in g.edges if v in e)
-
-
 def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
     """Link of v.  `index` may be a precomputed incidence_index(g)."""
-    _check_vertex(g, v)
+    if not isinstance(v, int) or not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex id {v!r} out of range [0, {g.vertex_count - 1}]")
     if index is not None:
         es = (g.edges[i] for i in index[v])
     else:
@@ -227,13 +216,6 @@ def disjoint_union(*parts: Hypergraph3) -> Hypergraph3:
     return Hypergraph3(shift, tuple(edges))
 
 
-def add_edge(g: Hypergraph3, e) -> Hypergraph3:
-    e = tuple(sorted(e))
-    if e in g.edges:
-        raise ValueError(f"edge {e} already present")
-    return make(g.vertex_count, g.edges + (e,))
-
-
 def remove_edge(g: Hypergraph3, e) -> Hypergraph3:
     e = tuple(sorted(e))
     if e not in g.edges:
@@ -248,6 +230,10 @@ def remove_edge(g: Hypergraph3, e) -> Hypergraph3:
 # ask for billions of vertices.  2^20 is far above the n = 10008 of the
 # largest witnesses that the tests and the benchmark build.
 MAX_VERTICES = 2**20
+
+# Largest --m that `build` accepts, so m alone cannot ask for billions of
+# triples; far above the 25,590 edges of the largest n = 10008 witness.
+MAX_EDGES = 2**22
 
 
 def _check_vertex_cap(n, line=None):

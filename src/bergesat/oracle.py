@@ -372,7 +372,7 @@ def enumerate_link_catalog() -> CatalogReport:
 
     named_canon = {}
     for name, (gn, gp) in _NAMED_ROWS:
-        named_canon[twographs.canonical_form(gn, gp)] = name
+        named_canon[twographs.canonical_form(range(gn), gp)] = name
 
     # combos are non-decreasing index tuples, so each is a distinct multiset
     classes = []
@@ -405,7 +405,7 @@ def enumerate_link_catalog() -> CatalogReport:
 
     computed = []
     for name, (gn, gp) in _NAMED_ROWS:
-        canon = twographs.canonical_form(gn, gp)
+        canon = twographs.canonical_form(range(gn), gp)
         match = [c for c in classes if c.canon == canon]
         if len(match) != 1:
             raise InternalError(f"named class {name} not found exactly once")

@@ -1,10 +1,10 @@
 """Small ordinary-graph helpers shared by the checker and the oracle.
 
-A 2-graph is a pair (n, pairs): n vertices labeled 0..n-1 and a tuple of
-ascending vertex pairs.  Everything here targets link-sized graphs (at
-most a handful of vertices), where brute-force canonical forms are exact
-and fast: a connected graph is canonicalized by minimizing its edge list
-over all degree-preserving relabelings, and a general graph by the
+A 2-graph is a vertex list and a tuple of ascending vertex pairs; the
+named shapes below are (n, pairs) on 0..n-1.  Everything here targets
+link-sized graphs, where brute-force canonical forms are exact, fast and
+label-free: a connected graph is canonicalized by minimizing its edge
+list over all degree-preserving relabelings, and a general graph by the
 sorted multiset of its component forms.
 """
 
@@ -78,16 +78,16 @@ def canonical_connected(verts, pairs):
     return (k, degs, best)
 
 
-def canonical_form(n, pairs):
+def canonical_form(verts, pairs):
     """Canonical form of an arbitrary 2-graph: multiset of component forms.
 
     Isolated vertices contribute the trivial component form (1, (0,), ()).
     """
     forms = []
-    for verts, _ in components(range(n), pairs):
-        keep = set(verts)
+    for comp, _ in components(verts, pairs):
+        keep = set(comp)
         sub = [p for p in pairs if p[0] in keep and p[1] in keep]
-        forms.append(canonical_connected(verts, sub))
+        forms.append(canonical_connected(comp, sub))
     return tuple(sorted(forms))
 
 

@@ -318,8 +318,9 @@ def test_criterion_9_structural_claims(capsys):
             checked_claim += 1
             index = incidence_index(g)
             for v in range(g.vertex_count):
-                if len(link(g, v, index).neighbors) >= 5:
-                    assert classify_link_5(g, v) != "OTHER", (tag, v)
+                l = link(g, v, index)
+                if len(l.neighbors) >= 5:
+                    assert classify_link_5(l) != "OTHER", (tag, v)
                     checked_links += 1
         note = f"{checked_claim} graphs, {checked_links} wide links"
         ok = True

@@ -14,11 +14,7 @@ from bergesat.checker import (
     aggressive_sufficient,
     classify_aggressive,
     classify_link_5,
-    clique_criterion,
     creates_new_berge,
-    ddf,
-    ddf_set,
-    ddf_total,
     degree6_component_claim,
     is_berge_free,
     is_saturated,
@@ -26,9 +22,9 @@ from bergesat.checker import (
 from bergesat.gadgets import broken_lantern, clique3, gadget_D, lantern, sun
 from bergesat.hypercore import (
     Hypergraph3,
-    add_edge,
     berge_degree,
     disjoint_union,
+    incidence_index,
     link,
     make,
     remove_edge,
@@ -98,7 +94,8 @@ def test_pair_insertion_rule_matches_the_matching_oracle(g):
             if e in g.edges:
                 continue
             gain = 0 if p in nontree[v] and q in nontree[v] else 1
-            assert berge_degree_matching(add_edge(g, e), v) == before + gain
+            h = make(g.vertex_count, g.edges + (e,))
+            assert berge_degree_matching(h, v) == before + gain
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,7 +108,7 @@ def test_creates_new_berge_matches_the_matching_oracle(g, slack):
     for e in combinations(range(g.vertex_count), 3):
         if e in g.edges:
             continue
-        h = add_edge(g, e)
+        h = make(g.vertex_count, g.edges + (e,))
         expected = any(berge_degree_matching(h, v) >= ell for v in e)
         assert creates_new_berge(g, e, ell) == expected
 
@@ -136,6 +133,10 @@ def test_creates_new_berge_examples():
     assert creates_new_berge(g, (2, 3, 4), 2)
     # a vertex-disjoint triple leaves every Berge degree at 1
     assert not creates_new_berge(g, (3, 4, 5), 2)
+    for bad, problem in (((3, 4, 7), "out of range"), ((3, 3, 4), "repeated"),
+                         ((0, 1, 2), "already present")):
+        with pytest.raises(ValueError, match=problem):
+            creates_new_berge(g, bad, 2)
 
 
 def test_two_broken_lanterns_saturated_three_not():
@@ -185,29 +186,15 @@ def test_aggressive_components_compose_under_disjoint_union():
     assert is_saturated(g2, 5).is_saturated
 
 
-def test_clique_criterion_with_a_single_untagged_vertex():
-    assert clique_criterion(broken_lantern(), 5)
-    assert clique_criterion(k5(), 5)
-
-
-def test_ddf_bookkeeping():
-    g = k5()
-    assert all(ddf(g, v) == 0 for v in range(5))
-    assert ddf_set(g, range(5)) == 0
-    assert ddf_total(g) == 0
-    h = lantern(5)
-    assert ddf_total(h) == 6 * 15 - 3 * 23
-    assert ddf_set(h, range(15)) == ddf_total(h)
-
-
 def test_link_classification_on_known_vertices():
-    assert classify_link_5(k5(), 0) == "K4"
+    assert classify_link_5(link(k5(), 0)) == "K4"
     # in D, the catalog promise holds for vertices with 5 or more
     # neighbors; smaller links may fall outside the named shapes
     d = gadget_D()
-    wide = [v for v in range(d.vertex_count) if len(link(d, v).neighbors) >= 5]
+    links = [link(d, v) for v in range(d.vertex_count)]
+    wide = [l for l in links if len(l.neighbors) >= 5]
     assert wide
-    labels = {classify_link_5(d, v) for v in wide}
+    labels = {classify_link_5(l) for l in wide}
     assert "OTHER" not in labels
 
 
@@ -218,7 +205,7 @@ def test_degree6_component_claim_on_clique_unions():
         degree6_component_claim(make(6, [(0, 1, 2)]))
     # the edge (0, 5, 6) puts the degree-6 pairs of K5 in a 7-vertex
     # component; the claim fails even when the report says saturated
-    wide = add_edge(disjoint_union(k5(), make(2, [])), (0, 5, 6))
+    wide = make(7, k5().edges + ((0, 5, 6),))
     assert not degree6_component_claim(wide, report=is_saturated(k5(), 5))
 
 
@@ -236,9 +223,11 @@ def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():
     ]
     g = make(9, edges)
     assert is_berge_free(g, 5)
-    assert classify_link_5(g, 0) == "K2+K1,3"
+    assert classify_link_5(link(g, 0)) == "K2+K1,3"
+    # the deficiency of the closed neighborhood: the sum of 6 - d(v)
+    index = incidence_index(g)
     closed = (0,) + link(g, 0).neighbors
-    assert ddf_set(g, closed) == 12
+    assert sum(6 - len(index[v]) for v in closed) == 12
 
 
 def test_verify_report_serializes():

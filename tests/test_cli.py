@@ -9,10 +9,12 @@ import sys
 import time
 from itertools import combinations
 
+import pytest
+
 import bergesat
-from bergesat import assembler, checker, confmodel, gadgets, oracle
+from bergesat import assembler, checker, confmodel, gadgets, hypercore, oracle
 from bergesat.cli import main
-from bergesat.hypercore import Hypergraph3, InternalError, read_h3, write_h3
+from bergesat.hypercore import Hypergraph3, InternalError, make, read_h3, write_h3
 
 
 def run(*argv):
@@ -45,14 +47,22 @@ def test_unrealizable_core_plans_exit_7_not_4(capsys):
         assert out.err == ""
 
 
-def test_tiny_cores_near_ex_are_refused_at_once(capsys):
+def test_tiny_cores_near_ex_are_refused_at_once(tmp_path, capsys):
     # cores d(27, 6, 1) and d(15, 6, 0) with the disjoint pair: 25 edges,
     # while the pair and the edges at its six vertices need 26
     for m in ("350", "367"):
+        rep = tmp_path / f"rep{m}.json"
         start = time.perf_counter()
-        assert run("build", "--n", "120", "--ell", "6", "--m", m, "--quiet") == 5
+        assert run("build", "--n", "120", "--ell", "6", "--m", m,
+                   "--report", str(rep), "--quiet") == 5
         assert time.perf_counter() - start < 5
-        assert capsys.readouterr().err.startswith("error: no simple linear realization of")
+        err = capsys.readouterr().err
+        assert err.startswith("error: no simple linear realization of")
+        # the refusal still leaves its report
+        obj = json.loads(rep.read_text())
+        assert obj["status"] == "sampler_budget" and obj["m"] == int(m)
+        assert err == f"error: {obj['rule']}\n"
+        assert obj["stats"]["tries"] == 0
     start = time.perf_counter()
     assert run("sample-config", "--n", "12", "--ell", "7", "--quiet") == 5
     assert time.perf_counter() - start < 5
@@ -164,6 +174,44 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds the vertex limit" in err
+
+
+def _clique(n):
+    return Hypergraph3(n, tuple(combinations(range(n), 3)))
+
+
+def _broken(*args, **kwargs):
+    raise InternalError("an invariant failed")
+
+
+@pytest.mark.parametrize("code, argv, broken", [
+    pytest.param(0, ["verify", "K5", "--ell", "5"], None, id="saturated"),
+    pytest.param(2, ["verify", "ONE", "--ell", "5"], None, id="unsaturated"),
+    pytest.param(3, ["verify", "K7", "--ell", "5"], None, id="not-free"),
+    pytest.param(4, ["build", "--n", "45", "--ell", "5"], None, id="missing-m"),
+    # the planner accepts this m = C(3000, 3), and building it would
+    # allocate 4.5e9 triples; planning here exits 8, so 4 shows that the
+    # cap answers first
+    pytest.param(4, ["build", "--n", "3000", "--ell", "3000", "--m", "4495501000"],
+                 (assembler, "build_spectrum_witness"), id="m-above-cap"),
+    pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
+                 id="sampler-budget"),
+    pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,
+                 id="infeasible"),
+    pytest.param(7, ["build", "--n", "45", "--ell", "5", "--m", "500"], None,
+                 id="unsupported"),
+    pytest.param(8, ["verify", "K5", "--ell", "5"], (checker, "is_saturated"),
+                 id="internal"),
+])
+def test_each_exit_code(tmp_path, monkeypatch, code, argv, broken):
+    # one row per documented exit code; a row that raises fails
+    graphs = {"K5": _clique(5), "K7": _clique(7), "ONE": make(6, [(0, 1, 2)])}
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.h3").write_text(write_h3(g))
+    if broken:
+        monkeypatch.setattr(*broken, _broken)
+    argv = [str(tmp_path / f"{a}.h3") if a in graphs else a for a in argv]
+    assert main(argv + ["--quiet"]) == code
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
@@ -327,22 +375,26 @@ def test_classify_links_per_vertex(tmp_path, capsys):
 
 
 def test_classify_links_reuses_the_incidence_index(tmp_path, monkeypatch, capsys):
-    # one incidence index serves every link; a link built without it
-    # scans all edges, which makes the command quadratic in n
-    g = tmp_path / "w.h3"
+    # one incidence index serves every link, and each link is built once
+    # and then classified; a link built without the index scans all
+    # edges, which makes the command quadratic in n
+    path = tmp_path / "w.h3"
     assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
-               "-o", str(g), "--quiet") == 0
+               "-o", str(path), "--quiet") == 0
     calls = []
-    link = checker.link
+    link = hypercore.link
 
     def recorded(g, v, index=None):
-        calls.append(index is not None)
+        calls.append((v, index is not None))
         return link(g, v, index)
 
+    # checker binds its own name for link; count builds through it too
+    monkeypatch.setattr(hypercore, "link", recorded)
     monkeypatch.setattr(checker, "link", recorded)
-    assert run("classify-links", str(g)) == 0
-    assert capsys.readouterr().out.count("vertex ") == len(calls) > 0
-    assert all(calls)
+    assert run("classify-links", str(path)) == 0
+    assert capsys.readouterr().out.count("vertex ") > 0
+    n = read_h3(path.read_text()).vertex_count
+    assert calls == [(v, True) for v in range(n)]
 
 
 def test_no_partial_artifact_after_infeasible_build(tmp_path):

@@ -13,7 +13,6 @@ from bergesat import twographs
 from bergesat.checker import is_saturated
 from bergesat.hypercore import (
     Hypergraph3,
-    add_edge,
     berge_degree,
     incidence_index,
     make,
@@ -114,7 +113,7 @@ def _reference_spectra(n, ells, masks, swept=lambda mask: True):
         top = max(berge_degree_matching(g, v) for v in range(n))
         need = min(
             (
-                max(berge_degree_matching(add_edge(g, t), v) for v in t)
+                max(berge_degree_matching(make(n, g.edges + (t,)), v) for v in t)
                 for t in triples
                 if t not in g.edges
             ),
