@@ -17,8 +17,9 @@ count (one new neighbor joins a component, two form a new tree).  A pair
 of old neighbors, one of them in a tree component, lowers the tree count
 by one: it merges that tree into another component or closes a cycle in
 it.  A pair of two vertices in non-tree components changes neither.  So
-one component search per vertex suffices, and each absent triple costs
-a few set lookups.
+one `hypercore.LinkPass` over the whole graph suffices, and each absent
+triple costs a few set lookups.  NT(v) becomes a set only for the
+vertices a scan visits, and L(v) only for the Type II candidates.
 
 The fast path rests on the tagged-vertex lemma: an absent triple through
 a Type I or Type II vertex always creates a new Berge star, so only
@@ -36,16 +37,17 @@ has built, and `degree6_component_claim` checks the degree-6 claim.
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .hypercore import (
     Hypergraph3,
     LinkGraph,
-    link,
-    link_summary,
-    incidence_index,
+    LinkPass,
+    label_components,
+    link,  # noqa: F401  wrapped by name in perfbench/tracer.py
     tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
 )
 from . import twographs
-from .twographs import components
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII"
@@ -99,10 +101,9 @@ class VerifyReport:
 
 
 def _links_and_degrees(g):
-    """Per-vertex summary (pairs of L(v), NT(v), d_B(v)), one tuple each."""
-    index = incidence_index(g)
-    rows = [link_summary(link(g, v, index)) for v in range(g.vertex_count)]
-    return tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
+    """(the LinkPass of g, its NT(v) builder, the d_B tuple)."""
+    lp = LinkPass(g.vertex_count, g.edges)
+    return lp, lp.nontree, lp.degrees
 
 
 def _lifts_at(nontree, degrees, v, p, q, ell) -> bool:
@@ -142,11 +143,10 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
         raise ValueError(f"triple {e!r} has repeated vertices")
     if e in g.edges:
         raise ValueError(f"edge {e} already present")
-    index = incidence_index(g)
-    nontree, degrees = {}, {}
-    for v in e:
-        _, nontree[v], degrees[v] = link_summary(link(g, v, index))
-    return _lifts(nontree, degrees, e, ell)
+    if e[0] < 0 or e[2] >= g.vertex_count:
+        raise ValueError(f"triple {e!r} out of range [0, {g.vertex_count - 1}]")
+    lp = LinkPass(g.vertex_count, [x for x in g.edges if e[0] in x or e[1] in x or e[2] in x])
+    return _lifts({v: lp.nontree(v) for v in e}, lp.degrees, e, ell)
 
 
 def _neutral_pairs(pairs, nontree):
@@ -157,17 +157,15 @@ def _neutral_pairs(pairs, nontree):
     )
 
 
-def _classify(ell, pairs, nontree, dbs):
-    type_i = [
-        d == ell - 1 and next(_neutral_pairs(p, nt), None) is None
-        for p, nt, d in zip(pairs, nontree, dbs)
-    ]
+def _classify(ell, lp):
+    # Type I: no neutral pair, i.e. NT(v) is a clique in L(v)
+    type_i = [d == ell - 1 and c for d, c in zip(lp.degrees, lp.clique.tolist())]
     tags = []
-    for v, d in enumerate(dbs):
+    for v, d in enumerate(lp.degrees):
         if type_i[v]:
             tags.append(TYPE_I)
         elif d == ell - 1 and all(
-            type_i[x] or type_i[y] for x, y in _neutral_pairs(pairs[v], nontree[v])
+            type_i[x] or type_i[y] for x, y in _neutral_pairs(lp.pairs(v), lp.nontree(v))
         ):
             tags.append(TYPE_II)
         else:
@@ -184,7 +182,7 @@ def classify_aggressive(g: Hypergraph3, ell: int) -> AggressiveClass:
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    return _classify(ell, *_links_and_degrees(g))
+    return _classify(ell, LinkPass(g.vertex_count, g.edges))
 
 
 def _first_counterexample(g, nontree, degrees, ell, pool):
@@ -208,15 +206,19 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    pairs, nontree, dbs = _links_and_degrees(g)
-    aggressive = _classify(ell, pairs, nontree, dbs)
+    lp, nontree, dbs = _links_and_degrees(g)
+    aggressive = _classify(ell, lp)
 
     bad = next((v for v, d in enumerate(dbs) if d > ell - 1), None)
     if bad is not None:
         return VerifyReport(ell, False, False, dbs, aggressive, bad)
 
     pool = range(g.vertex_count) if full_scan else aggressive.untagged()
-    counterexample = _first_counterexample(g, nontree, dbs, ell, pool)
+    # NT(v) for the vertices the scan visits, in a list for fast lookups
+    sets = [None] * g.vertex_count
+    for v in pool:
+        sets[v] = nontree(v)
+    counterexample = _first_counterexample(g, sets, dbs, ell, pool)
     return VerifyReport(
         ell, True, counterexample is None, dbs, aggressive, counterexample
     )
@@ -276,16 +278,13 @@ def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) 
         report = is_saturated(g, 5)
     if not report.is_saturated:
         raise ValueError("claim requires a Berge-K_{1,5}-saturated input")
-    index = incidence_index(g)
+    e = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
     # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
     # so a component with 10 edges counts 20 pairs
-    pairs = [p for a, b, c in g.edges for p in ((a, b), (b, c))]
-    comp_of = {}
-    for verts, pair_count in components(range(g.vertex_count), pairs):
-        for v in verts:
-            comp_of[v] = (len(verts), pair_count)
-    return all(
-        comp_of[e[0]] == (5, 20)
-        for e in g.edges
-        if sum(1 for v in e if len(index[v]) == 6) >= 2
-    )
+    u, w = np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 2]))
+    label = label_components(g.vertex_count, u, w)
+    size = np.bincount(label, minlength=g.vertex_count)
+    pair_count = np.bincount(label[u], minlength=g.vertex_count)
+    degree = np.bincount(e.ravel(), minlength=g.vertex_count)
+    root = label[e[(degree[e] == 6).sum(axis=1) >= 2, 0]]
+    return bool(np.all((size[root] == 5) & (pair_count[root] == 20)))

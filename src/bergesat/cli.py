@@ -6,7 +6,8 @@ Exit codes are part of the interface and are kept apart deliberately:
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
     4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
-       as the readers do; build caps --m at 2^22 before planning;
+       as the readers do; build caps --m at 2^22 before planning, and
+       gadget --name clique refuses a clique of more than 2^22 triples;
        spectrum --exhaustive refuses n >= 8), unreadable input, or
        malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
@@ -23,6 +24,7 @@ Every randomized command echoes the effective seed on its summary line.
 
 import argparse
 import json
+from math import comb
 import os
 import sys
 import tempfile
@@ -182,12 +184,20 @@ def _given_n(args):
     return args.n
 
 
+def _clique(args):
+    s = args.n if args.n is not None else args.ell
+    if s > 0 and comb(s, 3) > hypercore.MAX_EDGES:
+        raise ValueError(f"clique on {s} vertices has {comb(s, 3)} triples, "
+                         f"above the edge limit {hypercore.MAX_EDGES}")
+    return gadgets.clique3(s)
+
+
 # name -> constructor of the parsed arguments; each looks its gadget up in
 # the gadgets module when called
 _GADGETS = {
     "lantern": lambda a: gadgets.lantern(a.ell),
     "sun": lambda a: gadgets.sun(a.ell),
-    "clique": lambda a: gadgets.clique3(a.n if a.n is not None else a.ell),
+    "clique": _clique,
     "broken-lantern": lambda a: gadgets.broken_lantern(),
     "gadget-d": lambda a: gadgets.gadget_D(),
     "gadget-q": lambda a: gadgets.gadget_Q(),

@@ -16,16 +16,18 @@ host edges {v, x, y}.  The Berge degree of v is
 where tree(.) counts connected components of the link that are trees.
 It equals the size of a maximum matching between the hyperedges at v and
 the neighbors of v (the matching route is implemented independently in
-the oracle module and cross-checked in tests).
+the oracle module and cross-checked in tests).  Every d_B and NT set
+in the package comes from `LinkPass`, one array pass over all links.
 
 All values here are immutable and all functions are pure; sharing across
 threads is safe.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 import json
 
-from .twographs import components
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -134,30 +136,72 @@ def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
     return LinkGraph(v, tuple(sorted(nbrs)), tuple(sorted(pairs)))
 
 
-def link_summary(l: LinkGraph):
-    """(pairs, NT, d_B) of one link from a single component search.
+class LinkPass:
+    """Every link of a 3-graph on n vertices, decomposed in one array pass.
 
-    NT is the set of link vertices in non-tree components and d_B is
-    |N(v)| - tree(L(v)).  Every Berge degree in the package reads this.
+    A flag (v, x), a center v with a link vertex x, is keyed v*n + x, and
+    an edge {a, b, c} joins the flags of its link pairs (a; b-c), (b; a-c)
+    and (c; a-b).  A link component is a tree iff it has one pair fewer
+    than flags.  degrees[v] = d_B(v) = |N(v)| - trees(v); clique[v] holds
+    iff NT(v) is a clique in L(v), i.e. v's non-tree components have
+    C(|NT(v)|, 2) pairs.  nontree(v) and pairs(v) build NT(v) and L(v).
     """
-    nontree = []
-    trees = 0
-    for verts, ec in components(l.neighbors, l.pairs):
-        if ec == len(verts) - 1:
-            trees += 1
-        else:
-            nontree.extend(verts)
-    return l.pairs, frozenset(nontree), len(l.neighbors) - trees
+
+    def __init__(self, n, edges):
+        e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 3)
+        a, b, c = e.T
+        x, y = np.concatenate((b, a, a)), np.concatenate((c, c, b))
+        v = np.concatenate((a, b, c))  # the center of each link pair
+        keys, ends = np.unique(np.concatenate((v * n + x, v * n + y)), return_inverse=True)
+        k, u = len(keys), ends[: len(v)]
+        label = label_components(k, u, ends[len(v):])
+        # a non-root node labels no flag and no pair, so only roots are trees
+        tree = np.bincount(label[u], minlength=k) == np.bincount(label, minlength=k) - 1
+        self._nontree = ~tree[label]
+        center, self._x = np.divmod(keys, n)
+        nt = np.bincount(center[self._nontree], minlength=n)
+        nt_pairs = np.bincount(v[self._nontree[u]], minlength=n)
+        d_b = np.bincount(center, minlength=n) - np.bincount(center[tree], minlength=n)
+        self.degrees = tuple(d_b.tolist())
+        self.clique = nt_pairs == nt * (nt - 1) // 2
+        self._start = np.searchsorted(keys, np.arange(n + 1) * n)  # v's first flag
+        order = np.argsort(u, kind="stable")  # pairs by first flag, so by center
+        self._pair_u, self._pair_y = u[order], y[order]
+
+    def nontree(self, v) -> frozenset:
+        lo, hi = self._start[v : v + 2]
+        return frozenset(self._x[lo:hi][self._nontree[lo:hi]].tolist())
+
+    def pairs(self, v) -> tuple:
+        lo, hi = np.searchsorted(self._pair_u, self._start[v : v + 2])
+        xs = self._x[self._pair_u[lo:hi]].tolist()
+        return tuple(sorted(zip(xs, self._pair_y[lo:hi].tolist())))
+
+
+def label_components(count, u, w):
+    """Component labels of nodes 0..count-1 joined by the pairs u[i]-w[i]:
+    rounds of min-label hooking of roots, then pointer jumping to stars.
+    Labels only fall, so no cycle forms; a long path takes few rounds."""
+    label = np.arange(count)
+    while (cross := label[u] != label[w]).any():
+        lu, lw = label[u][cross], label[w][cross]
+        np.minimum.at(label, np.maximum(lu, lw), np.minimum(lu, lw))
+        while not np.array_equal(label, jumped := label[label]):
+            label = jumped
+    return label
 
 
 def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
-    return len(l.neighbors) - link_summary(l)[2]
+    n = 1 + max((l.center,) + l.neighbors)
+    d_b = LinkPass(n, [(l.center, x, y) for x, y in l.pairs]).degrees[l.center]
+    return len(l.neighbors) - d_b
 
 
 def berge_degree(g: Hypergraph3, v: int, index=None) -> int:
-    """d_B(v), as link_summary reads it off the link of v."""
-    return link_summary(link(g, v, index))[2]
+    """d_B(v), from a LinkPass over the edges through v."""
+    l = link(g, v, index)
+    return len(l.neighbors) - tree_components(l)
 
 
 def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
@@ -199,7 +243,7 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
             if parent[u] is not None:
                 assignment.append((tuple(sorted((v, u, parent[u]))), u))
 
-    if len(assignment) != link_summary(l)[2]:
+    if len(assignment) != len(l.neighbors) - tree_components(l):
         raise InternalError(f"witness at {v} is not a maximum Berge star")
     return BergeWitness(v, tuple(assignment))
 

@@ -42,22 +42,31 @@ def _max_matching(pairs):
         inc[x].append(j)
         inc[y].append(j)
     owner = {}
-
-    def augment(v, seen):
-        for j in inc[v]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in owner or augment(owner[j], seen):
-                owner[j] = v
-                return True
-        return False
-
-    size = 0
-    for v in verts:
-        if augment(v, set()):
-            size += 1
-    return size
+    for root in verts:
+        # a free pair of the root is taken at once; otherwise a depth-first
+        # search for an augmenting path on an explicit stack of (vertex,
+        # the pair that reached it, its untried pairs)
+        for j in inc[root]:
+            if j not in owner:
+                owner[j] = root
+                break
+        else:
+            seen, stack = set(), [(root, None, iter(inc[root]))]
+            while stack:
+                for j in stack[-1][2]:
+                    if j not in seen:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                seen.add(j)
+                if j in owner:
+                    stack.append((owner[j], j, iter(inc[owner[j]])))
+                    continue
+                for v, via, _ in reversed(stack):
+                    owner[j], j = v, via
+                break
+    return len(owner)
 
 
 def berge_degree_matching(g: Hypergraph3, v: int) -> int:

@@ -19,7 +19,10 @@ from bergesat.checker import (
     is_berge_free,
     is_saturated,
 )
-from bergesat.gadgets import broken_lantern, clique3, gadget_D, lantern, sun
+from bergesat import twographs
+from bergesat.gadgets import (
+    broken_lantern, clique3, gadget_D, gadget_Q, gadget_R, lantern, sun,
+)
 from bergesat.hypercore import (
     Hypergraph3,
     berge_degree,
@@ -58,9 +61,26 @@ def test_k5_minus_a_triple_is_free_but_unsaturated():
     assert rep.counterexample == (1, 2, 4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_3graphs(), st.integers(min_value=1, max_value=6))
-def test_fast_path_and_full_scan_agree(g, ell):
+# blocks with Type II vertices, at the ell where they have them
+_TYPE_II_BLOCKS = ((lantern(5), 5), (lantern(6), 6), (broken_lantern(), 5),
+                   (gadget_Q(), 5), (gadget_R(), 5))
+
+
+@st.composite
+def _type_ii_cases(draw):
+    """(g, ell): such a block, with one edge removed unless cut is -1 or
+    past the last edge, beside a small graph."""
+    b, ell = draw(st.sampled_from(_TYPE_II_BLOCKS))
+    cut = draw(st.integers(min_value=-1, max_value=49))
+    if 0 <= cut < len(b.edges):
+        b = remove_edge(b, b.edges[cut])
+    return disjoint_union(b, draw(small_3graphs(max_vertices=6, max_edges=6))), ell
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.tuples(small_3graphs(), st.integers(min_value=1, max_value=6)) | _type_ii_cases())
+def test_fast_path_and_full_scan_agree(case):
+    g, ell = case
     fast = is_saturated(g, ell)
     full = is_saturated(g, ell, full_scan=True)
     assert fast.is_free == full.is_free
@@ -79,6 +99,59 @@ def test_fast_path_and_full_scan_agree_on_linear_inputs(g, ell):
     )
 
 
+def _reference_links(g):
+    """(pairs of L(v), NT(v), d_B(v)) per vertex, one component search
+    per link."""
+    rows = []
+    for v in range(g.vertex_count):
+        l = link(g, v)
+        nontree, trees = set(), 0
+        for verts, count in twographs.components(l.neighbors, l.pairs):
+            if count == len(verts) - 1:
+                trees += 1
+            else:
+                nontree.update(verts)
+        rows.append((l.pairs, frozenset(nontree), len(l.neighbors) - trees))
+    return rows
+
+
+def _reference_tags(rows, ell):
+    def neutral(pairs, nontree):
+        return [p for p in combinations(sorted(nontree), 2) if p not in pairs]
+
+    type_i = [d == ell - 1 and not neutral(p, nt) for p, nt, d in rows]
+    return tuple(
+        TYPE_I if type_i[v]
+        else TYPE_II if d == ell - 1 and all(type_i[x] or type_i[y] for x, y in neutral(p, nt))
+        else None
+        for v, (p, nt, d) in enumerate(rows)
+    )
+
+
+@st.composite
+def _near_broken_lanterns(draw):
+    """The broken lantern on up to 12 vertices with a few triples
+    flipped; Type II vertices are rare in uniform random graphs."""
+    n = draw(st.integers(min_value=10, max_value=12))
+    flips = draw(st.sets(st.sampled_from(list(combinations(range(n), 3))), max_size=3))
+    return make(n, set(broken_lantern().edges) ^ flips)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_3graphs(max_vertices=12, max_edges=40) | _near_broken_lanterns(),
+       st.integers(min_value=0, max_value=11))
+def test_link_pass_matches_a_component_search_per_link(g, pick):
+    rows = _reference_links(g)
+    lp, nontree, dbs = _links_and_degrees(g)
+    assert dbs == tuple(d for _, _, d in rows)
+    for v, (pairs, nt, _) in enumerate(rows):
+        assert nontree(v) == nt
+        assert lp.pairs(v) == pairs
+    # tag at an ell where the picked vertex sits at Berge degree ell - 1
+    ell = 1 + rows[pick % g.vertex_count][2]
+    assert classify_aggressive(g, ell).tags == _reference_tags(rows, ell)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_3graphs())
 def test_pair_insertion_rule_matches_the_matching_oracle(g):
@@ -93,7 +166,7 @@ def test_pair_insertion_rule_matches_the_matching_oracle(g):
             e = tuple(sorted((v, p, q)))
             if e in g.edges:
                 continue
-            gain = 0 if p in nontree[v] and q in nontree[v] else 1
+            gain = 0 if p in nontree(v) and q in nontree(v) else 1
             h = make(g.vertex_count, g.edges + (e,))
             assert berge_degree_matching(h, v) == before + gain
 

@@ -194,6 +194,10 @@ def _broken(*args, **kwargs):
     # cap answers first
     pytest.param(4, ["build", "--n", "3000", "--ell", "3000", "--m", "4495501000"],
                  (assembler, "build_spectrum_witness"), id="m-above-cap"),
+    # C(3000, 3) triples again, now from the clique gadget; building it
+    # here exits 8, so 4 shows that the cap answers before clique3 runs
+    pytest.param(4, ["gadget", "--name", "clique", "--n", "3000"],
+                 (gadgets, "clique3"), id="clique-above-cap"),
     pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
                  id="sampler-budget"),
     pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,

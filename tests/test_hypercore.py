@@ -1,6 +1,10 @@
 """Data structure, Berge degrees, witnesses, and the text formats."""
 
+import inspect
 import json
+import random
+import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +15,7 @@ from bergesat.hypercore import (
     MAX_VERTICES,
     FormatError,
     Hypergraph3,
+    LinkPass,
     berge_degree,
     berge_witness,
     disjoint_union,
@@ -94,6 +99,57 @@ def test_tree_components_of_links():
     g = make(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)])
     assert tree_components(link(g, 0)) == 3
     assert berge_degree(g, 0) == 6 - 3
+
+
+def _pass_without_recursion(g):
+    """LinkPass of g, timed, under a recursion limit a few dozen frames
+    above the caller, so any recursion that grows with the input fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        start = time.perf_counter()
+        lp = LinkPass(g.vertex_count, g.edges)
+        return lp, time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _relabel(g, perm):
+    return make(g.vertex_count, [[perm[x] for x in e] for e in g.edges])
+
+
+_K = 20_000
+_path = make(_K + 1, [(0, i, i + 1) for i in range(1, _K)])
+_cycle = make(_K + 1, _path.edges + ((0, 1, _K),))
+_matching = make(_K + 1, [(0, i, i + 1) for i in range(1, _K, 2)])
+
+
+@pytest.mark.parametrize("g, checked, nontree_0", [
+    pytest.param(_path, (0, 1, 2, _K // 2, _K), 0, id="path-link"),
+    pytest.param(_cycle, (0, 1, 2, _K // 2, _K), _K, id="cycle-link"),
+    pytest.param(_matching, (0, 1, 2, _K - 1, _K), 0, id="forest-of-K2s"),
+    pytest.param(Hypergraph3(6, ()), range(6), 0, id="no-edges"),
+    pytest.param(Hypergraph3(0, ()), range(0), 0, id="no-vertices"),
+    pytest.param(make(10, [(0, 1, 2), (0, 3, 4), (1, 2, 3)]), range(10), 0,
+                 id="isolated-vertices"),
+])
+def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nontree_0):
+    # a path link takes the most hooking rounds when its labels are
+    # scattered, so each graph also runs under a random relabeling that
+    # fixes the center 0
+    rest = list(range(1, g.vertex_count))
+    random.Random(0).shuffle(rest)
+    perm = [0] + rest
+    lp, seconds = _pass_without_recursion(g)
+    scattered, scattered_s = _pass_without_recursion(_relabel(g, perm))
+    assert seconds + scattered_s < 10
+    assert len(lp.degrees) == len(lp.clique) == g.vertex_count
+    for v in checked:
+        d = berge_degree_matching(g, v)
+        assert lp.degrees[v] == scattered.degrees[perm[v]] == d
+    if g.vertex_count:
+        assert len(lp.nontree(0)) == len(scattered.nontree(0)) == nontree_0
+        assert lp.pairs(0) == link(g, 0).pairs
 
 
 @settings(max_examples=120, deadline=None)
