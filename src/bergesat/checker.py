@@ -18,8 +18,8 @@ of old neighbors, one of them in a tree component, lowers the tree count
 by one: it merges that tree into another component or closes a cycle in
 it.  A pair of two vertices in non-tree components changes neither.  So
 one `hypercore.LinkPass` over the whole graph suffices, and each absent
-triple costs a few set lookups.  NT(v) becomes a set only for the
-vertices a scan visits, and L(v) only for the Type II candidates.
+triple costs a few set lookups.  The pass keeps NT(v) as a set per
+vertex; L(v) is sorted only for the Type II candidates.
 
 The fast path rests on the tagged-vertex lemma: an absent triple through
 a Type I or Type II vertex always creates a new Berge star, so only
@@ -34,10 +34,9 @@ counterexample.  For l = 5, `classify_link_5` names a link the caller
 has built, and `degree6_component_claim` checks the degree-6 claim.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
+from itertools import chain, combinations
 
 from .hypercore import (
     Hypergraph3,
@@ -159,7 +158,7 @@ def _neutral_pairs(pairs, nontree):
 
 def _classify(ell, lp):
     # Type I: no neutral pair, i.e. NT(v) is a clique in L(v)
-    type_i = [d == ell - 1 and c for d, c in zip(lp.degrees, lp.clique.tolist())]
+    type_i = [d == ell - 1 and c for d, c in zip(lp.degrees, lp.clique)]
     tags = []
     for v, d in enumerate(lp.degrees):
         if type_i[v]:
@@ -278,13 +277,14 @@ def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) 
         report = is_saturated(g, 5)
     if not report.is_saturated:
         raise ValueError("claim requires a Berge-K_{1,5}-saturated input")
-    e = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
     # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
     # so a component with 10 edges counts 20 pairs
-    u, w = np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 2]))
-    label = label_components(g.vertex_count, u, w)
-    size = np.bincount(label, minlength=g.vertex_count)
-    pair_count = np.bincount(label[u], minlength=g.vertex_count)
-    degree = np.bincount(e.ravel(), minlength=g.vertex_count)
-    root = label[e[(degree[e] == 6).sum(axis=1) >= 2, 0]]
-    return bool(np.all((size[root] == 5) & (pair_count[root] == 20)))
+    pairs = [p for a, b, c in g.edges for p in ((a, b), (b, c))]
+    label = label_components(pairs)
+    size = Counter(label.values())
+    held = Counter(label[x] for x, _ in pairs)
+    degree = Counter(chain.from_iterable(g.edges))
+    return all(
+        size[label[e[0]]] == 5 and held[label[e[0]]] == 20
+        for e in g.edges if sum(degree[x] == 6 for x in e) >= 2
+    )

@@ -7,7 +7,7 @@ Exit codes are part of the interface and are kept apart deliberately:
     3  verify only: not free
     4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
        as the readers do; build caps --m at 2^22 before planning, and
-       gadget --name clique refuses a clique of more than 2^22 triples;
+       gadget --name clique, lantern and sun refuse more than 2^22 triples;
        spectrum --exhaustive refuses n >= 8), unreadable input, or
        malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 
-from . import assembler, checker, confmodel, gadgets, hypercore, oracle
+from . import assembler, checker, confmodel, gadgets, hypercore
 
 _EXIT_OK = 0
 _EXIT_UNSATURATED = 2
@@ -145,6 +145,8 @@ def _cmd_verify(args):
 def _cmd_spectrum(args):
     _check_n(args)
     if args.exhaustive:
+        from . import oracle  # imports numpy; only the sweep and the catalog load it
+
         res = oracle.exhaustive_spectrum(args.n, args.ell)
         obj = {
             "n": res.n, "ell": res.ell, "realizable": list(res.realizable),
@@ -184,20 +186,24 @@ def _given_n(args):
     return args.n
 
 
-def _clique(args):
-    s = args.n if args.n is not None else args.ell
-    if s > 0 and comb(s, 3) > hypercore.MAX_EDGES:
-        raise ValueError(f"clique on {s} vertices has {comb(s, 3)} triples, "
-                         f"above the edge limit {hypercore.MAX_EDGES}")
-    return gadgets.clique3(s)
+def _clique_size(args):
+    return args.n if args.n is not None else args.ell
 
+
+# the triples of each gadget that grows with its arguments, refused above
+# the edge limit before anything is built; lantern and sun refuse ell < 5
+_TRIPLES = {
+    "clique": lambda a: comb(max(_clique_size(a), 0), 3),
+    "lantern": lambda a: 2 + 3 * (comb(a.ell - 2, 2) + comb(a.ell - 1, 3)) if a.ell >= 5 else 0,
+    "sun": lambda a: (a.ell - 1) * (a.ell - 3) if a.ell >= 5 else 0,
+}
 
 # name -> constructor of the parsed arguments; each looks its gadget up in
 # the gadgets module when called
 _GADGETS = {
     "lantern": lambda a: gadgets.lantern(a.ell),
     "sun": lambda a: gadgets.sun(a.ell),
-    "clique": _clique,
+    "clique": lambda a: gadgets.clique3(_clique_size(a)),
     "broken-lantern": lambda a: gadgets.broken_lantern(),
     "gadget-d": lambda a: gadgets.gadget_D(),
     "gadget-q": lambda a: gadgets.gadget_Q(),
@@ -207,6 +213,10 @@ _GADGETS = {
 
 
 def _cmd_gadget(args):
+    triples = _TRIPLES[args.name](args) if args.name in _TRIPLES else 0
+    if triples > hypercore.MAX_EDGES:
+        raise ValueError(f"{args.name} gadget has {triples} triples, "
+                         f"above the edge limit {hypercore.MAX_EDGES}")
     g = _GADGETS[args.name](args)
     if args.out:
         _write_graph(args.out, g, args.format)
@@ -217,6 +227,8 @@ def _cmd_gadget(args):
 
 def _cmd_classify_links(args):
     if args.enumerate:
+        from . import oracle
+
         rep = oracle.enumerate_link_catalog()
         width = {c.name: c.vertices for c in rep.classes if c.name}
         print(f"{'shape':10s} {'|N|':>4s} {'bound':>6s} {'published':>10s}")

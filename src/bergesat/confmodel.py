@@ -38,17 +38,16 @@ Every route's result is re-validated against the degree spec before it
 is returned.
 
 Determinism: all randomness flows from generators keyed by the caller's
-seed (numpy Generators for rejection and search, a ``random.Random``
-for hill-climbing), so results are reproducible across platforms for a
-fixed numpy and Python.
+seed, so results are reproducible across platforms for a fixed numpy and
+Python.  Hill-climbing draws from a ``random.Random`` and imports no
+numpy; only the rejection and search routes import numpy, and both draw
+from numpy Generators.
 """
 
 from dataclasses import dataclass
 import logging
 from math import comb
 import random
-
-import numpy as np
 
 from .hypercore import Hypergraph3, InternalError
 
@@ -85,11 +84,10 @@ class DegreeSpec:
     k: int
     t: int
 
-    def degree_array(self) -> np.ndarray:
-        d = np.full(self.n, self.ell - 1, dtype=np.int64)
-        d[: 15 * self.k] = self.ell - 5
-        d[15 * self.k : 15 * self.k + self.t] = self.ell - 2
-        return d
+    def degree_array(self) -> list:
+        low = 15 * self.k
+        return ([self.ell - 5] * low + [self.ell - 2] * self.t
+                + [self.ell - 1] * (self.n - low - self.t))
 
     @property
     def edge_count(self) -> int:
@@ -151,21 +149,14 @@ class SampleStats:
     repair_rounds: int = 0
 
 
-def _points(spec: DegreeSpec) -> np.ndarray:
-    return np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
-
-
-def _pair_keys(trip, n):
-    """Unordered-pair keys of every triple; shape (samples, 3 * rows)."""
-    a, b, c = trip[:, :, 0], trip[:, :, 1], trip[:, :, 2]
-    return np.concatenate((a * n + b, a * n + c, b * n + c), axis=1)
-
-
 def _batch_defects(trip, n, low_count):
     """Per-sample defect counts for a (samples, rows, 3) sorted batch."""
+    import numpy as np
+
     a, b, c = trip[:, :, 0], trip[:, :, 1], trip[:, :, 2]
     loops = ((a == b) | (b == c)).sum(axis=1)
-    keys = np.sort(_pair_keys(trip, n), axis=1)
+    # the unordered-pair keys of every triple, sorted per sample
+    keys = np.sort(np.concatenate((a * n + b, a * n + c, b * n + c), axis=1), axis=1)
     dup_pairs = (keys[:, 1:] == keys[:, :-1]).sum(axis=1)
     if low_count:
         lowadj = ((trip < low_count).sum(axis=2) >= 2).sum(axis=1)
@@ -175,9 +166,8 @@ def _batch_defects(trip, n, low_count):
 
 
 def _finish(spec, trip_rows):
-    order = np.lexsort((trip_rows[:, 2], trip_rows[:, 1], trip_rows[:, 0]))
-    edges = tuple(tuple(int(x) for x in row) for row in trip_rows[order])
-    return Hypergraph3(spec.n, edges)
+    edges = sorted(tuple(int(x) for x in row) for row in trip_rows)
+    return Hypergraph3(spec.n, tuple(edges))
 
 
 def _has_disjoint_pair(g, spec):
@@ -253,12 +243,14 @@ def _wants_exact_search(spec: DegreeSpec) -> bool:
     """At most 13 active vertices: the realizations are rigid packings
     (or do not exist at all), so the seeded backtracking search settles
     them, within a recursion depth of C(13, 2) / 3 = 26 edges."""
-    active = int((spec.degree_array() > 0).sum())
+    active = sum(d > 0 for d in spec.degree_array())
     return 0 < active <= 13
 
 
 def _sample_reject(spec, seed, max_tries, require_pair=True):
-    pts = _points(spec)
+    import numpy as np
+
+    pts = np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
     if pts.size % 3:
         raise InternalError("degree sum not divisible by 3")
     lam = float(spec.ell - 2)
@@ -325,7 +317,7 @@ def _sample_hill(spec, seed, max_tries, require_pair=True):
     n = spec.n
     low = 15 * spec.k if spec.ell > 5 else 0
     rnd = random.Random(seed)
-    rd = [int(d) for d in spec.degree_array()]
+    rd = spec.degree_array()
     live = [v for v in range(n) if rd[v] > 0]
     live_at = {v: i for i, v in enumerate(live)}
     cover = {}  # pair (a, b), a < b -> the triple holding it
@@ -418,9 +410,10 @@ def _sample_dfs(spec, seed, max_tries, require_pair=True):
     the spec (or the disjoint-pair guarantee on top of it) unrealizable,
     which randomized modes cannot do.
     """
+    import numpy as np
+
     lam = float(spec.ell - 2)
     mu = (spec.ell - 2) ** 2 / 2
-    degs = spec.degree_array()
     if spec.edge_count == 0:
         return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu)
     n = spec.n
@@ -430,7 +423,7 @@ def _sample_dfs(spec, seed, max_tries, require_pair=True):
     for v in range(n):
         for w in range(v + 1, n):
             priority[(v, w)] = int(order[v * n + w])
-    rd = [int(d) for d in degs]
+    rd = spec.degree_array()
     used = set()
     edges = []
     nodes = 0
@@ -514,7 +507,7 @@ def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
     for v in range(spec.n):
         if degs[v] != want[v]:
             raise ValueError(
-                f"degree mismatch at vertex {v}: found {degs[v]}, spec says {int(want[v])}"
+                f"degree mismatch at vertex {v}: found {degs[v]}, spec says {want[v]}"
             )
     return degs
 

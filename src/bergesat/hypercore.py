@@ -17,17 +17,17 @@ where tree(.) counts connected components of the link that are trees.
 It equals the size of a maximum matching between the hyperedges at v and
 the neighbors of v (the matching route is implemented independently in
 the oracle module and cross-checked in tests).  Every d_B and NT set
-in the package comes from `LinkPass`, one array pass over all links.
+in the package comes from `LinkPass`, which decomposes every link with
+a per-vertex union-find and a shortcut for matching and complete links.
 
 All values here are immutable and all functions are pure; sharing across
 threads is safe.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 import json
-
-import numpy as np
 
 
 class FormatError(ValueError):
@@ -137,64 +137,78 @@ def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
 
 
 class LinkPass:
-    """Every link of a 3-graph on n vertices, decomposed in one array pass.
+    """Every link of a 3-graph on n vertices, decomposed one vertex at a time.
 
-    A flag (v, x), a center v with a link vertex x, is keyed v*n + x, and
-    an edge {a, b, c} joins the flags of its link pairs (a; b-c), (b; a-c)
-    and (c; a-b).  A link component is a tree iff it has one pair fewer
-    than flags.  degrees[v] = d_B(v) = |N(v)| - trees(v); clique[v] holds
-    iff NT(v) is a clique in L(v), i.e. v's non-tree components have
-    C(|NT(v)|, 2) pairs.  nontree(v) and pairs(v) build NT(v) and L(v).
+    Two link shapes cover nearly every vertex of a built witness and are
+    decided from |pairs| and |N(v)| alone.  Pairs that share no vertex
+    (|N(v)| = 2 |pairs|, every link of a linear 3-graph) form a forest of
+    K2s: d_B(v) = |pairs|, NT(v) is empty.  A complete link K_k with
+    k >= 3 (every link of a clique block) is one non-tree component:
+    d_B(v) = k, NT(v) = N(v).  Any other link runs `label_components`
+    over its pairs, and a component is a tree iff it has one pair fewer
+    than vertices.  degrees[v] = d_B(v) = |N(v)| - trees(v); clique[v]
+    holds iff NT(v) is a clique in L(v), i.e. v's non-tree components
+    have C(|NT(v)|, 2) pairs.  nontree(v) and pairs(v) give NT(v) and L(v).
     """
 
     def __init__(self, n, edges):
-        e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 3)
-        a, b, c = e.T
-        x, y = np.concatenate((b, a, a)), np.concatenate((c, c, b))
-        v = np.concatenate((a, b, c))  # the center of each link pair
-        keys, ends = np.unique(np.concatenate((v * n + x, v * n + y)), return_inverse=True)
-        k, u = len(keys), ends[: len(v)]
-        label = label_components(k, u, ends[len(v):])
-        # a non-root node labels no flag and no pair, so only roots are trees
-        tree = np.bincount(label[u], minlength=k) == np.bincount(label, minlength=k) - 1
-        self._nontree = ~tree[label]
-        center, self._x = np.divmod(keys, n)
-        nt = np.bincount(center[self._nontree], minlength=n)
-        nt_pairs = np.bincount(v[self._nontree[u]], minlength=n)
-        d_b = np.bincount(center, minlength=n) - np.bincount(center[tree], minlength=n)
-        self.degrees = tuple(d_b.tolist())
-        self.clique = nt_pairs == nt * (nt - 1) // 2
-        self._start = np.searchsorted(keys, np.arange(n + 1) * n)  # v's first flag
-        order = np.argsort(u, kind="stable")  # pairs by first flag, so by center
-        self._pair_u, self._pair_y = u[order], y[order]
+        links = [[] for _ in range(n)]
+        for a, b, c in edges:
+            links[a].append((b, c))
+            links[b].append((a, c))
+            links[c].append((a, b))
+        self._links = links
+        self._nontree = [frozenset()] * n
+        self.clique = [True] * n
+        degrees = [len(ps) for ps in links]
+        for v, ps in enumerate(links):
+            if not ps:
+                continue
+            nbrs = frozenset(chain.from_iterable(ps))
+            k = len(nbrs)
+            if k == 2 * len(ps):
+                continue
+            if k * (k - 1) == 2 * len(ps):
+                degrees[v], self._nontree[v] = k, nbrs
+                continue
+            label = label_components(ps)
+            size = Counter(label.values())
+            held = Counter(label[x] for x, _ in ps)
+            cyclic = {r for r, s in size.items() if held[r] >= s}
+            nt = frozenset(x for x, r in label.items() if r in cyclic)
+            degrees[v] = k - len(size) + len(cyclic)
+            self.clique[v] = sum(held[r] for r in cyclic) == len(nt) * (len(nt) - 1) // 2
+            self._nontree[v] = nt
+        self.degrees = tuple(degrees)
 
     def nontree(self, v) -> frozenset:
-        lo, hi = self._start[v : v + 2]
-        return frozenset(self._x[lo:hi][self._nontree[lo:hi]].tolist())
+        return self._nontree[v]
 
     def pairs(self, v) -> tuple:
-        lo, hi = np.searchsorted(self._pair_u, self._start[v : v + 2])
-        xs = self._x[self._pair_u[lo:hi]].tolist()
-        return tuple(sorted(zip(xs, self._pair_y[lo:hi].tolist())))
+        return tuple(sorted(self._links[v]))
 
 
-def label_components(count, u, w):
-    """Component labels of nodes 0..count-1 joined by the pairs u[i]-w[i]:
-    rounds of min-label hooking of roots, then pointer jumping to stars.
-    Labels only fall, so no cycle forms; a long path takes few rounds."""
-    label = np.arange(count)
-    while (cross := label[u] != label[w]).any():
-        lu, lw = label[u][cross], label[w][cross]
-        np.minimum.at(label, np.maximum(lu, lw), np.minimum(lu, lw))
-        while not np.array_equal(label, jumped := label[label]):
-            label = jumped
-    return label
+def label_components(pairs) -> dict:
+    """The root of its component for every vertex of the 2-graph given by
+    its pairs: an iterative union-find with path halving, so a long path
+    link cannot exhaust the recursion limit."""
+    parent = {}
+
+    def root(x):
+        while x != (up := parent.setdefault(x, x)):
+            parent[x] = x = parent[up]
+        return x
+
+    for x, y in pairs:
+        x, y = root(x), root(y)
+        parent[max(x, y)] = min(x, y)
+    return {x: root(x) for x in parent}
 
 
 def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
-    n = 1 + max((l.center,) + l.neighbors)
-    d_b = LinkPass(n, [(l.center, x, y) for x, y in l.pairs]).degrees[l.center]
+    ids = {x: i for i, x in enumerate(l.neighbors, 1)}  # the center is 0
+    d_b = LinkPass(1 + len(ids), [(0, ids[x], ids[y]) for x, y in l.pairs]).degrees[0]
     return len(l.neighbors) - d_b
 
 

@@ -20,6 +20,7 @@ from bergesat.checker import (
     is_saturated,
 )
 from bergesat import twographs
+from bergesat.confmodel import sample_linear
 from bergesat.gadgets import (
     broken_lantern, clique3, gadget_D, gadget_Q, gadget_R, lantern, sun,
 )
@@ -137,8 +138,19 @@ def _near_broken_lanterns(draw):
     return make(n, set(broken_lantern().edges) ^ flips)
 
 
+@st.composite
+def _linear_beside_a_block(draw):
+    """A sampled linear 3-graph, where every link is a matching, beside a
+    clique or a lantern, whose links are complete or neither."""
+    n, ell = draw(st.integers(min_value=14, max_value=24)), draw(st.integers(4, 6))
+    g, _ = sample_linear(n, ell, 0, seed=draw(st.integers(0, 99)), require_pair=False)
+    block = draw(st.sampled_from((clique3(ell), lantern(5), lantern(6))))
+    return disjoint_union(*draw(st.permutations((g, block))))
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_3graphs(max_vertices=12, max_edges=40) | _near_broken_lanterns(),
+@given(small_3graphs(max_vertices=12, max_edges=40) | _near_broken_lanterns()
+       | _linear_beside_a_block(),
        st.integers(min_value=0, max_value=11))
 def test_link_pass_matches_a_component_search_per_link(g, pick):
     rows = _reference_links(g)

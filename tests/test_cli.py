@@ -198,6 +198,11 @@ def _broken(*args, **kwargs):
     # here exits 8, so 4 shows that the cap answers before clique3 runs
     pytest.param(4, ["gadget", "--name", "clique", "--n", "3000"],
                  (gadgets, "clique3"), id="clique-above-cap"),
+    # 1.3e7 and 1e10 triples: the lantern and sun caps also answer first
+    pytest.param(4, ["gadget", "--name", "lantern", "--ell", "300"],
+                 (gadgets, "lantern"), id="lantern-above-cap"),
+    pytest.param(4, ["gadget", "--name", "sun", "--ell", "100000"],
+                 (gadgets, "sun"), id="sun-above-cap"),
     pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
                  id="sampler-budget"),
     pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,
@@ -352,6 +357,27 @@ def test_perfbench_tracer_installs_on_the_current_names():
     done = subprocess.run([sys.executable, "-c", code], cwd=root / "perfbench",
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_build_verify_and_classify_links_leave_numpy_unloaded(tmp_path):
+    # numpy costs most of a fresh process's start-up, so only the
+    # exhaustive sweep, the link catalog and the rejection and search
+    # sampler routes import it
+    env = dict(os.environ)
+    src = str(Path(bergesat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from bergesat.cli import main\n"
+        "out = sys.argv[1]\n"
+        "codes = [main(['build', '--n', '45', '--ell', '5', '--m', '64', '-o', out, '--quiet']),\n"
+        "         main(['verify', out, '--ell', '5', '--full-scan', '--quiet']),\n"
+        "         main(['classify-links', out, '--quiet'])]\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "w.h3")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stderr == "[0, 0, 0] False\n"
 
 
 def test_spectrum_exhaustive_small(capsys):

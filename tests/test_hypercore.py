@@ -134,9 +134,9 @@ _matching = make(_K + 1, [(0, i, i + 1) for i in range(1, _K, 2)])
                  id="isolated-vertices"),
 ])
 def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nontree_0):
-    # a path link takes the most hooking rounds when its labels are
-    # scattered, so each graph also runs under a random relabeling that
-    # fixes the center 0
+    # a path link grows the union-find's longest parent chains when its
+    # labels are scattered, so each graph also runs under a random
+    # relabeling that fixes the center 0
     rest = list(range(1, g.vertex_count))
     random.Random(0).shuffle(rest)
     perm = [0] + rest
