@@ -6,69 +6,35 @@ the random sparse layers, gadgets builds the fixed blocks, assembler
 plans and assembles full witnesses for a requested edge count, checker
 certifies the results, and oracle provides the independent brute-force
 ground truth used by the test suite.
+
+The names in ``__all__`` are exported lazily (PEP 562): ``bergesat.<name>``
+imports the one submodule that defines it on first use, so a bare
+``import bergesat`` loads no submodule and each CLI command loads only
+the layers it runs.
 """
 
-from .assembler import (
-    Verdict,
-    build_spectrum_witness,
-    ex_formula,
-    sat_formula,
-)
-from .checker import (
-    VerifyReport,
-    aggressive_sufficient,
-    classify_aggressive,
-    is_berge_free,
-    is_saturated,
-)
-from .hypercore import (
-    FormatError,
-    Hypergraph3,
-    InternalError,
-    berge_degree,
-    berge_witness,
-    link,
-    make,
-    read_h3,
-    read_json,
-    write_h3,
-    write_json,
-)
-from .confmodel import (
-    DegreeSpec,
-    NoDisjointPair,
-    SamplerBudgetError,
-    degree_spec,
-    sample_linear,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegreeSpec",
-    "FormatError",
-    "Hypergraph3",
-    "InternalError",
-    "NoDisjointPair",
-    "SamplerBudgetError",
-    "Verdict",
-    "VerifyReport",
-    "aggressive_sufficient",
-    "berge_degree",
-    "berge_witness",
-    "build_spectrum_witness",
-    "classify_aggressive",
-    "degree_spec",
-    "ex_formula",
-    "is_berge_free",
-    "is_saturated",
-    "link",
-    "make",
-    "read_h3",
-    "read_json",
-    "sample_linear",
-    "sat_formula",
-    "write_h3",
-    "write_json",
-    "__version__",
-]
+_HOME = {
+    name: module
+    for module, names in {
+        "assembler": ("Verdict", "build_spectrum_witness", "ex_formula", "sat_formula"),
+        "checker": ("VerifyReport", "aggressive_sufficient", "classify_aggressive",
+                    "is_berge_free", "is_saturated"),
+        "hypercore": ("FormatError", "Hypergraph3", "InternalError", "SamplerBudgetError",
+                      "berge_degree", "berge_witness", "link", "make", "read_h3",
+                      "read_json", "write_h3", "write_json"),
+        "confmodel": ("DegreeSpec", "NoDisjointPair", "degree_spec", "sample_linear"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

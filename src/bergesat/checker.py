@@ -36,6 +36,7 @@ has built, and `degree6_component_claim` checks the degree-6 claim.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 
 from .hypercore import (
@@ -46,7 +47,6 @@ from .hypercore import (
     link,  # noqa: F401  wrapped by name in perfbench/tracer.py
     tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
 )
-from . import twographs
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII"
@@ -144,8 +144,11 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
         raise ValueError(f"edge {e} already present")
     if e[0] < 0 or e[2] >= g.vertex_count:
         raise ValueError(f"triple {e!r} out of range [0, {g.vertex_count - 1}]")
-    lp = LinkPass(g.vertex_count, [x for x in g.edges if e[0] in x or e[1] in x or e[2] in x])
-    return _lifts({v: lp.nontree(v) for v in e}, lp.degrees, e, ell)
+    through = [x for x in g.edges if e[0] in x or e[1] in x or e[2] in x]
+    # compact ids, e's first, so the pass is sized to these edges and not to n
+    ids = {v: i for i, v in enumerate(dict.fromkeys(chain(e, *through)))}
+    lp = LinkPass(len(ids), [(ids[a], ids[b], ids[c]) for a, b, c in through])
+    return _lifts([lp.nontree(i) for i in range(3)], lp.degrees, (0, 1, 2), ell)
 
 
 def _neutral_pairs(pairs, nontree):
@@ -250,9 +253,13 @@ def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
 
 # --- the ell = 5 link catalog ---------------------------------------------
 
-_CATALOG_FORMS = {
-    twographs.canonical_form(range(k), p): name for name, (k, p) in twographs.LINK_SHAPES
-}
+@cache
+def _catalog_forms() -> dict:
+    """Canonical form -> shape name, built on the first classification so
+    that the commands that classify nothing never import twographs."""
+    from . import twographs
+
+    return {twographs.canonical_form(range(k), p): name for name, (k, p) in twographs.LINK_SHAPES}
 
 
 def classify_link_5(l: LinkGraph) -> str:
@@ -263,7 +270,9 @@ def classify_link_5(l: LinkGraph) -> str:
     a Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with
     a link other than K4 or K4-.
     """
-    return _CATALOG_FORMS.get(twographs.canonical_form(l.neighbors, l.pairs), "OTHER")
+    from . import twographs
+
+    return _catalog_forms().get(twographs.canonical_form(l.neighbors, l.pairs), "OTHER")
 
 
 def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:

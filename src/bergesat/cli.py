@@ -29,7 +29,8 @@ import os
 import sys
 import tempfile
 
-from . import assembler, checker, confmodel, gadgets, hypercore
+# each command imports the layers it runs, so none pays for the others
+from . import hypercore
 
 _EXIT_OK = 0
 _EXIT_UNSATURATED = 2
@@ -77,18 +78,14 @@ def _write_report(args, obj):
         _atomic_write(args.report, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _verdict_exit(verdict):
-    if verdict.status in (assembler.BELOW_SAT, assembler.BY_THEOREM):
-        return _EXIT_INFEASIBLE
-    return _EXIT_UNSUPPORTED
-
-
 def _check_n(args):
     if args.n > hypercore.MAX_VERTICES:
         raise ValueError(f"--n {args.n} exceeds the vertex limit {hypercore.MAX_VERTICES}")
 
 
 def _cmd_build(args):
+    from . import assembler, checker
+
     _check_n(args)
     if args.m > hypercore.MAX_EDGES:
         raise ValueError(f"--m {args.m} exceeds the edge limit {hypercore.MAX_EDGES}")
@@ -98,7 +95,7 @@ def _cmd_build(args):
             args.n, args.ell, args.m, seed=args.seed,
             max_tries=args.max_tries,
         )
-    except confmodel.SamplerBudgetError as exc:
+    except hypercore.SamplerBudgetError as exc:
         report.update(status="sampler_budget", rule=str(exc), stats=vars(exc.stats))
         _write_report(args, report)
         raise
@@ -107,7 +104,8 @@ def _cmd_build(args):
         _say(args, f"build n={args.n} ell={args.ell} m={args.m}: "
                    f"{verdict.status} ({verdict.detail})")
         _write_report(args, report)
-        return _verdict_exit(verdict)
+        infeasible = verdict.status in (assembler.BELOW_SAT, assembler.BY_THEOREM)
+        return _EXIT_INFEASIBLE if infeasible else _EXIT_UNSUPPORTED
     rep = checker.is_saturated(g, args.ell)
     certified = rep.is_saturated and rep.is_free
     if args.out and certified:
@@ -126,6 +124,8 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
+    from . import checker
+
     g = _read_graph(args.graph)
     rep = checker.is_saturated(g, args.ell, full_scan=args.full_scan)
     _write_report(args, rep.to_json())
@@ -145,7 +145,7 @@ def _cmd_verify(args):
 def _cmd_spectrum(args):
     _check_n(args)
     if args.exhaustive:
-        from . import oracle  # imports numpy; only the sweep and the catalog load it
+        from . import oracle  # the sweep imports numpy
 
         res = oracle.exhaustive_spectrum(args.n, args.ell)
         obj = {
@@ -156,6 +156,8 @@ def _cmd_spectrum(args):
         print(json.dumps(obj, indent=2))
         _write_report(args, obj)
         return _EXIT_OK
+    from . import assembler
+
     obj = {"n": args.n, "ell": args.ell, "ranges": assembler.spectrum_runs(args.n, args.ell)}
     if args.ell >= 2:
         sat, argmin = assembler.sat_formula(args.n, args.ell)
@@ -168,6 +170,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_sample_config(args):
+    from . import confmodel
+
     _check_n(args)
     g, stats = confmodel.sample_linear(
         args.n, args.ell, args.k, seed=args.seed, max_tries=args.max_tries,
@@ -198,26 +202,28 @@ _TRIPLES = {
     "sun": lambda a: (a.ell - 1) * (a.ell - 3) if a.ell >= 5 else 0,
 }
 
-# name -> constructor of the parsed arguments; each looks its gadget up in
-# the gadgets module when called
+# name -> constructor of (the gadgets module, the parsed arguments); each
+# looks its gadget up in the module when called
 _GADGETS = {
-    "lantern": lambda a: gadgets.lantern(a.ell),
-    "sun": lambda a: gadgets.sun(a.ell),
-    "clique": lambda a: gadgets.clique3(_clique_size(a)),
-    "broken-lantern": lambda a: gadgets.broken_lantern(),
-    "gadget-d": lambda a: gadgets.gadget_D(),
-    "gadget-q": lambda a: gadgets.gadget_Q(),
-    "gadget-r": lambda a: gadgets.gadget_R(),
-    "l4-sparse": lambda a: gadgets.l4_sparse(_given_n(a), seed=a.seed),
+    "lantern": lambda m, a: m.lantern(a.ell),
+    "sun": lambda m, a: m.sun(a.ell),
+    "clique": lambda m, a: m.clique3(_clique_size(a)),
+    "broken-lantern": lambda m, a: m.broken_lantern(),
+    "gadget-d": lambda m, a: m.gadget_D(),
+    "gadget-q": lambda m, a: m.gadget_Q(),
+    "gadget-r": lambda m, a: m.gadget_R(),
+    "l4-sparse": lambda m, a: m.l4_sparse(_given_n(a), seed=a.seed),
 }
 
 
 def _cmd_gadget(args):
+    from . import gadgets
+
     triples = _TRIPLES[args.name](args) if args.name in _TRIPLES else 0
     if triples > hypercore.MAX_EDGES:
         raise ValueError(f"{args.name} gadget has {triples} triples, "
                          f"above the edge limit {hypercore.MAX_EDGES}")
-    g = _GADGETS[args.name](args)
+    g = _GADGETS[args.name](gadgets, args)
     if args.out:
         _write_graph(args.out, g, args.format)
     _say(args, f"gadget {args.name}: {g.vertex_count} vertices, "
@@ -226,6 +232,8 @@ def _cmd_gadget(args):
 
 
 def _cmd_classify_links(args):
+    if args.enumerate and args.graph:
+        raise ValueError("classify-links takes a graph file or --enumerate, not both")
     if args.enumerate:
         from . import oracle
 
@@ -251,6 +259,8 @@ def _cmd_classify_links(args):
         return _EXIT_OK
     if not args.graph:
         raise ValueError("classify-links needs a graph file or --enumerate")
+    from . import checker
+
     g = _read_graph(args.graph)
     index = hypercore.incidence_index(g)
     links = (hypercore.link(g, v, index) for v in range(g.vertex_count))
@@ -342,7 +352,7 @@ def main(argv=None):
         return 0
     try:
         return args.func(args)
-    except confmodel.SamplerBudgetError as e:
+    except hypercore.SamplerBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BUDGET
     except (ValueError, hypercore.FormatError, OSError) as e:

@@ -49,7 +49,7 @@ import logging
 from math import comb
 import random
 
-from .hypercore import Hypergraph3, InternalError
+from .hypercore import Hypergraph3, InternalError, SamplerBudgetError
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +57,6 @@ _BATCH = 1024
 _PROGRESS_EVERY = 100_000
 _PARTNER_DRAWS = 16
 _PAIR_REJECT_EVICTIONS = 4
-
-
-class SamplerBudgetError(RuntimeError):
-    """Raised when max_tries is exhausted; carries the stats so far."""
-
-    def __init__(self, message, stats):
-        super().__init__(message)
-        self.stats = stats
 
 
 class NoDisjointPair(LookupError):

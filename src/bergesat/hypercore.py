@@ -44,6 +44,14 @@ class InternalError(RuntimeError):
     """An invariant of the program itself failed: a bug, not bad input."""
 
 
+class SamplerBudgetError(RuntimeError):
+    """Raised when max_tries is exhausted; carries the stats so far."""
+
+    def __init__(self, message, stats):
+        super().__init__(message)
+        self.stats = stats
+
+
 class _EdgeError(ValueError):
     """A malformed edge; pos is its index in the edge sequence."""
 

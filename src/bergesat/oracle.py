@@ -14,7 +14,8 @@ Three tools live here, deliberately sharing no logic with the checker:
   0's link within its isomorphism class and keeps edge counts and
   saturation, so one least link code per class is swept, with every
   setting of the other triples, and its counts are weighted by the
-  class size (156 blocks of 2^20 masks at n = 7 instead of 2^35 masks);
+  class size (156 blocks of 2^20 masks at n = 7 instead of 2^35 masks).
+  Only the sweep's functions import numpy, so the catalog runs without it;
 * a catalog of the small link shapes together with the
   degree-deficiency bound table computed from first principles.  The
   connected shapes are grown from K2 by canonical augmentation (one
@@ -25,8 +26,6 @@ Three tools live here, deliberately sharing no logic with the checker:
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .hypercore import Hypergraph3, InternalError
 from . import twographs
@@ -98,6 +97,7 @@ _SLICE = 10  # mask bits per slice table
 
 
 def _popcount(arr):
+    import numpy as np
     f = getattr(np, "bitwise_count", None)
     if f is not None:
         return f(arr)
@@ -117,6 +117,7 @@ def _degree_tables(n, triples, pos):
     order-preserving relabelling of the other vertices share one table
     (in K_n^(3) that is every vertex).
     """
+    import numpy as np
     tables = []
     seen = {}
     for v in range(n):
@@ -146,6 +147,7 @@ def _lift_tables(n, ell, triples, pos):
     * lift[v][code] is a uint64 with bit pos[v][j] set for every j such
       that adding triple pos[v][j] brings d_B(v) to ell or more.
     """
+    import numpy as np
     T = len(triples)
     slices, over, lift = [], [], []
     for v, tab in enumerate(_degree_tables(n, triples, pos)):
@@ -177,6 +179,7 @@ def _link_classes(n):
     Returns (reps, sizes): the least code of every class, ascending, and
     the number of codes in it.
     """
+    import numpy as np
     pairs = list(combinations(range(n - 1), 2))
     index = {p: j for j, p in enumerate(pairs)}
     codes = np.arange(1 << len(pairs))
@@ -199,6 +202,7 @@ def _saturated(masks, T, slices, over, lift):
     saturated iff no vertex is over and the mask OR the lifted triples
     of all vertices is every triple.
     """
+    import numpy as np
     slice_bits = np.uint64((1 << _SLICE) - 1)
     parts = [
         (masks >> np.uint64(s) & slice_bits).astype(np.uint16)
@@ -232,6 +236,7 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
     code is the least code of its class.  Deterministic; all degrees
     come from the matching route.
     """
+    import numpy as np
     if n < 0 or ell < 1:
         raise ValueError(f"bad arguments n={n}, ell={ell}")
     if n > 7:

@@ -203,6 +203,9 @@ def _broken(*args, **kwargs):
                  (gadgets, "lantern"), id="lantern-above-cap"),
     pytest.param(4, ["gadget", "--name", "sun", "--ell", "100000"],
                  (gadgets, "sun"), id="sun-above-cap"),
+    # a file and the catalog together: refused, not the file ignored
+    pytest.param(4, ["classify-links", "K5", "--enumerate"],
+                 (oracle, "enumerate_link_catalog"), id="file-and-enumerate"),
     pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
                  id="sampler-budget"),
     pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,
@@ -359,25 +362,60 @@ def test_perfbench_tracer_installs_on_the_current_names():
     assert done.returncode == 0, done.stderr
 
 
-def test_build_verify_and_classify_links_leave_numpy_unloaded(tmp_path):
-    # numpy costs most of a fresh process's start-up, so only the
-    # exhaustive sweep, the link catalog and the rejection and search
-    # sampler routes import it
+# run in a fresh interpreter: a bare `import bergesat` must load no
+# submodule; then one command; then every exported name must resolve to
+# the object of the module that defines it, and an unknown name must not
+_LOADS_PROBE = """
+import json, sys
+import bergesat
+bare = sorted(m for m in sys.modules if m.startswith("bergesat."))
+from bergesat.cli import main
+code = main(sys.argv[2:] + ["--quiet"])
+loaded = sorted(m for m in sys.modules if m.startswith("bergesat."))
+numpy = "numpy" in sys.modules
+wrong = []
+for name in sorted(set(bergesat.__all__) - {"__version__"}):
+    obj = getattr(bergesat, name)
+    if obj.__module__ == "bergesat" or getattr(sys.modules[obj.__module__], name) is not obj:
+        wrong.append(name)
+try:
+    bergesat.no_such_name
+    wrong.append("no_such_name")
+except AttributeError:
+    pass
+with open(sys.argv[1], "w") as fh:
+    json.dump([bare, code, loaded, numpy, wrong], fh)
+"""
+
+
+# every command loads cli and hypercore, plus only the layers it runs;
+# numpy only for the exhaustive sweep (and the rejection and search
+# sampler routes, which no row here takes)
+@pytest.mark.parametrize("argv, layers, numpy", [
+    pytest.param(["verify", "K5", "--ell", "5", "--full-scan"], ["checker"], False, id="verify"),
+    pytest.param(["build", "--n", "45", "--ell", "5", "--m", "64", "-o", "W"],
+                 ["assembler", "checker", "confmodel", "gadgets"], False, id="build"),
+    pytest.param(["classify-links", "L5"], ["checker", "twographs"], False,
+                 id="classify-links-file"),
+    pytest.param(["classify-links", "--enumerate"], ["oracle", "twographs"], False,
+                 id="classify-links-enumerate"),
+    pytest.param(["spectrum", "--exhaustive", "--n", "5", "--ell", "4"],
+                 ["oracle", "twographs"], True, id="spectrum-exhaustive"),
+    pytest.param(["gadget", "--name", "lantern"], ["gadgets"], False, id="gadget"),
+])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
+    for name, g in {"K5": _clique(5), "L5": gadgets.lantern(5)}.items():
+        (tmp_path / name).write_text(write_h3(g))
+    argv = [str(tmp_path / a) if a in ("K5", "L5", "W") else a for a in argv]
     env = dict(os.environ)
     src = str(Path(bergesat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "from bergesat.cli import main\n"
-        "out = sys.argv[1]\n"
-        "codes = [main(['build', '--n', '45', '--ell', '5', '--m', '64', '-o', out, '--quiet']),\n"
-        "         main(['verify', out, '--ell', '5', '--full-scan', '--quiet']),\n"
-        "         main(['classify-links', out, '--quiet'])]\n"
-        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "w.h3")], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.stderr == "[0, 0, 0] False\n"
+    out = tmp_path / "loads.json"
+    done = subprocess.run([sys.executable, "-c", _LOADS_PROBE, str(out)] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    expected = sorted(f"bergesat.{m}" for m in ["cli", "hypercore"] + layers)
+    assert json.loads(out.read_text()) == [[], 0, expected, numpy, []]
 
 
 def test_spectrum_exhaustive_small(capsys):
