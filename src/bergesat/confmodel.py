@@ -45,6 +45,7 @@ from numpy Generators.
 """
 
 from dataclasses import dataclass
+from functools import cache
 import logging
 from math import comb
 import random
@@ -523,19 +524,17 @@ def find_disjoint_edge_pair(g: Hypergraph3, spec: DegreeSpec):
         for v in e:
             incident.setdefault(v, set()).add(i)
 
+    @cache  # most searches stop early, so build each meet set on first use
     def meeting(i):
-        out = set()
-        for v in g.edges[i]:
-            out |= incident[v]
-        return out
+        a, b, c = g.edges[i]
+        return incident[a] | incident[b] | incident[c]
 
-    meet = {i: meeting(i) for i in qualifying}
     for pos, i in enumerate(qualifying):
         ei = set(g.edges[i])
         for j in qualifying[pos + 1 :]:
             if ei & set(g.edges[j]):
                 continue
-            if (meet[i] & meet[j]) - {i, j}:
+            if (meeting(i) & meeting(j)) - {i, j}:
                 continue
             return g.edges[i], g.edges[j]
     raise NoDisjointPair(

@@ -317,13 +317,13 @@ def read_h3(text: str) -> Hypergraph3:
     """Parse the .h3 format.  Raises FormatError with a 1-based line number."""
     header = None
     edges = []
+    linenos = []  # of each edge, read only to place an _EdgeError
     expect = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         if header is None:
-            parts = s.split()
             if len(parts) != 3 or parts[0] != "h3":
                 raise FormatError(f"expected header 'h3 <n> <m>', got {raw!r}", lineno)
             try:
@@ -336,25 +336,25 @@ def read_h3(text: str) -> Hypergraph3:
             header = (n, m)
             expect = m
             continue
-        parts = s.split()
         if len(parts) != 3:
             raise FormatError(f"expected 3 vertex ids, got {raw!r}", lineno)
         try:
-            e = tuple(int(p) for p in parts)
+            a, b, c = map(int, parts)
         except ValueError:
             raise FormatError(f"non-integer vertex id in {raw!r}", lineno)
         if len(edges) >= expect:
             raise FormatError(f"more than {expect} edge lines", lineno)
-        edges.append((lineno, e))
+        edges.append((a, b, c))
+        linenos.append(lineno)
     if header is None:
         raise FormatError("missing 'h3 <n> <m>' header")
     n, m = header
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
     try:
-        return Hypergraph3(n, tuple(e for _, e in edges))
+        return Hypergraph3(n, tuple(edges))
     except _EdgeError as exc:
-        raise FormatError(str(exc), edges[exc.pos][0]) from exc
+        raise FormatError(str(exc), linenos[exc.pos]) from exc
 
 
 def write_json(g: Hypergraph3) -> str:

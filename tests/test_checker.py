@@ -1,6 +1,7 @@
 """Saturation verdicts: fast path against full scan, tags, and the catalog."""
 
 from itertools import combinations
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from bergesat.assembler import build_spectrum_witness
 from bergesat.checker import (
     TYPE_I,
     TYPE_II,
+    _lifts,
     _links_and_degrees,
     aggressive_sufficient,
     classify_aggressive,
@@ -78,26 +80,37 @@ def _type_ii_cases(draw):
     return disjoint_union(b, draw(small_3graphs(max_vertices=6, max_edges=6))), ell
 
 
-@settings(max_examples=160, deadline=None)
-@given(st.tuples(small_3graphs(), st.integers(min_value=1, max_value=6)) | _type_ii_cases())
-def test_fast_path_and_full_scan_agree(case):
-    g, ell = case
+def _literal_counterexample(g, ell):
+    """The reference scan: every triple in lexicographic order, each
+    absent one decided by the pair-insertion rule.  g must be free."""
+    _, nontree, dbs = _links_and_degrees(g)
+    sets = [nontree(v) for v in range(g.vertex_count)]
+    present = set(g.edges)
+    return next((e for e in combinations(range(g.vertex_count), 3)
+                 if e not in present and not _lifts(sets, dbs, e, ell)), None)
+
+
+def _assert_paths_match_the_literal_scan(g, ell):
     fast = is_saturated(g, ell)
     full = is_saturated(g, ell, full_scan=True)
     assert fast.is_free == full.is_free
     assert fast.is_saturated == full.is_saturated
     assert fast.counterexample == full.counterexample
+    if full.is_free:
+        assert full.counterexample == _literal_counterexample(g, ell)
+        assert full.is_saturated == (full.counterexample is None)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.tuples(small_3graphs(), st.integers(min_value=1, max_value=6)) | _type_ii_cases())
+def test_fast_path_and_full_scan_agree(case):
+    _assert_paths_match_the_literal_scan(*case)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_linear_3graphs(), st.integers(min_value=2, max_value=5))
 def test_fast_path_and_full_scan_agree_on_linear_inputs(g, ell):
-    fast = is_saturated(g, ell)
-    full = is_saturated(g, ell, full_scan=True)
-    assert (fast.is_saturated, fast.counterexample) == (
-        full.is_saturated,
-        full.counterexample,
-    )
+    _assert_paths_match_the_literal_scan(g, ell)
 
 
 def _reference_links(g):
@@ -202,11 +215,24 @@ def test_fast_path_and_full_scan_agree_on_a_built_witness_minus_an_edge():
     _, g = build_spectrum_witness(120, 6, 248, seed=0)
     assert g is not None and len(g.edges) == 248
     h = remove_edge(g, g.edges[len(g.edges) // 2])
-    fast = is_saturated(h, 6)
-    full = is_saturated(h, 6, full_scan=True)
-    assert fast.is_free and not fast.is_saturated
-    assert (full.is_free, full.is_saturated) == (fast.is_free, fast.is_saturated)
-    assert full.counterexample == fast.counterexample
+    rep = is_saturated(h, 6)
+    assert rep.is_free and not rep.is_saturated
+    _assert_paths_match_the_literal_scan(h, 6)
+
+
+def test_full_scan_on_the_largest_witness_agrees_with_the_fast_path():
+    # C(10008, 3) = 1.67e11 triples: a literal scan would never finish,
+    # the rule-pruned one takes a fraction of a second
+    _, g = build_spectrum_witness(10008, 6, 25590, seed=0)
+    assert g is not None and len(g.edges) == 25590
+    for h, saturated in ((g, True), (remove_edge(g, g.edges[len(g.edges) // 2]), False)):
+        fast = is_saturated(h, 6)
+        started = time.perf_counter()
+        full = is_saturated(h, 6, full_scan=True)
+        assert time.perf_counter() - started < 10.0
+        assert fast.is_free and full.is_free
+        assert fast.is_saturated == full.is_saturated == saturated
+        assert full.counterexample == fast.counterexample
 
 
 def test_creates_new_berge_examples():

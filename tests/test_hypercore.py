@@ -217,14 +217,19 @@ def test_h3_parser_diagnostics_carry_line_numbers():
         ("h3 4 2\n0 1 2\n# note\n1 3 2\n", "not strictly ascending", 4),
         ("h3 4 2\n0 1 2\n0 1 2\n", "duplicate", 3),
         ("h3 4 3\n0 1 2\n\n1 2 3\n0 1 3\n", "lexicographic order", 5),
+        ("h3 4 2\n0 1 2\n# c\n0 1 9\n", "out of range", 4),
+        ("h3 4 2\r\n0 1 2\r\n  #c\r\n\r\n2 1 3\r\n", "not strictly ascending", 5),
+        ("h3 4 1\r\n\r\n0 1 x\r\n", "non-integer vertex id", 3),
     ]
     for text, problem, line in bad_edges:
         with pytest.raises(FormatError, match=problem) as e:
             read_h3(text)
         assert e.value.line == line
-    # comments and blank lines are fine
+    # comments, blank lines and CRLF line ends are fine
     g = read_h3("# witness\nh3 4 1\n\n0 1 2\n")
     assert g.edges == ((0, 1, 2),)
+    g = read_h3("# witness\r\nh3 4 2\r\n0 1 2\r\n\t# c\r\n\r\n1 2 3\r\n")
+    assert g == Hypergraph3(4, ((0, 1, 2), (1, 2, 3)))
 
 
 def test_json_parser_rejects_malformed_objects():
