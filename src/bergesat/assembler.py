@@ -1,23 +1,30 @@
 """Planners and builders for saturated graphs with prescribed size.
 
-plan_witness is the one planner for every (n, ell, m), and it builds
-nothing; build_spectrum_witness builds only the plan it returns, gluing
-blocks with hypercore.disjoint_union, and the checker re-verifies every
-witness rather than trusting it.  Three branches:
+Every plan is an ordered tuple of `Block`s, the pieces whose disjoint
+union is the witness.  plan_witness is the one planner for every
+(n, ell, m) and builds nothing; build_spectrum_witness glues the blocks
+of its plan in order with hypercore.disjoint_union, and the checker
+re-verifies every witness.  The union rule composes them: call v full
+when d_B(v) = ell - 1; a disjoint union of saturated free blocks is
+saturated iff its non-full vertices lie in one block or number at most
+2, since by the pair-insertion rule a triple across blocks lifts exactly
+when one of its vertices is full.  A plan that breaks the rule or does
+not fill n vertices with m edges is an InternalError.  Three branches:
 
 - closed form, ell <= 4 or n <= ell: a table from m to the construction
   (and the vertices it needs); any other m below its top is infeasible.
 - exact mixtures, ell = 5 with 5 | n, from 5n/3 up: every m up to 2n - 5
   and 2n itself, with 2n-4 .. 2n-1 provably unrealizable.
-- clique split, every other m from sat to ex: disjoint ell-cliques beside
-  a core W (a sampled near-regular linear graph with lantern overlays,
-  an attached clique and up to two edge surgeries), accepted only when
-  confmodel.degree_spec accepts the core.  The paper proves it up to
-  ell(ell-1)n/12; above that certification alone vouches for a witness.
+- clique split, every other m from sat to ex: a core W (a sampled
+  near-regular linear graph with lantern overlays, an attached clique
+  and up to two edge surgeries), then disjoint ell-cliques, accepted
+  only when confmodel.degree_spec accepts the core; proved up to
+  ell(ell-1)n/12, and vouched for by certification alone above that.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, groupby
 from math import comb
 
 from .hypercore import Hypergraph3, InternalError, disjoint_union, make
@@ -29,49 +36,57 @@ BY_THEOREM = "infeasible_by_theorem"
 OUT_OF_RANGE = "out_of_range"
 UNSUPPORTED = "unsupported"
 
+# the most values of m spectrum_runs plans one by one, from sat to ex
+MAX_PLANNED = 2**17
+
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of planning: a status, a human-readable detail line, and
-    the concrete plan when status is "ok"."""
+    the plan, a tuple of blocks, when status is "ok"."""
 
     status: str
     detail: str
-    plan: object = None
+    plan: tuple = None
 
     @property
     def feasible(self) -> bool:
         return self.status == OK
 
 
-@dataclass(frozen=True)
-class LowerPlan:
-    n: int
-    ell: int
-    m: int
-    c: int
-    a_star: int
-    k: int
-    i: int
-    s: int
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One saturated free piece of a witness at the plan's ell.
+
+    nonfull counts the vertices with d_B < ell - 1, exactly for every block
+    but the sampled core W, where it is W's vertex count, an upper bound.
+    build(seed=, max_tries=) makes the graph on ids 0..vertices-1.  W alone
+    has a spec: the sampler's (degree spec, require_pair) for its core.
+    """
+
+    name: str
+    vertices: int
+    edges: int
+    nonfull: int
+    build: object
+    spec: tuple = None
 
 
-@dataclass(frozen=True)
-class Exact5Plan:
-    n: int
-    m: int
-    m_star: int
-    a: int
-    b: int
+def union_saturated(nonfull) -> bool:
+    """The union rule on the non-full counts of saturated free blocks."""
+    spread = [k for k in nonfull if k]
+    return len(spread) <= 1 or sum(spread) <= 2
 
 
-@dataclass(frozen=True)
-class ClosedPlan:
-    n: int
-    ell: int
-    m: int
+def _clique(s, ell) -> Block:
+    """K_s^(3), whose vertices have Berge degree min(C(s-1, 2), s-1)."""
+    degree = min(comb(s - 1, 2), s - 1) if s else 0
+    return Block(f"K_{s}", s, comb(s, 3), 0 if degree == ell - 1 else s,
+                 lambda **_: gadgets.clique3(s))
 
 
+# spectrum_runs' bisections ask for the same few values again and again
+@lru_cache(maxsize=1 << 12)
 def sat_formula(n: int, ell: int):
     """Saturation number and its argmin set.
 
@@ -219,7 +234,8 @@ def _largest_split(n, ell, m):
 
 def plan_lower(n, ell, m) -> Verdict:
     """Decompose m as C(ell,3) c + sat(n - c ell) + 3k + i with the
-    largest number of split-off cliques c, for any m in [sat, ex].
+    largest number of split-off cliques c, for any m in [sat, ex]: the
+    core W, then c copies of K_ell^(3).
 
     The plan stands only when confmodel.degree_spec accepts the core
     sequence d(n - c ell - a, ell, k); its refusal is the verdict.  When
@@ -234,18 +250,21 @@ def plan_lower(n, ell, m) -> Verdict:
     if m > ex:
         return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {ex}")
     if m == ex and n % ell == 0:
-        plan = LowerPlan(n, ell, m, n // ell, 0, 0, 0, 0)
+        plan = (_clique(ell, ell),) * (n // ell)
         return Verdict(OK, f"{n // ell} disjoint cliques and no core graph", plan)
     c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
         return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1")
     k, i = divmod(s, 3)
-    a_star = select_a_star(n - c * ell, ell)
+    core = n - c * ell
+    a_star = select_a_star(core, ell)
     try:
-        confmodel.degree_spec(n - c * ell - a_star, ell, k)
+        spec = confmodel.degree_spec(core - a_star, ell, k)
     except ValueError as exc:
         return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}")
-    plan = LowerPlan(n, ell, m, c, a_star, k, i, s)
+    w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, a_star, i),
+              (spec, i > 0))
+    plan = (w,) + (_clique(ell, ell),) * c
     return Verdict(OK, f"core graph with {k} lanterns and {i} surgeries plus {c} cliques", plan)
 
 
@@ -254,40 +273,32 @@ def plan_lower(n, ell, m) -> Verdict:
 plan_upper = plan_lower
 
 
-def build_lower(plan: LowerPlan, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    core = plan.n - plan.c * plan.ell
-    parts = [build_W(core, plan.ell, plan.k, plan.a_star, plan.i, seed=seed,
-                     max_tries=max_tries)] if core else []
-    return disjoint_union(*parts, *[gadgets.clique3(plan.ell)] * plan.c)
+_LANTERN = Block("lantern", 15, 23, 0, lambda **_: gadgets.lantern(5))
+_BROKEN = Block("broken lantern", 10, 15, 1, lambda **_: gadgets.broken_lantern())
 
-
-# residue b of the deficit m* = 7a + b: its special units, built on call
-# through the gadgets module, and how many of the a lanterns they replace
+# residue b of the deficit m* = 7a + b at ell = 5: its special blocks and
+# how many of the a lanterns they replace; 2N - e of a block is its share
+# of m*, 7 for a lantern and 0 for K_5
 _EXACT5_UNITS = {
-    0: (lambda: [], 0),
-    1: (lambda: [gadgets.sun(5), gadgets.clique3(4)], 1),
-    2: (lambda: [gadgets.gadget_R()], 1),
-    3: (lambda: [gadgets.broken_lantern(), gadgets.broken_lantern()], 1),
-    4: (lambda: [gadgets.gadget_Q()], 1),
-    5: (lambda: [gadgets.broken_lantern()], 0),
-    6: (lambda: [gadgets.gadget_D()], 0),
+    0: ((), 0),
+    1: ((Block("sun", 6, 8, 0, lambda **_: gadgets.sun(5)), _clique(4, 5)), 1),
+    2: ((Block("R", 15, 21, 2, lambda **_: gadgets.gadget_R()),), 1),
+    3: ((_BROKEN, _BROKEN), 1),
+    4: ((Block("Q", 20, 29, 2, lambda **_: gadgets.gadget_Q()),), 1),
+    5: ((_BROKEN,), 0),
+    6: ((Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D()),), 0),
 }
 
 
-def _exact5_units(a, b):
-    """(special units, lantern count) of the mixture for m* = 7a + b."""
-    units, replaced = _EXACT5_UNITS[b]
-    return units(), a - replaced
-
-
 def plan_exact5(n, m) -> Verdict:
-    """The exact mixture cases for ell = 5 with 5 | n."""
+    """The exact mixture cases for ell = 5 with 5 | n: the special blocks
+    of the deficit's residue, then lanterns, then 5-cliques."""
     if n % 5:
         return Verdict(UNSUPPORTED, f"exact planner needs 5 | n, got n = {n}")
     if m > 2 * n:
         return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {2 * n}")
     if m == 2 * n:
-        return Verdict(OK, "disjoint 5-cliques", Exact5Plan(n, m, 0, 0, 0))
+        return Verdict(OK, "disjoint 5-cliques", (_clique(5, 5),) * (n // 5))
     if m > 2 * n - 5:
         return Verdict(
             BY_THEOREM,
@@ -298,95 +309,100 @@ def plan_exact5(n, m) -> Verdict:
         return Verdict(OUT_OF_RANGE, f"m = {m} below the exact-range floor 5n/3")
     m_star = 2 * n - m
     a, b = divmod(m_star, 7)
-    units, lanterns = _exact5_units(a, b)
-    used = sum(g.vertex_count for g in units) + 15 * lanterns
+    units, replaced = _EXACT5_UNITS[b]
+    lanterns = a - replaced
+    used = sum(u.vertices for u in units) + 15 * lanterns
     if used > n:
         return Verdict(UNSUPPORTED, f"mixture for m* = {m_star} needs {used} vertices, n = {n}")
-    plan = Exact5Plan(n, m, m_star, a, b)
+    plan = units + (_LANTERN,) * lanterns + (_clique(5, 5),) * ((n - used) // 5)
     return Verdict(OK, f"mixture case b = {b} with {lanterns} lanterns", plan)
 
 
-def build_exact5(plan: Exact5Plan, seed=0) -> Hypergraph3:
-    units, lanterns = _exact5_units(plan.a, plan.b)
-    parts = units + [gadgets.lantern(5)] * lanterns
-    beta, rem = divmod(plan.n - sum(g.vertex_count for g in parts), 5)
-    if rem or beta < 0:
-        raise InternalError(f"vertex accounting failed for {plan}")
-    return disjoint_union(*parts, *[gadgets.clique3(5)] * beta)
+def _wrap_cycle(q) -> Block:
+    """Two overlapping triple layers on q vertices (3 | q, q >= 6); every
+    vertex ends with Berge degree exactly 2."""
+    return Block("wrap cycle", q, 2 * (q // 3), 0, lambda **_: make(q, [
+        t for j in range(0, q, 3) for t in ((j, j + 1, j + 2), (j + 1, j + 2, (j + 3) % q))]))
+
+
+def _tight_cycle(q) -> Block:
+    """The q triples of cyclically consecutive vertices; every d_B is 3."""
+    return Block("tight cycle", q, q, 0, lambda **_: make(
+        q, {tuple(sorted((j, (j + 1) % q, (j + 2) % q))) for j in range(q)}))
 
 
 # ell = 3 by n mod 3: (ex - m, the block beside the wrap cycle, its name)
 _WRAP_ROWS = {
-    0: ((0, make(0, []), ""), (1, make(3, [(0, 1, 2)]), " and a disjoint triple")),
-    1: ((0, make(1, []), " and an isolated vertex"),),
-    2: ((0, make(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3)]), " and three edges on five vertices"),
-        (1, make(2, []), " and two isolated vertices")),
+    0: ((0, _clique(0, 3), ""), (1, _clique(3, 3), " and a disjoint triple")),
+    1: ((0, _clique(1, 3), " and an isolated vertex"),),
+    2: ((0, Block("three edges on five vertices", 5, 3, 1, lambda **_: make(
+            5, [(0, 1, 2), (2, 3, 4), (0, 1, 3)])), " and three edges on five vertices"),
+        (1, _clique(2, 3), " and two isolated vertices")),
 }
 
 
 def _closed_form(n, ell):
-    """{m: (vertices the construction needs, its name, its builder)} for
+    """{m: (vertices the construction needs, its name, its blocks)} for
     n <= ell, where no Berge degree can reach ell and K_n^(3) is the only
-    saturated graph, and for ell <= 4; None otherwise.  Builders take the
-    sampler's seed and max_tries as keywords."""
+    saturated graph, and for ell <= 4; None otherwise."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if n <= ell:
         return {comb(n, 3): (n, "the complete 3-graph, the only saturated graph when n <= ell",
-                             lambda **_: gadgets.clique3(n))}
+                             (_clique(n, ell),))}
     if ell == 1:
-        return {0: (1, "the empty graph", lambda **_: make(n, []))}
+        return {0: (1, "the empty graph",
+                    (Block("empty graph", n, 0, 0, lambda **_: make(n, [])),))}
     if ell == 2:
-        return {n // 3: (3, "a maximum matching", lambda **_: disjoint_union(
-            *[gadgets.clique3(3)] * (n // 3), gadgets.clique3(n % 3)))}
+        return {n // 3: (3, "a maximum matching",
+                         (_clique(3, 2),) * (n // 3) + (_clique(n % 3, 2),))}
     if ell == 3:
-        return {2 * n // 3 - d: (6 + b.vertex_count, "a wrap cycle" + what, lambda b=b, **_:
-                                 disjoint_union(_wrap_cycle(n - b.vertex_count), b))
+        return {2 * n // 3 - d: (6 + b.vertices, "a wrap cycle" + what,
+                                 (_wrap_cycle(n - b.vertices), b))
                 for d, b, what in _WRAP_ROWS[n % 3]}
     if ell == 4:
+        sparse = Block("sparse split", n, n - 1, 2, lambda **kw: gadgets.l4_sparse(n, **kw))
         return {n - 2: (6, "a tight cycle and two isolated vertices",
-                        lambda **_: disjoint_union(_tight_cycle(n - 2), gadgets.clique3(2))),
-                n - 1: (16, "the sparse split of a 3-regular linear graph",
-                        lambda **kw: gadgets.l4_sparse(n, **kw)),
-                n: (4, "a tight cycle", lambda **_: _tight_cycle(n))}
+                        (_tight_cycle(n - 2), _clique(2, 4))),
+                n - 1: (16, "the sparse split of a 3-regular linear graph", (sparse,)),
+                n: (4, "a tight cycle", (_tight_cycle(n),))}
     return None
-
-
-def _wrap_cycle(q: int) -> Hypergraph3:
-    """Two overlapping triple layers on q vertices (3 | q, q >= 6); every
-    vertex ends with Berge degree exactly 2."""
-    edges = [(3 * j, 3 * j + 1, 3 * j + 2) for j in range(q // 3)]
-    for j in range(q // 3):
-        edges.append(tuple(sorted(((3 * j + 1), (3 * j + 2), (3 * j + 3) % q))))
-    return make(q, edges)
-
-
-def _tight_cycle(q: int) -> Hypergraph3:
-    edges = {tuple(sorted((j, (j + 1) % q, (j + 2) % q))) for j in range(q)}
-    return make(q, edges)
 
 
 def plan_witness(n, ell, m) -> Verdict:
     """The one planner for every (n, ell, m), building nothing: the
     closed-form table for ell <= 4 and n <= ell, the exact mixtures in the
-    ell = 5, 5 | n zone from 5n/3 up, and the clique split elsewhere."""
+    ell = 5, 5 | n zone from 5n/3 up, and the clique split elsewhere.  An
+    ok plan is checked against n, m and the union rule."""
     table = _closed_form(n, ell)
     if table is None:
         if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
-            return plan_exact5(n, m)
-        return plan_lower(n, ell, m)
-    if m in table:
-        need, name, _ = table[m]
+            verdict = plan_exact5(n, m)
+        else:
+            verdict = plan_lower(n, ell, m)
+    elif m in table:
+        need, name, blocks = table[m]
         if need > n:
             return Verdict(UNSUPPORTED, f"{name} needs n >= {need}, got n = {n}")
-        return Verdict(OK, name, ClosedPlan(n, ell, m))
-    if m > max(table):
+        verdict = Verdict(OK, name, blocks)
+    elif m > max(table):
         return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {max(table)}")
-    return Verdict(BY_THEOREM, f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
+    else:
+        return Verdict(BY_THEOREM,
+                       f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
+    if verdict.feasible:
+        # runs of one block object: a clique split repeats K_ell c times
+        copies = [(b, len(list(run))) for b, run in groupby(verdict.plan)]
+        size = (sum(k * b.vertices for b, k in copies), sum(k * b.edges for b, k in copies))
+        nonfull = [b.nonfull for b, k in copies if b.nonfull for _ in range(k)]
+        if size != (n, m) or not union_saturated(nonfull):
+            raise InternalError(f"the blocks planned for {(n, ell, m)} have (vertices, "
+                                f"edges) = {size} and non-full counts {nonfull}")
+    return verdict
 
 
 def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
-    """(plan_witness's verdict, the graph its plan describes or None)."""
+    """(plan_witness's verdict, the union of its blocks or None)."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if m < 0:
@@ -394,35 +410,31 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
     verdict = plan_witness(n, ell, m)
     if not verdict.feasible:
         return verdict, None
-    if isinstance(verdict.plan, ClosedPlan):
-        return verdict, _closed_form(n, ell)[m][2](seed=seed, max_tries=max_tries)
-    if isinstance(verdict.plan, Exact5Plan):
-        return verdict, build_exact5(verdict.plan, seed=seed)
-    return verdict, build_lower(verdict.plan, seed=seed, max_tries=max_tries)
+    # each block object is built once: the c cliques of a split share one graph
+    built = {b: b.build(seed=seed, max_tries=max_tries) for b in dict.fromkeys(verdict.plan)}
+    return verdict, disjoint_union(*map(built.__getitem__, verdict.plan))
 
 
 def _split_label(verdict):
-    """(status, rule) of one clique-split or exact-range verdict."""
-    plan = verdict.plan
-    if isinstance(plan, Exact5Plan):
-        if plan.m_star == 0:
-            return "feasible", "disjoint 5-cliques"
-        return "feasible", "exact-fifth-zone gadget unions"
-    if plan is not None:
-        if plan.c * plan.ell == plan.n:
-            return "feasible", "disjoint ell-cliques"
-        core = confmodel.degree_spec(plan.n - plan.c * plan.ell - plan.a_star, plan.ell, plan.k)
-        if confmodel.refusal(core, require_pair=plan.i > 0) is not None:
+    """(status, rule) of one clique-split or exact-range verdict, read
+    from its first block: the core W, a clique, or an exact-5 piece."""
+    if verdict.plan is None:
+        if verdict.status == BY_THEOREM:
+            return "infeasible", "clique-count gap just under the maximum"
+        return ("unsupported",
+                "no clique split with an admissible residue and core degree spec; exit 7")
+    first = verdict.plan[0]
+    if first.spec is not None:
+        if confmodel.refusal(*first.spec) is not None:
             return ("sampler-refused",
                     "clique-split plan whose core degree spec no simple linear "
                     "3-graph realizes (too few active vertices or edges); exit 5")
         return ("feasible",
                 "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
                 "is vouched for by certification only")
-    if verdict.status == BY_THEOREM:
-        return "infeasible", "clique-count gap just under the maximum"
-    return ("unsupported",
-            "no clique split with an admissible residue and core degree spec; exit 7")
+    if first.name.startswith("K_"):
+        return "feasible", "disjoint 5-cliques" if first.name == "K_5" else "disjoint ell-cliques"
+    return "feasible", "exact-fifth-zone gadget unions"
 
 
 # the run status of each closed-form verdict
@@ -436,8 +448,11 @@ def spectrum_runs(n, ell):
     table entries and the m just past each."""
     table = _closed_form(n, ell)
     if table is None:
-        sat = sat_formula(n, ell)[0]
-        bounds = range(sat, ex_formula(n, ell)[0] + 2)
+        sat, ex = sat_formula(n, ell)[0], ex_formula(n, ell)[0]
+        if ex - sat + 1 > MAX_PLANNED:
+            raise ValueError(f"({n}, {ell}) has {ex - sat + 1} values of m from sat to ex, "
+                             f"above the planning limit {MAX_PLANNED}")
+        bounds = range(sat, ex + 2)
         runs = [{"lo": 0, "hi": sat - 1, "status": "infeasible",
                  "rule": "below the saturation minimum"}]
     else:

@@ -70,9 +70,6 @@ class AggressiveClass:
     ell: int
     tags: tuple
 
-    def all_tagged(self) -> bool:
-        return all(t is not None for t in self.tags)
-
     def untagged(self) -> tuple:
         return tuple(v for v, t in enumerate(self.tags) if t is None)
 
@@ -252,28 +249,13 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
 
 
 def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
-    """Sufficient condition for "disjoint union with any saturated graph
-    stays saturated".
-
-    Two certifying routes, either one suffices:
-
-    * every vertex is tagged Type I or Type II, so every absent triple
-      anywhere (internal or crossing into the partner) contains a tagged
-      vertex of g or lands in the partner; or
-    * every vertex has Berge degree exactly ell-1 and g is saturated.
-      A crossing triple then gives some vertex of g a fresh neighbor or
-      a fresh pair into a component it did not span (never the neutral
-      non-tree/non-tree merge, which needs both endpoints pre-adjacent
-      to the center), so its degree reaches ell.
-
-    The definitional "for any saturated H ..." is not decidable here;
-    this predicate is the checkable sufficient condition used by the
-    builders.
-    """
+    """Does g stay saturated in a disjoint union with any saturated free
+    graph?  By the union rule (see `assembler`) exactly when g is
+    saturated and every vertex is full, d_B = ell - 1.  An all-tagged g
+    is one such: a tag needs d_B = ell - 1, and the tagged-vertex lemma
+    makes an all-tagged free graph saturated."""
     rep = is_saturated(g, ell)
-    return rep.aggressive.all_tagged() or (
-        rep.is_saturated and all(d == ell - 1 for d in rep.berge_degrees)
-    )
+    return rep.is_saturated and all(d == ell - 1 for d in rep.berge_degrees)
 
 
 # --- the ell = 5 link catalog ---------------------------------------------

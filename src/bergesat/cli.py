@@ -8,8 +8,9 @@ Exit codes are part of the interface and are kept apart deliberately:
     4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
        as the readers do; build caps --m at 2^22 before planning, and
        gadget --name clique, lantern and sun refuse more than 2^22 triples;
-       spectrum --exhaustive refuses n >= 8), unreadable input, or
-       malformed graph file
+       spectrum --exhaustive refuses n >= 8, and spectrum --theory more
+       than 2^17 values of m from sat to ex outside the closed form),
+       unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
        (build still writes its --report, with status "sampler_budget")
     6  provably infeasible edge count: below sat, inside the gap just
@@ -112,7 +113,8 @@ def _cmd_build(args):
         _write_graph(args.out, g, args.format)
     report["edges"] = len(g.edges)
     report["verified_saturated"] = certified
-    report["plan"] = vars(verdict.plan)
+    report["plan"] = [{k: getattr(b, k) for k in ("name", "vertices", "edges", "nonfull")}
+                      for b in verdict.plan]
     _write_report(args, report)
     dest = args.out if args.out and certified else "(not written)"
     _say(args, f"build n={args.n} ell={args.ell} m={args.m} seed={args.seed}: "

@@ -1,7 +1,11 @@
-"""Planner formulas, builder identities, and the dispatch boundaries."""
+"""Planner formulas, builder identities, the union rule, and the
+dispatch boundaries."""
 
 from fractions import Fraction
+from hashlib import sha256
+from itertools import combinations
 from math import comb
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +17,10 @@ from bergesat.assembler import (
     OK,
     OUT_OF_RANGE,
     UNSUPPORTED,
-    LowerPlan,
-    build_exact5,
+    Block,
+    Verdict,
     build_H1,
     build_H2,
-    build_lower,
     build_spectrum_witness,
     build_W,
     ex_formula,
@@ -26,10 +29,19 @@ from bergesat.assembler import (
     plan_witness,
     sat_formula,
     select_a_star,
+    union_saturated,
 )
+from bergesat import assembler, gadgets
 from bergesat.checker import aggressive_sufficient, is_saturated
 from bergesat.confmodel import SamplerBudgetError
-from bergesat.hypercore import incidence_index
+from bergesat.hypercore import (
+    InternalError,
+    LinkPass,
+    disjoint_union,
+    incidence_index,
+    make,
+    write_h3,
+)
 from bergesat.oracle import exhaustive_spectrum
 
 
@@ -42,6 +54,24 @@ def small_star_spectrum(n, ell):
 def certified(g, ell):
     rep = is_saturated(g, ell)
     return rep.is_free and rep.is_saturated
+
+
+def build(plan):
+    """The seed-0 union of a plan's blocks, as build_spectrum_witness makes it."""
+    return disjoint_union(*(b.build(seed=0, max_tries=10_000_000) for b in plan))
+
+
+def split_fields(plan, ell):
+    """(c, s) of a clique-split plan: its K_ell blocks, and the core's
+    edges above sat of its vertices (0 without a core)."""
+    c = sum(b.name == f"K_{ell}" for b in plan)
+    core = [b for b in plan if b.spec is not None]
+    s = core[0].edges - sat_formula(core[0].vertices, ell)[0] if core else 0
+    return c, s
+
+
+def nonfull(g, ell):
+    return sum(d != ell - 1 for d in LinkPass(g.vertex_count, g.edges).degrees)
 
 
 def test_sat_formula_values_and_minimizers():
@@ -87,7 +117,7 @@ def test_lower_plan_matches_built_edge_count():
     for m in (57, 60, 64, 70, 74):
         verdict = plan_lower(45, 5, m)
         assert verdict.status == OK
-        g = build_lower(verdict.plan, seed=0)
+        g = build(verdict.plan)
         assert g.vertex_count == 45 and len(g.edges) == m
 
 
@@ -112,7 +142,7 @@ def test_lower_plan_reaches_the_extremal_end():
     for m, c in ((25590, 891), (25589, 891), (25520, 884), (25021, 834)):
         verdict = plan_lower(10008, 6, m)
         assert verdict.status == OK, (m, verdict.detail)
-        assert isinstance(verdict.plan, LowerPlan) and verdict.plan.c == c
+        assert split_fields(verdict.plan, 6)[0] == c
     ex_val, _ = ex_formula(10008, 6)
     assert plan_lower(10008, 6, ex_val + 1).status == OUT_OF_RANGE
 
@@ -125,12 +155,12 @@ def test_lower_plan_keeps_the_largest_clique_split():
             verdict = plan_lower(n, ell, m)
             if verdict.plan is None:
                 continue
-            c = verdict.plan.c
+            c, s = split_fields(verdict.plan, ell)
             if c * ell == n:
                 # m = ex with ell | n: the cliques alone, no core graph
-                assert m == ex_formula(n, ell)[0] and verdict.plan.s == 0
+                assert m == ex_formula(n, ell)[0] and s == 0
                 continue
-            assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == verdict.plan.s
+            assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == s
             if n - (c + 1) * ell > ell:
                 assert m - comb(ell, 3) * (c + 1) - sat_formula(n - (c + 1) * ell, ell)[0] < 0
 
@@ -180,14 +210,14 @@ def test_exact5_zone_covers_the_top_band():
     for m in range(76, 86):
         verdict = plan_exact5(n, m)
         assert verdict.status == OK, (m, verdict.detail)
-        g = build_exact5(verdict.plan, seed=0)
+        g = build(verdict.plan)
         assert g.vertex_count == n and len(g.edges) == m
         assert certified(g, 5)
     for m in range(86, 90):
         assert plan_exact5(n, m).status == BY_THEOREM
     verdict = plan_exact5(n, 90)
     assert verdict.status == OK
-    g = build_exact5(verdict.plan, seed=0)
+    g = build(verdict.plan)
     assert len(g.edges) == 90 and certified(g, 5)
 
 
@@ -197,8 +227,9 @@ def test_exact5_single_unit_per_deficit_class():
     verdict = plan_exact5(45, 82)
     assert verdict.status == OK
     plan = verdict.plan
-    assert plan.m_star == 8
-    g = build_exact5(plan, seed=0)
+    # the deficit m* = 2n - m is the sum of 2N - e over the blocks
+    assert sum(2 * b.vertices - b.edges for b in plan) == 8
+    g = build(plan)
     assert len(g.edges) == 82 and certified(g, 5)
 
 
@@ -290,3 +321,132 @@ def test_build_w_validates_parameters():
         build_W(45, 5, 0, 3, 3)
     with pytest.raises(ValueError):
         build_W(45, 5, 0, 7, 0)
+
+
+# sha256 of write_h3 (first 16 hex digits) of the seed-0 witness: every
+# closed-form row, the clique split with i = 0, 1, 2 and k = 1, the
+# all-clique plan, and the exact-5 mixtures for every residue b.  A change
+# to the sampler or a block that alters any of these updates them here
+# and says so in CHANGES.md
+PINNED_WITNESSES = {
+    (30, 1, 0): "2b4d6be56eea39e9",
+    (30, 2, 10): "3de8e2fad1dd9806",
+    (30, 3, 19): "4f54c8d197e1e9a5",
+    (30, 3, 20): "f0f80d80f2a58cc5",
+    (30, 4, 28): "47854de4049fa61b",
+    (30, 4, 29): "aa9000434d462cf4",
+    (30, 4, 30): "55ebe761b9198124",
+    (31, 1, 0): "96f3db7842560e53",
+    (31, 2, 10): "b51e1dbb8b0f9ffc",
+    (31, 3, 20): "f13306c753df3458",
+    (31, 4, 29): "42ce6ca2a0ec7e94",
+    (31, 4, 30): "621649c3cd3f9f20",
+    (31, 4, 31): "986ce04b1452f235",
+    (32, 1, 0): "bd82d9eab6045a4a",
+    (32, 2, 10): "9a31237a77e0fcf7",
+    (32, 3, 20): "1a67010b5098249a",
+    (32, 3, 21): "7db20aed7ab37c44",
+    (32, 4, 30): "bf69ad84a0c1340d",
+    (32, 4, 31): "517c0cb10d813bf7",
+    (32, 4, 32): "0554ebbcf13c69cd",
+    (5, 7, 10): "36ccac8e4be2c0b7",
+    (3, 3, 1): "d75466058223601a",
+    (45, 5, 57): "8a2592f8b8d3359b",
+    (45, 5, 58): "abad0f0182e5c0e0",
+    (45, 5, 59): "e7e0e1cf29bc38ff",
+    (45, 5, 60): "ae0a16cb0742e063",
+    (45, 5, 64): "aa6c609a0a11b3c0",
+    (45, 5, 70): "e12c50d89a3947d6",
+    (45, 5, 73): "c05ed654d09f3239",
+    (120, 6, 400): "a06731868112492c",  
+    (45, 5, 75): "5c03cb42ab5405ed",
+    (45, 5, 76): "3a41731fda7e230b",
+    (45, 5, 77): "b813496b5355da36",
+    (45, 5, 78): "bc9dee5a02ed2025",
+    (45, 5, 79): "c65e866ed9f7a055",
+    (45, 5, 80): "fbdca9957a54f1b6",
+    (45, 5, 81): "2790d2a0fb87b4ff",
+    (45, 5, 82): "fa11a44038a130d2",
+    (45, 5, 83): "4ffa37f96b6c987b",
+    (45, 5, 84): "c72e5bd8923ba6a7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_WITNESSES))
+def test_witness_bytes_are_pinned(key):
+    verdict, g = build_spectrum_witness(*key, seed=0)
+    assert verdict.feasible, verdict.detail
+    assert sha256(write_h3(g).encode()).hexdigest()[:16] == PINNED_WITNESSES[key]
+
+
+def _greedy_maximal_free(rng, ell):
+    """A random maximal Berge-K_{1,ell}-free graph on 3..7 vertices: each
+    triple in random order is kept when the graph stays free, so every
+    triple left out would break freeness, and the graph is saturated."""
+    n = rng.randint(3, 7)
+    triples = list(combinations(range(n), 3))
+    rng.shuffle(triples)
+    edges = []
+    for t in triples:
+        if max(LinkPass(n, edges + [t]).degrees) <= ell - 1:
+            edges.append(t)
+    return make(n, edges)
+
+
+def test_union_rule_matches_the_checker():
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(300):
+        ell = rng.randint(3, 6)
+        blocks = [_greedy_maximal_free(rng, ell) for _ in range(rng.randint(2, 3))]
+        assert all(certified(b, ell) for b in blocks)
+        saturated = is_saturated(disjoint_union(*blocks), ell).is_saturated
+        assert union_saturated([nonfull(b, ell) for b in blocks]) == saturated
+        outcomes.add(saturated)
+    assert outcomes == {True, False}
+
+
+def _planned_blocks():
+    """(ell, block) for every distinct block the planner uses on a grid
+    that covers each branch."""
+    points = [(n, ell, m) for n in (2, 3, 5, 8, 16, 30, 31, 32) for ell in (1, 2, 3, 4)
+              for m in range(comb(n, 3) + 1)]
+    points += [(5, 7, 10)]
+    points += [(45, 5, m) for m in (57, 58, 60, 64, 75, 90)]
+    points += [(45, 5, m) for m in range(76, 86)] + [(120, 6, 400)]
+    seen = {}
+    for n, ell, m in points:
+        verdict = plan_witness(n, ell, m)
+        for b in verdict.plan or ():
+            seen.setdefault((ell, b.name, b.vertices), (ell, b))
+    return list(seen.values())
+
+
+def test_declared_nonfull_counts_match_the_link_pass():
+    blocks = _planned_blocks()
+    names = {b.name for _, b in blocks}
+    assert {"W", "lantern", "sun", "broken lantern", "D", "Q", "R", "K_4", "K_5",
+            "wrap cycle", "tight cycle", "sparse split", "empty graph"} <= names
+    for ell, b in blocks:
+        g = b.build(seed=0, max_tries=10_000_000)
+        assert (g.vertex_count, len(g.edges)) == (b.vertices, b.edges), b.name
+        assert certified(g, ell), (ell, b.name)
+        if b.spec is None:
+            assert nonfull(g, ell) == b.nonfull, (ell, b.name)
+        else:
+            # the sampled core declares its vertex count, an upper bound
+            assert nonfull(g, ell) <= b.nonfull == b.vertices
+
+
+def test_planner_refuses_blocks_that_break_the_rule_or_the_sums(monkeypatch):
+    d = Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D())
+    # two D blocks fill (20, 28) but leave 4 non-full vertices in 2 blocks
+    monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D + D", (d, d)))
+    with pytest.raises(InternalError, match="non-full counts \\[2, 2\\]"):
+        plan_witness(20, 5, 28)
+    with pytest.raises(InternalError):
+        build_spectrum_witness(20, 5, 28)
+    # one D block: the rule holds, but 10 vertices are not 20
+    monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D", (d,)))
+    with pytest.raises(InternalError, match="\\(10, 14\\)"):
+        plan_witness(20, 5, 28)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -74,7 +75,12 @@ def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
     assert run("build", "--n", "120", "--ell", "6", "--m", "320", "--n0", "72",
                "-o", str(out), "--report", str(rep), "--quiet") == 0
     obj = json.loads(rep.read_text())
-    assert obj["verified_saturated"] is True and set(obj["plan"]) >= {"c", "k", "i"}
+    assert obj["verified_saturated"] is True
+    # the report lists the plan's blocks: the core W, then the 6-cliques
+    names = [b["name"] for b in obj["plan"]]
+    assert names[0] == "W" and set(names[1:]) == {"K_6"}
+    assert sum(b["vertices"] for b in obj["plan"]) == 120
+    assert sum(b["edges"] for b in obj["plan"]) == 320
     assert run("verify", str(out), "--ell", "6", "--quiet") == 0
 
 
@@ -85,7 +91,9 @@ def test_ex_with_ell_dividing_n_builds_disjoint_cliques(tmp_path):
                    "--report", str(rep), "--quiet") == 0
         obj = json.loads(rep.read_text())
         assert obj["verified_saturated"] is True
-        assert obj["plan"]["c"] == int(n) // int(ell) and obj["plan"]["k"] == 0
+        clique = {"name": f"K_{ell}", "vertices": int(ell), "edges": comb(int(ell), 3),
+                  "nonfull": 0}
+        assert obj["plan"] == [clique] * (int(n) // int(ell))
         assert run("verify", str(out), "--ell", ell, "--quiet") == 0
 
 
@@ -166,14 +174,20 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
         path.write_text(text)
         assert run("verify", str(path), "--ell", "5") == 4
         assert "exceeds the reader limit" in capsys.readouterr().err
-    # the commands that take --n themselves apply the same cap
-    for argv in (("build", "--n", "100000000", "--ell", "6", "--m", "300000000"),
-                 ("sample-config", "--n", "1048577", "--ell", "5"),
-                 ("spectrum", "--theory", "--n", "100000000", "--ell", "6")):
+    # the commands that take --n themselves apply the same cap, and
+    # spectrum --theory also refuses more than 2^17 values of m to plan
+    for argv, why in ((("build", "--n", "100000000", "--ell", "6", "--m", "300000000"),
+                       "exceeds the vertex limit"),
+                      (("sample-config", "--n", "1048577", "--ell", "5"),
+                       "exceeds the vertex limit"),
+                      (("spectrum", "--theory", "--n", "100000000", "--ell", "6"),
+                       "exceeds the vertex limit"),
+                      (("spectrum", "--theory", "--n", "400", "--ell", "200"),
+                       "above the planning limit 131072")):
         assert run(*argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "exceeds the vertex limit" in err
+        assert why in err
 
 
 def _clique(n):
