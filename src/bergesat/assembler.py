@@ -72,6 +72,12 @@ class Block:
     spec: tuple = None
 
 
+def block_runs(plan):
+    """(block, copies) for each run of one block object in plan order; a
+    clique split repeats K_ell c times."""
+    return [(b, len(list(run))) for b, run in groupby(plan)]
+
+
 def union_saturated(nonfull) -> bool:
     """The union rule on the non-full counts of saturated free blocks."""
     spread = [k for k in nonfull if k]
@@ -391,8 +397,7 @@ def plan_witness(n, ell, m) -> Verdict:
         return Verdict(BY_THEOREM,
                        f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
     if verdict.feasible:
-        # runs of one block object: a clique split repeats K_ell c times
-        copies = [(b, len(list(run))) for b, run in groupby(verdict.plan)]
+        copies = block_runs(verdict.plan)
         size = (sum(k * b.vertices for b, k in copies), sum(k * b.edges for b, k in copies))
         nonfull = [b.nonfull for b, k in copies if b.nonfull for _ in range(k)]
         if size != (n, m) or not union_saturated(nonfull):

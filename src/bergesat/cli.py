@@ -5,9 +5,11 @@ Exit codes are part of the interface and are kept apart deliberately:
     0  success (for verify: the input is saturated)
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
-    4  bad arguments (build, sample-config and spectrum cap --n at 2^20,
-       as the readers do; build caps --m at 2^22 before planning, and
-       gadget --name clique, lantern and sun refuse more than 2^22 triples;
+    4  bad arguments (build, sample-config, spectrum and gadget cap --n
+       at 2^20, as the readers do; build caps --m at 2^22 before
+       planning, sample-config refuses a degree spec of more than 2^22
+       edges, and gadget --name clique, lantern and sun refuse more than
+       2^22 triples;
        spectrum --exhaustive refuses n >= 8, and spectrum --theory more
        than 2^17 values of m from sat to ex outside the closed form),
        unreadable input, or malformed graph file
@@ -113,8 +115,9 @@ def _cmd_build(args):
         _write_graph(args.out, g, args.format)
     report["edges"] = len(g.edges)
     report["verified_saturated"] = certified
-    report["plan"] = [{k: getattr(b, k) for k in ("name", "vertices", "edges", "nonfull")}
-                      for b in verdict.plan]
+    report["plan"] = [{"name": b.name, "vertices": b.vertices, "edges": b.edges,
+                       "nonfull": b.nonfull, "copies": copies}
+                      for b, copies in assembler.block_runs(verdict.plan)]
     _write_report(args, report)
     dest = args.out if args.out and certified else "(not written)"
     _say(args, f"build n={args.n} ell={args.ell} m={args.m} seed={args.seed}: "
@@ -175,6 +178,10 @@ def _cmd_sample_config(args):
     from . import confmodel
 
     _check_n(args)
+    edges = confmodel.degree_spec(args.n, args.ell, args.k).edge_count
+    if edges > hypercore.MAX_EDGES:
+        raise ValueError(f"d(n={args.n}, ell={args.ell}, k={args.k}) has {edges} edges, "
+                         f"above the edge limit {hypercore.MAX_EDGES}")
     g, stats = confmodel.sample_linear(
         args.n, args.ell, args.k, seed=args.seed, max_tries=args.max_tries,
     )
@@ -221,6 +228,8 @@ _GADGETS = {
 def _cmd_gadget(args):
     from . import gadgets
 
+    if args.n is not None:
+        _check_n(args)
     triples = _TRIPLES[args.name](args) if args.name in _TRIPLES else 0
     if triples > hypercore.MAX_EDGES:
         raise ValueError(f"{args.name} gadget has {triples} triples, "

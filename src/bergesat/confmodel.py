@@ -8,34 +8,37 @@ pair), its low-degree vertices must be pairwise non-adjacent, and, when
 asked, it must admit a disjoint pair of full-degree edges that no third
 edge meets (the hook for the edge surgeries downstream).
 
-Three routes produce samples:
+sample_linear is the one acceptance loop: it refuses what counting
+rules out, picks a route and takes its candidate realizations until one
+carries the disjoint pair (when asked), counting the others as pair
+rejects, and re-validates the accepted graph against the degree spec.
+A route is a generator that keeps one SampleStats record up to date and
+raises SamplerBudgetError when its budget runs out; only the search can
+run out of candidates.
 
 * Rejection (``rejection=True``, for diagnostics): a draw of the
   configuration model partitions the degree points into triples
-  uniformly at random and is kept only if it meets the contract.
-  Defect counts per draw concentrate near lambda = ell - 2 loops and,
-  in this implementation's measurements, about (ell-2)^2 overlapping
-  pairs, twice the documented reference rate mu = (ell-2)^2 / 2 kept in
-  SampleStats.  Acceptance is about 1e-6 at ell = 5 near n = 45 and
-  about 1e-9 from ell = 6 on, so this route is kept for its calibrated
-  defect rates, not for building.
+  uniformly at random, and each draw without loops, overlapping pairs
+  or low-low pairs is a candidate.  Defect counts per draw concentrate
+  near lambda = ell - 2 loops and, in this implementation's
+  measurements, about (ell-2)^2 overlapping pairs, twice the documented
+  reference rate mu = (ell-2)^2 / 2 kept in SampleStats.  Acceptance is
+  about 1e-6 at ell = 5 near n = 45 and about 1e-9 from ell = 6 on, so
+  this route is kept for its calibrated defect rates, not for building.
 * Hill-climbing (the default), after Stinson's algorithm for Steiner
   triple systems (Ann. Discrete Math. 26, 1985).  A vertex is live
   while its residual degree is positive.  Each move joins a random live
   vertex to two live partners it does not yet share a triple with; if
   the partners already share one, that triple is evicted.  Low-low
-  pairs count as covered from the start and are never evicted.  The
-  result follows no known distribution; every returned graph meets the
-  contract regardless, and downstream verification never assumes
-  uniformity.
+  pairs count as covered from the start and are never evicted.  Each
+  finished graph is a candidate; to resume, a few random triples are
+  evicted.  The result follows no known distribution; downstream
+  verification never assumes uniformity.
 * Exhaustive search, when at most 13 vertices have positive degree:
   such realizations are rigid packings or do not exist, a seeded
-  backtracking search settles them at once (recursion depth is the edge
-  count, at most 26), and it is the only route that can prove a spec
-  unrealizable.
-
-Every route's result is re-validated against the degree spec before it
-is returned.
+  backtracking search (recursion depth is the edge count, at most 26)
+  yields them in turn, and running out of them proves the spec
+  unrealizable, which the randomized routes cannot do.
 
 Determinism: all randomness flows from generators keyed by the caller's
 seed, so results are reproducible across platforms for a fixed numpy and
@@ -116,26 +119,25 @@ def degree_spec(n: int, ell: int, k: int) -> DegreeSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass
 class SampleStats:
-    """Diagnostics of one sample_linear run.
+    """Diagnostics of one sample_linear run, updated as its route runs.
 
     expected_lambda and expected_mu are the documented per-draw defect
-    rates (mu is the reference value; measured overlap counts run about
-    twice it, see the module docstring).  loops_seen and overlaps_seen
-    total the defects observed across all draws inspected; pair_rejects
-    counts full realizations discarded because no admissible disjoint
-    pair of full-degree edges existed.  repaired is True when the graph
-    came from the hill-climbing route, and repair_rounds counts that
-    route's evicted triples.  tries counts draws (rejection), moves
-    (hill-climbing) or search nodes (exhaustive search).
+    rates (mu is the reference value; measured overlaps run about twice
+    it, see the module docstring).  loops_seen, overlaps_seen and
+    lowadj_seen total the defects of all draws inspected; pair_rejects
+    counts candidates without an admissible disjoint pair.  repaired
+    marks the hill-climbing route, repair_rounds counts its evicted
+    triples.  tries counts draws (rejection), moves (hill-climbing) or
+    search nodes (exhaustive search).
     """
 
-    tries: int
-    loops_seen: int
-    overlaps_seen: int
-    expected_lambda: float
-    expected_mu: float
+    tries: int = 0
+    loops_seen: int = 0
+    overlaps_seen: int = 0
+    expected_lambda: float = 0.0
+    expected_mu: float = 0.0
     lowadj_seen: int = 0
     pair_rejects: int = 0
     repaired: bool = False
@@ -151,53 +153,55 @@ def _batch_defects(trip, n, low_count):
     # the unordered-pair keys of every triple, sorted per sample
     keys = np.sort(np.concatenate((a * n + b, a * n + c, b * n + c), axis=1), axis=1)
     dup_pairs = (keys[:, 1:] == keys[:, :-1]).sum(axis=1)
-    if low_count:
-        lowadj = ((trip < low_count).sum(axis=2) >= 2).sum(axis=1)
-    else:
-        lowadj = np.zeros(len(trip), dtype=np.int64)
+    # low_count = 0 makes every count 0
+    lowadj = ((trip < low_count).sum(axis=2) >= 2).sum(axis=1)
     return loops, dup_pairs, lowadj
-
-
-def _finish(spec, trip_rows):
-    edges = sorted(tuple(int(x) for x in row) for row in trip_rows)
-    return Hypergraph3(spec.n, tuple(edges))
-
-
-def _has_disjoint_pair(g, spec):
-    try:
-        find_disjoint_edge_pair(g, spec)
-        return True
-    except NoDisjointPair:
-        return False
 
 
 def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
                   require_pair=True):
     """A simple linear 3-graph realizing d(n, ell, k), with stats.
 
-    Hill-climbing is the default route; rejection=True selects
-    distributionally clean rejection sampling, the mode the defect
-    diagnostics are calibrated against.  Specs with at most 13 active
-    vertices go to the exhaustive search either way.  require_pair=False
-    waives the disjoint-edge-pair guarantee; builders that perform no
-    edge surgery use this, since at small n the guarantee can be
-    effectively unsatisfiable even though the degree sequence itself is.
-    Deterministic in all arguments.  Raises SamplerBudgetError carrying
-    the stats when max_tries runs out, and before any sampling when
-    refusal() proves the spec unrealizable.
+    Hill-climbing is the default route; rejection=True selects the
+    clean rejection sampling the defect diagnostics are calibrated
+    against; specs with at most 13 active vertices go to the exhaustive
+    search either way.  require_pair=False waives the disjoint-pair
+    guarantee, for builders without edge surgery: at small n it can be
+    unsatisfiable where the degree sequence is not.  Deterministic in
+    all arguments.  Raises SamplerBudgetError, carrying the stats, when
+    refusal() proves the spec unrealizable (before any sampling), when
+    max_tries runs out, and when the search runs out of realizations.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     spec = degree_spec(n, ell, k)
+    stats = SampleStats(expected_lambda=float(ell - 2), expected_mu=(ell - 2) ** 2 / 2)
     reason = refusal(spec, require_pair)
     if reason is not None:
-        raise SamplerBudgetError(reason, SampleStats(0, 0, 0, float(ell - 2), (ell - 2) ** 2 / 2))
+        raise SamplerBudgetError(reason, stats)
+    if spec.edge_count == 0:
+        stats.tries, stats.repaired = 1, not rejection
+        return Hypergraph3(n, ()), stats
     if _wants_exact_search(spec):
-        g, stats = _sample_dfs(spec, seed, max_tries, require_pair)
+        route = _sample_dfs(spec, seed, max_tries, stats)
     elif rejection:
-        g, stats = _sample_reject(spec, seed, max_tries, require_pair)
+        route = _sample_reject(spec, seed, max_tries, stats)
     else:
-        g, stats = _sample_hill(spec, seed, max_tries, require_pair)
+        route = _sample_hill(spec, seed, max_tries, stats)
+    for g in route:
+        if not require_pair:
+            break
+        try:
+            find_disjoint_edge_pair(g, spec)
+            break
+        except NoDisjointPair:
+            stats.pair_rejects += 1
+    else:
+        raise SamplerBudgetError(
+            f"exhaustive search: no simple linear realization of (n={n}, ell={ell}, k={k})"
+            + (" with the disjoint-pair guarantee" if require_pair else ""),
+            stats,
+        )
     _check_realizes(g, spec)
     return g, stats
 
@@ -210,7 +214,9 @@ def refusal(spec: DegreeSpec, require_pair=True):
     In a linear 3-graph a vertex of degree d has 2d distinct neighbours,
     all of positive degree.  The pair e1, e2 and the ell-2 other edges
     at each of their six full-degree vertices are all distinct (no third
-    edge meets both), so the pair needs 6 ell - 10 edges.
+    edge meets both), so the pair needs 6 ell - 10 edges.  A linear
+    3-graph on v vertices has at most floor(v floor((v-1)/2) / 3) triples,
+    one fewer when v = 5 (mod 6) (Schonheim's bound, exact by Spencer).
     """
     n, ell, k = spec.n, spec.ell, spec.k
     free_edges = spec.edge_count - 15 * k * (ell - 5)
@@ -229,6 +235,10 @@ def refusal(spec: DegreeSpec, require_pair=True):
         return (f"{head} with the disjoint-pair guarantee: the pair and the edges at "
                 f"its six vertices need {6 * ell - 10} edges, the spec has "
                 f"{spec.edge_count}")
+    most = active * ((active - 1) // 2) // 3 - (1 if active % 6 == 5 else 0)
+    if spec.edge_count > most:
+        return (f"{head}: a linear 3-graph on its {active} vertices of positive degree "
+                f"has at most {most} triples, the spec has {spec.edge_count}")
     return None
 
 
@@ -236,25 +246,17 @@ def _wants_exact_search(spec: DegreeSpec) -> bool:
     """At most 13 active vertices: the realizations are rigid packings
     (or do not exist at all), so the seeded backtracking search settles
     them, within a recursion depth of C(13, 2) / 3 = 26 edges."""
-    active = sum(d > 0 for d in spec.degree_array())
-    return 0 < active <= 13
+    return sum(d > 0 for d in spec.degree_array()) <= 13
 
 
-def _sample_reject(spec, seed, max_tries, require_pair=True):
+def _sample_reject(spec, seed, max_tries, stats):
+    """Clean configuration-model draws, in batches of _BATCH."""
     import numpy as np
 
     pts = np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
     if pts.size % 3:
         raise InternalError("degree sum not divisible by 3")
-    lam = float(spec.ell - 2)
-    mu = (spec.ell - 2) ** 2 / 2
-    if pts.size == 0:
-        return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu)
     low_count = 15 * spec.k if spec.ell > 5 else 0
-    loops_total = 0
-    dups_total = 0
-    lowadj_total = 0
-    pair_failures = 0
     done = 0
     while done < max_tries:
         count = min(_BATCH, max_tries - done)
@@ -262,30 +264,20 @@ def _sample_reject(spec, seed, max_tries, require_pair=True):
         tiled = np.tile(pts, (count, 1))
         trip = np.sort(rng.permuted(tiled, axis=1).reshape(count, -1, 3), axis=2)
         loops, dups, lowadj = _batch_defects(trip, spec.n, low_count)
-        loops_total += int(loops.sum())
-        dups_total += int(dups.sum())
-        lowadj_total += int(lowadj.sum())
-        clean = np.flatnonzero((loops == 0) & (dups == 0) & (lowadj == 0))
-        for idx in clean:
-            g = _finish(spec, trip[idx])
-            tries = done + int(idx) + 1
-            stats = SampleStats(
-                tries, loops_total, dups_total, lam, mu,
-                lowadj_seen=lowadj_total, pair_rejects=pair_failures,
-            )
-            if not require_pair or _has_disjoint_pair(g, spec):
-                return g, stats
-            pair_failures += 1
+        stats.loops_seen += int(loops.sum())
+        stats.overlaps_seen += int(dups.sum())
+        stats.lowadj_seen += int(lowadj.sum())
+        for idx in np.flatnonzero((loops == 0) & (dups == 0) & (lowadj == 0)):
+            stats.tries = done + int(idx) + 1
+            yield Hypergraph3(spec.n, tuple(sorted(tuple(int(x) for x in row)
+                                                   for row in trip[idx])))
         done += count
         if done % _PROGRESS_EVERY == 0:
             logger.info(
                 "sample_linear(n=%d, ell=%d, k=%d): %d tries, no accept yet",
                 spec.n, spec.ell, spec.k, done,
             )
-    stats = SampleStats(
-        max_tries, loops_total, dups_total, lam, mu,
-        lowadj_seen=lowadj_total, pair_rejects=pair_failures,
-    )
+    stats.tries = max_tries
     raise SamplerBudgetError(
         f"no simple linear sample for (n={spec.n}, ell={spec.ell}, k={spec.k}) "
         f"within {max_tries} tries",
@@ -293,20 +285,17 @@ def _sample_reject(spec, seed, max_tries, require_pair=True):
     )
 
 
-def _sample_hill(spec, seed, max_tries, require_pair=True):
+def _sample_hill(spec, seed, max_tries, stats):
     """Stinson's hill-climbing with prescribed degrees (module docstring).
 
     Partners come from a few random draws from the live list, then from
     a full scan.  When the live vertex has fewer than two partners, a
-    random triple is evicted instead; a finished graph without the
-    required disjoint pair loses a few random triples and the climb goes
-    on.  Live vertices and triples sit in swap-remove lists, so every
-    draw is a list index and no result depends on set order.
+    random triple is evicted instead; a finished graph that the caller
+    turns down loses a few random triples and the climb goes on.  Live
+    vertices and triples sit in swap-remove lists, so every draw is a
+    list index and no result depends on set order.
     """
-    lam = float(spec.ell - 2)
-    mu = (spec.ell - 2) ** 2 / 2
-    if spec.edge_count == 0:
-        return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu, repaired=True)
+    stats.repaired = True
     n = spec.n
     low = 15 * spec.k if spec.ell > 5 else 0
     rnd = random.Random(seed)
@@ -335,6 +324,7 @@ def _sample_hill(spec, seed, max_tries, require_pair=True):
                 drop(live, live_at, x)
 
     def evict(t):
+        stats.repair_rounds += 1
         drop(triples, triple_at, t)
         a, b, c = t
         del cover[(a, b)], cover[(a, c)], cover[(b, c)]
@@ -358,20 +348,14 @@ def _sample_hill(spec, seed, max_tries, require_pair=True):
         found = [x for x in live if eligible(u, v, x)]
         return rnd.choice(found) if found else None
 
-    moves = evictions = pair_failures = 0
+    moves = 0
     while moves < max_tries:
         moves += 1
         if not live:
-            g = Hypergraph3(n, tuple(sorted(triples)))
-            if not require_pair or _has_disjoint_pair(g, spec):
-                return g, SampleStats(
-                    moves, 0, 0, lam, mu, pair_rejects=pair_failures,
-                    repaired=True, repair_rounds=evictions,
-                )
-            pair_failures += 1
+            stats.tries = moves
+            yield Hypergraph3(n, tuple(sorted(triples)))
             for _ in range(min(_PAIR_REJECT_EVICTIONS, len(triples))):
                 evict(triples[rnd.randrange(len(triples))])
-                evictions += 1
             continue
         u = live[rnd.randrange(len(live))]
         v = partner(u, u)
@@ -379,36 +363,29 @@ def _sample_hill(spec, seed, max_tries, require_pair=True):
         if w is None:
             if triples:
                 evict(triples[rnd.randrange(len(triples))])
-                evictions += 1
             continue
         clash = cover.get((v, w) if v < w else (w, v))
         if clash is not None:
             evict(clash)
-            evictions += 1
         add(tuple(sorted((u, v, w))))
+    stats.tries = max_tries
     raise SamplerBudgetError(
         f"hill-climbing found no simple linear sample for (n={n}, ell={spec.ell}, "
         f"k={spec.k}) within {max_tries} moves",
-        SampleStats(max_tries, 0, 0, lam, mu, pair_rejects=pair_failures,
-                    repaired=True, repair_rounds=evictions),
+        stats,
     )
 
 
-def _sample_dfs(spec, seed, max_tries, require_pair=True):
+def _sample_dfs(spec, seed, max_tries, stats):
     """Seeded backtracking over canonical edge placements.
 
     Edges through the lowest unfilled vertex are placed first, partner
     pairs in seed-shuffled order, so every simple linear realization is
-    reachable and none is visited twice.  Exhausting the space proves
-    the spec (or the disjoint-pair guarantee on top of it) unrealizable,
-    which randomized modes cannot do.
+    reachable and none is yielded twice.  When the generator ends, the
+    space is exhausted.
     """
     import numpy as np
 
-    lam = float(spec.ell - 2)
-    mu = (spec.ell - 2) ** 2 / 2
-    if spec.edge_count == 0:
-        return Hypergraph3(spec.n, ()), SampleStats(1, 0, 0, lam, mu)
     n = spec.n
     rng = np.random.default_rng((seed, 2))
     priority = {}
@@ -419,22 +396,17 @@ def _sample_dfs(spec, seed, max_tries, require_pair=True):
     rd = spec.degree_array()
     used = set()
     edges = []
-    nodes = 0
-    pair_failures = 0
 
     def unfilled_min():
-        for v in range(n):
-            if rd[v] > 0:
-                return v
-        return None
+        return next((v for v in range(n) if rd[v] > 0), None)
 
     def place(u):
-        nonlocal nodes, pair_failures
-        nodes += 1
-        if nodes > max_tries:
+        stats.tries += 1
+        if stats.tries > max_tries:
+            stats.tries = max_tries
             raise SamplerBudgetError(
                 f"backtracking budget exhausted for (n={n}, ell={spec.ell}, k={spec.k})",
-                SampleStats(max_tries, 0, 0, lam, mu, pair_rejects=pair_failures),
+                stats,
             )
         cands = []
         for v in range(n):
@@ -457,30 +429,15 @@ def _sample_dfs(spec, seed, max_tries, require_pair=True):
             edges.append(tuple(sorted((u, v, w))))
             nxt = unfilled_min()
             if nxt is None:
-                g = Hypergraph3(n, tuple(sorted(edges)))
-                if not require_pair or _has_disjoint_pair(g, spec):
-                    return g
-                pair_failures += 1
+                yield Hypergraph3(n, tuple(sorted(edges)))
             else:
-                got = place(nxt)
-                if got is not None:
-                    return got
+                yield from place(nxt)
             edges.pop()
             for x in (u, v, w):
                 rd[x] += 1
             used.difference_update(pairs)
-        return None
 
-    start = unfilled_min()
-    g = place(start)
-    if g is None:
-        raise SamplerBudgetError(
-            f"exhaustive search: no simple linear realization of "
-            f"(n={n}, ell={spec.ell}, k={spec.k})"
-            + (" with the disjoint-pair guarantee" if require_pair else ""),
-            SampleStats(nodes, 0, 0, lam, mu, pair_rejects=pair_failures),
-        )
-    return g, SampleStats(nodes, 0, 0, lam, mu, pair_rejects=pair_failures)
+    yield from place(unfilled_min())
 
 
 def _check_realizes(g: Hypergraph3, spec: DegreeSpec):

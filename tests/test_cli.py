@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, reports."""
 
+from array import array
 import dataclasses
 import json
 import os
@@ -69,6 +70,22 @@ def test_tiny_cores_near_ex_are_refused_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_cores_above_the_packing_bound_are_refused_at_once(tmp_path, capsys):
+    # (20, 6, 40) plans the core d(11, 6, 0): 18 triples on 11 vertices,
+    # one more than a linear 3-graph on them can hold
+    rep = tmp_path / "rep.json"
+    start = time.perf_counter()
+    assert run("build", "--n", "20", "--ell", "6", "--m", "40",
+               "--report", str(rep), "--quiet") == 5
+    assert time.perf_counter() - start < 5
+    assert "has at most 17 triples, the spec has 18" in capsys.readouterr().err
+    obj = json.loads(rep.read_text())
+    assert obj["status"] == "sampler_budget" and obj["stats"]["tries"] == 0
+    assert run("spectrum", "--theory", "--n", "20", "--ell", "6", "--quiet") == 0
+    ranges = json.loads(capsys.readouterr().out)["ranges"]
+    assert [r["status"] for r in ranges if r["lo"] <= 40 <= r["hi"]] == ["sampler-refused"]
+
+
 def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
     # 12 m > ell(ell-1)n at (120, 6, 320); n0 is accepted and ignored
     out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
@@ -76,11 +93,12 @@ def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
                "-o", str(out), "--report", str(rep), "--quiet") == 0
     obj = json.loads(rep.read_text())
     assert obj["verified_saturated"] is True
-    # the report lists the plan's blocks: the core W, then the 6-cliques
-    names = [b["name"] for b in obj["plan"]]
-    assert names[0] == "W" and set(names[1:]) == {"K_6"}
-    assert sum(b["vertices"] for b in obj["plan"]) == 120
-    assert sum(b["edges"] for b in obj["plan"]) == 320
+    # the report lists the plan's runs of blocks: the core W, then the
+    # 6-cliques as one entry with their count
+    (w, cliques) = obj["plan"]
+    assert (w["name"], w["copies"], cliques["name"]) == ("W", 1, "K_6")
+    assert sum(b["copies"] * b["vertices"] for b in obj["plan"]) == 120
+    assert sum(b["copies"] * b["edges"] for b in obj["plan"]) == 320
     assert run("verify", str(out), "--ell", "6", "--quiet") == 0
 
 
@@ -92,8 +110,8 @@ def test_ex_with_ell_dividing_n_builds_disjoint_cliques(tmp_path):
         obj = json.loads(rep.read_text())
         assert obj["verified_saturated"] is True
         clique = {"name": f"K_{ell}", "vertices": int(ell), "edges": comb(int(ell), 3),
-                  "nonfull": 0}
-        assert obj["plan"] == [clique] * (int(n) // int(ell))
+                  "nonfull": 0, "copies": int(n) // int(ell)}
+        assert obj["plan"] == [clique]
         assert run("verify", str(out), "--ell", ell, "--quiet") == 0
 
 
@@ -174,11 +192,16 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
         path.write_text(text)
         assert run("verify", str(path), "--ell", "5") == 4
         assert "exceeds the reader limit" in capsys.readouterr().err
-    # the commands that take --n themselves apply the same cap, and
-    # spectrum --theory also refuses more than 2^17 values of m to plan
+    # the commands that take --n themselves apply the same cap,
+    # sample-config also refuses a spec of more than 2^22 edges, and
+    # spectrum --theory more than 2^17 values of m to plan
     for argv, why in ((("build", "--n", "100000000", "--ell", "6", "--m", "300000000"),
                        "exceeds the vertex limit"),
                       (("sample-config", "--n", "1048577", "--ell", "5"),
+                       "exceeds the vertex limit"),
+                      (("sample-config", "--n", "1048576", "--ell", "100"),
+                       "has 34603008 edges, above the edge limit 4194304"),
+                      (("gadget", "--name", "l4-sparse", "--n", "1000000000000"),
                        "exceeds the vertex limit"),
                       (("spectrum", "--theory", "--n", "100000000", "--ell", "6"),
                        "exceeds the vertex limit"),
@@ -363,17 +386,35 @@ def test_spectrum_theory_runs_follow_the_planner(capsys):
     assert any(r["status"] == "feasible" and r["hi"] > 300 for r in ranges)
 
 
-def test_perfbench_tracer_installs_on_the_current_names():
+def test_perfbench_tracer_installs_on_the_current_names(tmp_path):
     # the traced benchmark wraps planner, sampler and checker functions by
-    # name; deleting one of them must fail here, not only in perfbench
-    root = Path(__file__).resolve().parents[1]
+    # name and reads the sampler's stats fields; renaming one of them must
+    # fail here, not only in perfbench
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     env = dict(os.environ)
     src = str(Path(bergesat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import tracer; tracer.install(tracer.Tracer())"
-    done = subprocess.run([sys.executable, "-c", code], cwd=root / "perfbench",
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    w = str(tmp_path / "w.h3")
+    # (120, 6, 320) plans one surgery, so the sampler looks for the pair
+    for name, argv in (("build", ["build", "--n", "120", "--ell", "6", "--m", "320", "-o", w]),
+                       ("verify", ["verify", w, "--ell", "6"])):
+        out = tmp_path / f"{name}.json"
+        done = subprocess.run([sys.executable, str(tracer), str(out), *argv, "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        header = json.loads(out.read_text())
+        assert header["exit"] == 0
+        if name == "build":
+            assert header["counters"]["confmodel.tries"] > 0
+            # the span table opens with each span's name id, then its
+            # parent's index: the sampler's own pair test must be traced
+            count, names = header["count"], header["names"]
+            table = array("i", Path(f"{out}.spans").read_bytes()[:8 * count])
+            name, parent = table[:count], table[count:]
+            assert any(names[name[i]] == "confmodel.pair_search"
+                       and names[name[parent[i]]] == "confmodel.sample" for i in range(count))
+        else:
+            assert header["counters"]["checker.vertices"] == 120
 
 
 # run in a fresh interpreter: a bare `import bergesat` must load no

@@ -1,5 +1,6 @@
 """Sampler contracts: degree specs, determinism, defect rates, exact search."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bergesat.confmodel import (
     DegreeSpec,
     NoDisjointPair,
+    SampleStats,
     SamplerBudgetError,
     degree_spec,
     _sample_dfs,
@@ -17,7 +19,7 @@ from bergesat.confmodel import (
     refusal,
     sample_linear,
 )
-from bergesat.hypercore import incidence_index
+from bergesat.hypercore import incidence_index, write_h3
 
 
 def count_degrees(g):
@@ -95,8 +97,8 @@ def test_every_route_result_is_checked_against_the_spec(monkeypatch, require_pai
     from bergesat import confmodel
     from bergesat.hypercore import Hypergraph3
 
-    def wrong_degrees(spec, seed, max_tries, require_pair=True):
-        return Hypergraph3(spec.n, ((0, 1, 2),)), None
+    def wrong_degrees(spec, seed, max_tries, stats):
+        yield Hypergraph3(spec.n, ((0, 1, 2),))
 
     monkeypatch.setattr(confmodel, "_sample_hill", wrong_degrees)
     with pytest.raises(ValueError, match="degree mismatch"):
@@ -141,8 +143,9 @@ def test_exact_search_itself_proves_the_refused_specs_unrealizable(n):
     # same verdict by exhausting its space
     spec = degree_spec(n, 5, 1)
     assert refusal(spec, require_pair=False) is not None
-    with pytest.raises(SamplerBudgetError, match="exhaustive search: no simple linear"):
-        _sample_dfs(spec, 0, 200000, require_pair=False)
+    stats = SampleStats()
+    assert next(_sample_dfs(spec, 0, 200000, stats), None) is None
+    assert 0 < stats.tries < 200000
 
 
 def test_counting_refusals_come_before_any_sampling():
@@ -225,3 +228,73 @@ def test_spec_is_hashable_and_frozen():
     assert isinstance(hash(s), int)
     with pytest.raises(Exception):
         s.n = 31
+
+
+# seed-recorded sample_linear results, taken before the routes became
+# candidate generators for one acceptance loop: (n, ell, k), keyword
+# arguments, then the sha256 prefix of the h3 text (or the budget error's
+# message) and (tries, pair_rejects, repair_rounds, repaired)
+PINNED_SAMPLES = [
+    # hill-climbing; (14, 4, 0) rejects five finished graphs without the pair
+    ((14, 4, 0), {}, "4542950bb74ae325", (112, 5, 62, True)),
+    ((45, 5, 0), {"seed": 1}, "973e9581d216b116", (69, 0, 5, True)),
+    ((120, 6, 1), {}, "ec3cc4f074be5758", (187, 0, 6, True)),
+    ((30, 4, 0), {"seed": 2, "rejection": True}, "3e6fd5a182627382", (1220, 0, 0, False)),
+    # the exhaustive search
+    ((27, 5, 1), {"require_pair": False}, "f3cda9b852a46342", (168, 0, 0, False)),
+    ((41, 5, 2), {"require_pair": False}, "0d6c7e708d8339a3", (9121, 0, 0, False)),
+    # no edges: the loop answers before any route, on either one
+    ((15, 5, 1), {"require_pair": False}, "589857a019d82dca", (1, 0, 0, True)),
+    ((15, 5, 1), {"require_pair": False, "rejection": True}, "589857a019d82dca",
+     (1, 0, 0, False)),
+]
+
+PINNED_BUDGET_ERRORS = [
+    ((60, 5, 0), {"max_tries": 50},
+     "hill-climbing found no simple linear sample for (n=60, ell=5, k=0) within 50 moves",
+     (50, 0, 4, True)),
+    ((26, 7, 1), {"max_tries": 1000},
+     "hill-climbing found no simple linear sample for (n=26, ell=7, k=1) within 1000 moves",
+     (1000, 44, 636, True)),
+    ((36, 5, 0), {"seed": 1, "max_tries": 3, "rejection": True},
+     "no simple linear sample for (n=36, ell=5, k=0) within 3 tries", (3, 0, 0, False)),
+    ((41, 5, 2), {"max_tries": 1000, "require_pair": False},
+     "backtracking budget exhausted for (n=41, ell=5, k=2)", (1000, 0, 0, False)),
+]
+
+
+def _pinned_fields(stats):
+    return (stats.tries, stats.pair_rejects, stats.repair_rounds, stats.repaired)
+
+
+@pytest.mark.parametrize("spec, kwargs, digest, fields", PINNED_SAMPLES)
+def test_sampler_outputs_are_pinned(spec, kwargs, digest, fields):
+    g, stats = sample_linear(*spec, **kwargs)
+    assert hashlib.sha256(write_h3(g).encode()).hexdigest()[:16] == digest
+    assert _pinned_fields(stats) == fields
+
+
+@pytest.mark.parametrize("spec, kwargs, message, fields", PINNED_BUDGET_ERRORS)
+def test_sampler_budget_errors_are_pinned(spec, kwargs, message, fields):
+    with pytest.raises(SamplerBudgetError) as e:
+        sample_linear(*spec, **kwargs)
+    assert str(e.value) == message
+    assert _pinned_fields(e.value.stats) == fields
+
+
+def test_refusal_applies_the_triangle_packing_bound():
+    # d(11, 6, 0) has 18 triples on 11 vertices of positive degree; a
+    # linear 3-graph on v = 11 = 5 (mod 6) vertices has at most
+    # floor(11 * 5 / 3) - 1 = 17
+    spec = degree_spec(11, 6, 0)
+    assert refusal(spec, require_pair=False) == (
+        "no simple linear realization of (n=11, ell=6, k=0): a linear 3-graph on "
+        "its 11 vertices of positive degree has at most 17 triples, the spec has 18")
+    start = time.perf_counter()
+    with pytest.raises(SamplerBudgetError) as e:
+        sample_linear(11, 6, 0, require_pair=False)
+    assert time.perf_counter() - start < 1 and e.value.stats.tries == 0
+    # the bound is met exactly by the Steiner triple system on 13 points
+    assert refusal(degree_spec(13, 7, 0), require_pair=False) is None
+    g, _ = sample_linear(13, 7, 0, require_pair=False)
+    assert len(g.edges) == 26
