@@ -22,10 +22,10 @@ not fill n vertices with m edges is an InternalError.  Three branches:
   ell(ell-1)n/12, and vouched for by certification alone above that.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, groupby
 from math import comb
+from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError, disjoint_union, make
 from . import confmodel, gadgets
@@ -40,8 +40,7 @@ UNSUPPORTED = "unsupported"
 MAX_PLANNED = 2**17
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of planning: a status, a human-readable detail line, and
     the plan, a tuple of blocks, when status is "ok"."""
 
@@ -54,8 +53,7 @@ class Verdict:
         return self.status == OK
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
+class Block(NamedTuple):
     """One saturated free piece of a witness at the plan's ell.
 
     nonfull counts the vertices with d_B < ell - 1, exactly for every block
@@ -167,8 +165,8 @@ def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
     if not 3 <= a <= max(3, ell - 3):
         raise ValueError(f"a = {a} outside [3, max(3, ell-3)] for ell = {ell}")
     spec = confmodel.degree_spec(n - a, ell, k)
-    g, _ = confmodel.sample_linear(n - a, ell, k, seed=seed, max_tries=max_tries,
-                                   require_pair=i > 0)
+    g, _, pair = confmodel.sample_linear(n - a, ell, k, seed=seed, max_tries=max_tries,
+                                         require_pair=i > 0)
     edges = list(g.edges + disjoint_union(*[gadgets.lantern(5)] * k).edges)
 
     cl = [n - a + j for j in range(a)]
@@ -182,7 +180,7 @@ def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
             edges.append(tuple(sorted((d0, d0 + 1, cl[0]))))
 
     if i:
-        e1, e2 = confmodel.find_disjoint_edge_pair(g, spec)
+        e1, e2 = pair
         if i == 1:
             edges.remove(e1)
             edges.remove(e2)
@@ -204,8 +202,8 @@ def build_H1(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
     components of the paper's upper construction."""
     if n0 % (3 * ell):
         raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
-    g, _ = confmodel.sample_linear(n0, ell, 3, seed=seed, max_tries=max_tries,
-                                   require_pair=False)
+    g, _, _ = confmodel.sample_linear(n0, ell, 3, seed=seed, max_tries=max_tries,
+                                      require_pair=False)
     return make(n0, g.edges + disjoint_union(*[gadgets.lantern(5)] * 3).edges)
 
 
@@ -213,8 +211,8 @@ def build_H2(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
     """H block with three 5-clique overlays; one edge more than H1."""
     if n0 % (3 * ell):
         raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
-    g, _ = confmodel.sample_linear(n0, ell, 1, seed=seed, max_tries=max_tries,
-                                   require_pair=False)
+    g, _, _ = confmodel.sample_linear(n0, ell, 1, seed=seed, max_tries=max_tries,
+                                      require_pair=False)
     return make(n0, g.edges + disjoint_union(*[gadgets.clique3(5)] * 3).edges)
 
 
@@ -433,7 +431,8 @@ def _split_label(verdict):
         if confmodel.refusal(*first.spec) is not None:
             return ("sampler-refused",
                     "clique-split plan whose core degree spec no simple linear "
-                    "3-graph realizes (too few active vertices or edges); exit 5")
+                    "3-graph realizes (too few active vertices or edges, or more "
+                    "edges than a linear 3-graph on its active vertices holds); exit 5")
         return ("feasible",
                 "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
                 "is vouched for by certification only")

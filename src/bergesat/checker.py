@@ -40,9 +40,9 @@ claim.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .hypercore import (
     Hypergraph3,
@@ -57,8 +57,7 @@ TYPE_I = "TypeI"
 TYPE_II = "TypeII"
 
 
-@dataclass(frozen=True)
-class AggressiveClass:
+class AggressiveClass(NamedTuple):
     """Per-vertex aggressive-saturation tags at a fixed ell.
 
     tags[v] is "TypeI", "TypeII", or None.  Type I means Berge degree
@@ -74,8 +73,7 @@ class AggressiveClass:
         return tuple(v for v, t in enumerate(self.tags) if t is None)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Verdict of one saturation check, with the per-vertex Berge degrees
     and tags.  counterexample is the first vertex above the cap when g is
     not free, else the first absent triple that creates nothing, or None."""

@@ -182,7 +182,7 @@ def _cmd_sample_config(args):
     if edges > hypercore.MAX_EDGES:
         raise ValueError(f"d(n={args.n}, ell={args.ell}, k={args.k}) has {edges} edges, "
                          f"above the edge limit {hypercore.MAX_EDGES}")
-    g, stats = confmodel.sample_linear(
+    g, stats, _ = confmodel.sample_linear(
         args.n, args.ell, args.k, seed=args.seed, max_tries=args.max_tries,
     )
     print(json.dumps(vars(stats), sort_keys=True), file=sys.stderr)

@@ -41,21 +41,19 @@ run out of candidates.
   unrealizable, which the randomized routes cannot do.
 
 Determinism: all randomness flows from generators keyed by the caller's
-seed, so results are reproducible across platforms for a fixed numpy and
-Python.  Hill-climbing draws from a ``random.Random`` and imports no
-numpy; only the rejection and search routes import numpy, and both draw
-from numpy Generators.
+seed, so results are reproducible across platforms for a fixed Python
+(and, on the rejection route, a fixed numpy).  Hill-climbing and the
+search draw from a ``random.Random``; only the rejection route imports
+numpy and draws from numpy Generators.
 """
 
-from dataclasses import dataclass
 from functools import cache
-import logging
+from itertools import combinations
 from math import comb
 import random
+from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError, SamplerBudgetError
-
-logger = logging.getLogger(__name__)
 
 _BATCH = 1024
 _PROGRESS_EVERY = 100_000
@@ -67,8 +65,7 @@ class NoDisjointPair(LookupError):
     """No admissible disjoint pair of full-degree edges exists."""
 
 
-@dataclass(frozen=True)
-class DegreeSpec:
+class DegreeSpec(NamedTuple):
     """Degree sequence d(n, ell, k) with the vertex-id layout fixed.
 
     Ids 0 .. 15k-1 get degree ell-5, the next t get degree ell-2, the
@@ -119,9 +116,9 @@ def degree_spec(n: int, ell: int, k: int) -> DegreeSpec:
     return spec
 
 
-@dataclass
 class SampleStats:
-    """Diagnostics of one sample_linear run, updated as its route runs.
+    """Diagnostics of one sample_linear run, updated as its route runs;
+    vars() gives the fields in this order.
 
     expected_lambda and expected_mu are the documented per-draw defect
     rates (mu is the reference value; measured overlaps run about twice
@@ -133,15 +130,16 @@ class SampleStats:
     search nodes (exhaustive search).
     """
 
-    tries: int = 0
-    loops_seen: int = 0
-    overlaps_seen: int = 0
-    expected_lambda: float = 0.0
-    expected_mu: float = 0.0
-    lowadj_seen: int = 0
-    pair_rejects: int = 0
-    repaired: bool = False
-    repair_rounds: int = 0
+    def __init__(self, expected_lambda=0.0, expected_mu=0.0):
+        self.tries = 0
+        self.loops_seen = 0
+        self.overlaps_seen = 0
+        self.expected_lambda = expected_lambda
+        self.expected_mu = expected_mu
+        self.lowadj_seen = 0
+        self.pair_rejects = 0
+        self.repaired = False
+        self.repair_rounds = 0
 
 
 def _batch_defects(trip, n, low_count):
@@ -160,7 +158,9 @@ def _batch_defects(trip, n, low_count):
 
 def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
                   require_pair=True):
-    """A simple linear 3-graph realizing d(n, ell, k), with stats.
+    """(g, stats, pair): a simple linear 3-graph g realizing d(n, ell, k),
+    the run's SampleStats, and the disjoint pair that
+    find_disjoint_edge_pair accepted g with (None without require_pair).
 
     Hill-climbing is the default route; rejection=True selects the
     clean rejection sampling the defect diagnostics are calibrated
@@ -181,18 +181,20 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
         raise SamplerBudgetError(reason, stats)
     if spec.edge_count == 0:
         stats.tries, stats.repaired = 1, not rejection
-        return Hypergraph3(n, ()), stats
+        return Hypergraph3(n, ()), stats, None
     if _wants_exact_search(spec):
         route = _sample_dfs(spec, seed, max_tries, stats)
     elif rejection:
         route = _sample_reject(spec, seed, max_tries, stats)
     else:
         route = _sample_hill(spec, seed, max_tries, stats)
+    pair = None
     for g in route:
         if not require_pair:
+            _check_realizes(g, spec)
             break
-        try:
-            find_disjoint_edge_pair(g, spec)
+        try:  # the pair search checks g against the spec first
+            pair = find_disjoint_edge_pair(g, spec)
             break
         except NoDisjointPair:
             stats.pair_rejects += 1
@@ -202,8 +204,7 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
             + (" with the disjoint-pair guarantee" if require_pair else ""),
             stats,
         )
-    _check_realizes(g, spec)
-    return g, stats
+    return g, stats, pair
 
 
 def refusal(spec: DegreeSpec, require_pair=True):
@@ -273,7 +274,9 @@ def _sample_reject(spec, seed, max_tries, stats):
                                                    for row in trip[idx])))
         done += count
         if done % _PROGRESS_EVERY == 0:
-            logger.info(
+            import logging
+
+            logging.getLogger(__name__).info(
                 "sample_linear(n=%d, ell=%d, k=%d): %d tries, no accept yet",
                 spec.n, spec.ell, spec.k, done,
             )
@@ -384,16 +387,11 @@ def _sample_dfs(spec, seed, max_tries, stats):
     reachable and none is yielded twice.  When the generator ends, the
     space is exhausted.
     """
-    import numpy as np
-
     n = spec.n
-    rng = np.random.default_rng((seed, 2))
-    priority = {}
-    order = rng.permutation(n * n)
-    for v in range(n):
-        for w in range(v + 1, n):
-            priority[(v, w)] = int(order[v * n + w])
     rd = spec.degree_array()
+    pairs = list(combinations([v for v in range(n) if rd[v] > 0], 2))
+    random.Random(seed).shuffle(pairs)
+    priority = {p: i for i, p in enumerate(pairs)}
     used = set()
     edges = []
 

@@ -160,8 +160,8 @@ def l4_sparse(n: int, seed: int = 0, max_tries: int = 10_000_000) -> Hypergraph3
 
     if n < 16:
         raise ValueError(f"need n >= 16 for the sparse construction, got {n}")
-    base, _ = confmodel.sample_linear(n - 2, 4, 0, seed=seed, max_tries=max_tries,
-                                      require_pair=False)
+    base, _, _ = confmodel.sample_linear(n - 2, 4, 0, seed=seed, max_tries=max_tries,
+                                         require_pair=False)
     x, y, z = base.edges[0]
     u, v = n - 2, n - 1
     edges = list(base.edges[1:]) + [(x, u, v), (y, z, u)]

@@ -21,13 +21,14 @@ in the package comes from `LinkPass`, which decomposes every link with
 a per-vertex union-find and a shortcut for matching and complete links.
 
 All values here are immutable and all functions are pure; sharing across
-threads is safe.
+threads is safe: Hypergraph3 refuses assignment and compares and hashes
+by value, and the records are named tuples.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 import json
+from typing import NamedTuple
 
 
 class FormatError(ValueError):
@@ -77,17 +78,37 @@ def _validate_edges(vertex_count, edges):
         prev = e
 
 
-@dataclass(frozen=True)
 class Hypergraph3:
-    """Simple 3-uniform hypergraph on vertices 0..vertex_count-1."""
+    """Simple 3-uniform hypergraph on vertices 0..vertex_count-1, with the
+    edges a tuple of triples; validated on construction, then immutable."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError(f"negative vertex count {self.vertex_count}")
-        _validate_edges(self.vertex_count, self.edges)
+    def __init__(self, vertex_count: int, edges: tuple):
+        if vertex_count < 0:
+            raise ValueError(f"negative vertex count {vertex_count}")
+        _validate_edges(vertex_count, edges)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Hypergraph3")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Hypergraph3, (self.vertex_count, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return f"Hypergraph3(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @property
     def edge_count(self) -> int:
@@ -100,8 +121,7 @@ def make(vertex_count, edges) -> Hypergraph3:
     return Hypergraph3(vertex_count, tuple(canon))
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class LinkGraph(NamedTuple):
     """The 2-graph induced on N(center) by host edges through center."""
 
     center: int
@@ -109,8 +129,7 @@ class LinkGraph:
     pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BergeWitness:
+class BergeWitness(NamedTuple):
     """An explicit Berge star at center: distinct edges mapped to distinct leaves."""
 
     center: int

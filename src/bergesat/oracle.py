@@ -24,8 +24,8 @@ Three tools live here, deliberately sharing no logic with the checker:
   disconnected shapes are all multisets of connected ones.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError
 from . import twographs
@@ -82,8 +82,7 @@ def berge_degree_matching(g: Hypergraph3, v: int) -> int:
 
 # --- exhaustive spectrum ---------------------------------------------------
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     n: int
     ell: int
     realizable: tuple[int, ...]
@@ -288,8 +287,7 @@ CATALOG_MAX_VERTICES = 8
 CATALOG_MAX_EDGES = 6
 
 
-@dataclass
-class LinkClass:
+class LinkClass(NamedTuple):
     vertices: int
     edge_count: int
     tree_count: int
@@ -299,8 +297,7 @@ class LinkClass:
     name: str | None
 
 
-@dataclass
-class CatalogReport:
+class CatalogReport(NamedTuple):
     classes: list
     strata: dict
     computed_bounds: tuple[int, ...]

@@ -323,6 +323,22 @@ def test_build_w_validates_parameters():
         build_W(45, 5, 0, 7, 0)
 
 
+def test_build_w_checks_and_searches_its_core_once(monkeypatch):
+    # the sampler hands back the pair it accepted, so a build with two
+    # surgeries checks its core against the spec and searches its pair
+    # once (the seed-0 core of d(42, 5, 0) is accepted without a pair reject)
+    from bergesat import confmodel
+
+    calls = []
+    for name in ("_check_realizes", "find_disjoint_edge_pair"):
+        def counted(*args, _name=name, _fn=getattr(confmodel, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(confmodel, name, counted)
+    build_W(45, 5, 0, 3, 2, seed=0)
+    assert sorted(calls) == ["_check_realizes", "find_disjoint_edge_pair"]
+
+
 # sha256 of write_h3 (first 16 hex digits) of the seed-0 witness: every
 # closed-form row, the clique split with i = 0, 1, 2 and k = 1, the
 # all-clique plan, and the exact-5 mixtures for every residue b.  A change
@@ -356,7 +372,7 @@ PINNED_WITNESSES = {
     (45, 5, 59): "e7e0e1cf29bc38ff",
     (45, 5, 60): "ae0a16cb0742e063",
     (45, 5, 64): "aa6c609a0a11b3c0",
-    (45, 5, 70): "e12c50d89a3947d6",
+    (45, 5, 70): "3dba5301b476f59c",
     (45, 5, 73): "c05ed654d09f3239",
     (120, 6, 400): "a06731868112492c",  
     (45, 5, 75): "5c03cb42ab5405ed",

@@ -156,7 +156,7 @@ def _linear_beside_a_block(draw):
     """A sampled linear 3-graph, where every link is a matching, beside a
     clique or a lantern, whose links are complete or neither."""
     n, ell = draw(st.integers(min_value=14, max_value=24)), draw(st.integers(4, 6))
-    g, _ = sample_linear(n, ell, 0, seed=draw(st.integers(0, 99)), require_pair=False)
+    g, _, _ = sample_linear(n, ell, 0, seed=draw(st.integers(0, 99)), require_pair=False)
     block = draw(st.sampled_from((clique3(ell), lantern(5), lantern(6))))
     return disjoint_union(*draw(st.permutations((g, block))))
 

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, reports."""
 
 from array import array
-import dataclasses
 import json
 import os
 from pathlib import Path
@@ -83,7 +82,13 @@ def test_cores_above_the_packing_bound_are_refused_at_once(tmp_path, capsys):
     assert obj["status"] == "sampler_budget" and obj["stats"]["tries"] == 0
     assert run("spectrum", "--theory", "--n", "20", "--ell", "6", "--quiet") == 0
     ranges = json.loads(capsys.readouterr().out)["ranges"]
-    assert [r["status"] for r in ranges if r["lo"] <= 40 <= r["hi"]] == ["sampler-refused"]
+    # one rule covers every counting refusal, so m = 40 (the packing bound)
+    # and m = 41, 42 (too few edges for the disjoint pair) share one run
+    refused = [r for r in ranges if r["lo"] <= 40 <= r["hi"]]
+    assert [(r["lo"], r["hi"], r["status"]) for r in refused] == [(40, 42, "sampler-refused")]
+    assert refused[0]["rule"].endswith(
+        "(too few active vertices or edges, or more edges than a linear 3-graph "
+        "on its active vertices holds); exit 5")
 
 
 def test_build_above_the_midpoint_uses_the_clique_split(tmp_path):
@@ -428,6 +433,7 @@ from bergesat.cli import main
 code = main(sys.argv[2:] + ["--quiet"])
 loaded = sorted(m for m in sys.modules if m.startswith("bergesat."))
 numpy = "numpy" in sys.modules
+heavy = sorted(m for m in ("dataclasses", "inspect", "logging") if m in sys.modules)
 wrong = []
 for name in sorted(set(bergesat.__all__) - {"__version__"}):
     obj = getattr(bergesat, name)
@@ -439,17 +445,21 @@ try:
 except AttributeError:
     pass
 with open(sys.argv[1], "w") as fh:
-    json.dump([bare, code, loaded, numpy, wrong], fh)
+    json.dump([bare, code, loaded, numpy, heavy, wrong], fh)
 """
 
 
 # every command loads cli and hypercore, plus only the layers it runs;
-# numpy only for the exhaustive sweep (and the rejection and search
-# sampler routes, which no row here takes)
+# numpy only for the exhaustive sweep (and the rejection sampler route,
+# which no command takes), not for a build on the hill-climbing or the
+# search route.  No command loads dataclasses, inspect or logging, except
+# the inspect that numpy's own import brings.
 @pytest.mark.parametrize("argv, layers, numpy", [
     pytest.param(["verify", "K5", "--ell", "5", "--full-scan"], ["checker"], False, id="verify"),
     pytest.param(["build", "--n", "45", "--ell", "5", "--m", "64", "-o", "W"],
                  ["assembler", "checker", "confmodel", "gadgets"], False, id="build"),
+    pytest.param(["build", "--n", "45", "--ell", "5", "--m", "70", "-o", "W"],
+                 ["assembler", "checker", "confmodel", "gadgets"], False, id="build-search"),
     pytest.param(["classify-links", "L5"], ["checker", "twographs"], False,
                  id="classify-links-file"),
     pytest.param(["classify-links", "--enumerate"], ["oracle", "twographs"], False,
@@ -470,7 +480,8 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     expected = sorted(f"bergesat.{m}" for m in ["cli", "hypercore"] + layers)
-    assert json.loads(out.read_text()) == [[], 0, expected, numpy, []]
+    heavy = ["inspect"] if numpy else []
+    assert json.loads(out.read_text()) == [[], 0, expected, numpy, heavy, []]
 
 
 def test_spectrum_exhaustive_small(capsys):
@@ -532,7 +543,7 @@ def test_uncertified_build_writes_nothing(tmp_path, monkeypatch):
 
     def unsaturated(g, ell, full_scan=False):
         rep = certify(g, ell, full_scan)
-        return dataclasses.replace(rep, is_saturated=False, counterexample=(0, 1, 2))
+        return rep._replace(is_saturated=False, counterexample=(0, 1, 2))
 
     monkeypatch.setattr(checker, "is_saturated", unsaturated)
     out, rep = tmp_path / "w.h3", tmp_path / "rep.json"

@@ -1,7 +1,9 @@
 """Data structure, Berge degrees, witnesses, and the text formats."""
 
+import copy
 import inspect
 import json
+import pickle
 import random
 import sys
 import time
@@ -52,6 +54,18 @@ def test_validation_rejects_bad_edges():
         Hypergraph3(5, ((0, 1, 3), (0, 1, 2)))
     with pytest.raises(ValueError, match="negative"):
         Hypergraph3(-1, ())
+
+
+def test_hypergraph_is_an_immutable_value():
+    g = k5()
+    assert g == k5() and hash(g) == hash(k5()) and g != make(6, g.edges)
+    assert g != (5, g.edges) and len({g, k5()}) == 1
+    for change in (lambda: setattr(g, "edges", ()), lambda: delattr(g, "vertex_count"),
+                   lambda: setattr(g, "label", "K5")):
+        with pytest.raises(AttributeError):
+            change()
+    assert pickle.loads(pickle.dumps(g)) == copy.deepcopy(g) == g
+    assert repr(make(3, [(0, 1, 2)])) == "Hypergraph3(vertex_count=3, edges=((0, 1, 2),))"
 
 
 def test_make_sorts_vertices_and_edges():
