@@ -18,8 +18,8 @@ of old neighbors, one of them in a tree component, lowers the tree count
 by one: it merges that tree into another component or closes a cycle in
 it.  A pair of two vertices in non-tree components changes neither.  So
 one `hypercore.LinkPass` over the whole graph suffices, and each absent
-triple costs a few set lookups.  The pass keeps NT(v) as a set per
-vertex; L(v) is sorted only for the Type II candidates.
+triple costs a few set lookups.  The checker reads the pass's NT sets
+in place, and L(v), unsorted, only for the Type II candidates.
 
 The fast path rests on the tagged-vertex lemma: an absent triple through
 a Type I or Type II vertex always creates a new Berge star, so only
@@ -48,7 +48,7 @@ from .hypercore import (
     Hypergraph3,
     LinkGraph,
     LinkPass,
-    label_components,
+    component_counts,
     link,  # noqa: F401  wrapped by name in perfbench/tracer.py
     tree_components,  # noqa: F401  wrapped by name in perfbench/tracer.py
 )
@@ -99,12 +99,6 @@ class VerifyReport(NamedTuple):
         return obj
 
 
-def _links_and_degrees(g):
-    """(the LinkPass of g, its NT(v) builder, the d_B tuple)."""
-    lp = LinkPass(g.vertex_count, g.edges)
-    return lp, lp.nontree, lp.degrees
-
-
 def _lifts_at(nontree, degrees, v, p, q, ell) -> bool:
     """The pair-insertion rule: does adding {p, q} to L(v) give d_B(v) >= ell?"""
     nt = nontree[v]
@@ -125,8 +119,7 @@ def is_berge_free(g: Hypergraph3, ell: int) -> bool:
     """True iff every Berge degree is at most ell-1."""
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    _, _, dbs = _links_and_degrees(g)
-    return all(d <= ell - 1 for d in dbs)
+    return all(d <= ell - 1 for d in LinkPass(g.vertex_count, g.edges).degrees)
 
 
 def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
@@ -148,7 +141,7 @@ def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
     # compact ids, e's first, so the pass is sized to these edges and not to n
     ids = {v: i for i, v in enumerate(dict.fromkeys(chain(e, *through)))}
     lp = LinkPass(len(ids), [(ids[a], ids[b], ids[c]) for a, b, c in through])
-    return _lifts([lp.nontree(i) for i in range(3)], lp.degrees, (0, 1, 2), ell)
+    return _lifts(lp.nontree, lp.degrees, (0, 1, 2), ell)
 
 
 def _neutral_pairs(pairs, nontree):
@@ -167,7 +160,7 @@ def _classify(ell, lp):
         if type_i[v]:
             tags.append(TYPE_I)
         elif d == ell - 1 and all(
-            type_i[x] or type_i[y] for x, y in _neutral_pairs(lp.pairs(v), lp.nontree(v))
+            type_i[x] or type_i[y] for x, y in _neutral_pairs(lp.links[v], lp.nontree[v])
         ):
             tags.append(TYPE_II)
         else:
@@ -228,19 +221,15 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    lp, nontree, dbs = _links_and_degrees(g)
-    aggressive = _classify(ell, lp)
+    lp = LinkPass(g.vertex_count, g.edges)
+    dbs, aggressive = lp.degrees, _classify(ell, lp)
 
     bad = next((v for v, d in enumerate(dbs) if d > ell - 1), None)
     if bad is not None:
         return VerifyReport(ell, False, False, dbs, aggressive, bad)
 
     pool = range(g.vertex_count) if full_scan else aggressive.untagged()
-    # NT(v) for the vertices the scan visits, in a list for fast lookups
-    sets = [None] * g.vertex_count
-    for v in pool:
-        sets[v] = nontree(v)
-    counterexample = _first_counterexample(g, sets, dbs, ell, pool)
+    counterexample = _first_counterexample(g, lp.nontree, dbs, ell, pool)
     return VerifyReport(
         ell, True, counterexample is None, dbs, aggressive, counterexample
     )
@@ -294,9 +283,7 @@ def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) 
     # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
     # so a component with 10 edges counts 20 pairs
     pairs = [p for a, b, c in g.edges for p in ((a, b), (b, c))]
-    label = label_components(pairs)
-    size = Counter(label.values())
-    held = Counter(label[x] for x, _ in pairs)
+    label, size, held = component_counts(pairs)
     degree = Counter(chain.from_iterable(g.edges))
     return all(
         size[label[e[0]]] == 5 and held[label[e[0]]] == 20

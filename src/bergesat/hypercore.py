@@ -16,9 +16,9 @@ host edges {v, x, y}.  The Berge degree of v is
 where tree(.) counts connected components of the link that are trees.
 It equals the size of a maximum matching between the hyperedges at v and
 the neighbors of v (the matching route is implemented independently in
-the oracle module and cross-checked in tests).  Every d_B and NT set
-in the package comes from `LinkPass`, which decomposes every link with
-a per-vertex union-find and a shortcut for matching and complete links.
+the oracle module and cross-checked in tests).  One union-find,
+`component_counts`, is the package's only component finder; `LinkPass`
+runs it on every link, with a shortcut for matching and complete links.
 
 All values here are immutable and all functions are pure; sharing across
 threads is safe: Hypergraph3 refuses assignment and compares and hashes
@@ -64,7 +64,7 @@ class _EdgeError(ValueError):
 def _validate_edges(vertex_count, edges):
     prev = None
     for pos, e in enumerate(edges):
-        if len(e) != 3:
+        if type(e) is not tuple or len(e) != 3:
             raise _EdgeError(pos, e, "not a triple")
         a, b, c = e
         if not (0 <= a < b < c < vertex_count):
@@ -87,6 +87,8 @@ class Hypergraph3:
     def __init__(self, vertex_count: int, edges: tuple):
         if vertex_count < 0:
             raise ValueError(f"negative vertex count {vertex_count}")
+        if type(edges) is not tuple:
+            raise ValueError(f"edges must be a tuple of triples, got {type(edges).__name__}")
         _validate_edges(vertex_count, edges)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
@@ -171,21 +173,22 @@ class LinkPass:
     (|N(v)| = 2 |pairs|, every link of a linear 3-graph) form a forest of
     K2s: d_B(v) = |pairs|, NT(v) is empty.  A complete link K_k with
     k >= 3 (every link of a clique block) is one non-tree component:
-    d_B(v) = k, NT(v) = N(v).  Any other link runs `label_components`
+    d_B(v) = k, NT(v) = N(v).  Any other link runs `component_counts`
     over its pairs, and a component is a tree iff it has one pair fewer
-    than vertices.  degrees[v] = d_B(v) = |N(v)| - trees(v); clique[v]
-    holds iff NT(v) is a clique in L(v), i.e. v's non-tree components
-    have C(|NT(v)|, 2) pairs.  nontree(v) and pairs(v) give NT(v) and L(v).
+    than vertices.  The fields are read in place, indexed by vertex:
+    links[v] lists the pairs of L(v) unsorted, nontree[v] is NT(v),
+    degrees[v] = d_B(v) = |N(v)| - trees(v), and clique[v] holds iff
+    NT(v) is a clique in L(v), i.e. v's non-tree components have
+    C(|NT(v)|, 2) pairs.
     """
 
     def __init__(self, n, edges):
-        links = [[] for _ in range(n)]
+        self.links = links = [[] for _ in range(n)]
         for a, b, c in edges:
             links[a].append((b, c))
             links[b].append((a, c))
             links[c].append((a, b))
-        self._links = links
-        self._nontree = [frozenset()] * n
+        self.nontree = [frozenset()] * n
         self.clique = [True] * n
         degrees = [len(ps) for ps in links]
         for v, ps in enumerate(links):
@@ -196,28 +199,22 @@ class LinkPass:
             if k == 2 * len(ps):
                 continue
             if k * (k - 1) == 2 * len(ps):
-                degrees[v], self._nontree[v] = k, nbrs
+                degrees[v], self.nontree[v] = k, nbrs
                 continue
-            label = label_components(ps)
-            size = Counter(label.values())
-            held = Counter(label[x] for x, _ in ps)
+            label, size, held = component_counts(ps)
             cyclic = {r for r, s in size.items() if held[r] >= s}
             nt = frozenset(x for x, r in label.items() if r in cyclic)
             degrees[v] = k - len(size) + len(cyclic)
             self.clique[v] = sum(held[r] for r in cyclic) == len(nt) * (len(nt) - 1) // 2
-            self._nontree[v] = nt
+            self.nontree[v] = nt
         self.degrees = tuple(degrees)
 
-    def nontree(self, v) -> frozenset:
-        return self._nontree[v]
 
-    def pairs(self, v) -> tuple:
-        return tuple(sorted(self._links[v]))
-
-
-def label_components(pairs) -> dict:
-    """The root of its component for every vertex of the 2-graph given by
-    its pairs: an iterative union-find with path halving, so a long path
+def component_counts(pairs):
+    """(label, size, held) of the 2-graph given by its pairs: label maps
+    each vertex to the root of its component, size and held count the
+    vertices and the pairs under each root.  The package's one component
+    finder, an iterative union-find with path halving, so a long path
     link cannot exhaust the recursion limit."""
     parent = {}
 
@@ -229,18 +226,18 @@ def label_components(pairs) -> dict:
     for x, y in pairs:
         x, y = root(x), root(y)
         parent[max(x, y)] = min(x, y)
-    return {x: root(x) for x in parent}
+    label = {x: root(x) for x in parent}
+    return label, Counter(label.values()), Counter(label[x] for x, _ in pairs)
 
 
 def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
-    ids = {x: i for i, x in enumerate(l.neighbors, 1)}  # the center is 0
-    d_b = LinkPass(1 + len(ids), [(0, ids[x], ids[y]) for x, y in l.pairs]).degrees[0]
-    return len(l.neighbors) - d_b
+    _, size, held = component_counts(l.pairs)
+    return sum(held[r] == s - 1 for r, s in size.items())
 
 
 def berge_degree(g: Hypergraph3, v: int, index=None) -> int:
-    """d_B(v), from a LinkPass over the edges through v."""
+    """d_B(v) = |N(v)| - tree(L(v)), from the components of the link of v."""
     l = link(g, v, index)
     return len(l.neighbors) - tree_components(l)
 

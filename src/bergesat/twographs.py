@@ -10,34 +10,18 @@ sorted multiset of its component forms.
 
 from itertools import combinations, permutations, product
 
+from .hypercore import component_counts
+
 
 def components(verts, pairs):
     """Connected components of the graph on verts with the given pairs,
     as (sorted vertex list, edge count) pairs in order of their first
-    vertex in verts."""
-    adj = {v: [] for v in verts}
-    for x, y in pairs:
-        adj[x].append(y)
-        adj[y].append(x)
-    seen = set()
-    out = []
-    for s in verts:
-        if s in seen:
-            continue
-        seen.add(s)
-        stack = [s]
-        verts = []
-        while stack:
-            u = stack.pop()
-            verts.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        verts.sort()
-        ec = sum(len(adj[u]) for u in verts) // 2
-        out.append((verts, ec))
-    return out
+    vertex in verts; a vertex outside every pair is its own component."""
+    label, _, held = component_counts(pairs)
+    groups = {}
+    for v in verts:
+        groups.setdefault(label.get(v, v), []).append(v)
+    return [(sorted(group), held[r]) for r, group in groups.items()]
 
 
 def canonical_connected(verts, pairs):

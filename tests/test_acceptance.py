@@ -35,13 +35,12 @@ from bergesat.gadgets import (
     lantern,
     sun,
 )
-from bergesat.hypercore import Hypergraph3, disjoint_union, incidence_index, link
+from bergesat.hypercore import Hypergraph3, LinkPass, disjoint_union, incidence_index, link
 from bergesat.oracle import (
     berge_degree_matching,
     enumerate_link_catalog,
     exhaustive_spectrum,
 )
-from bergesat.checker import _links_and_degrees
 
 
 def small_star_spectrum(n, ell):
@@ -119,7 +118,7 @@ def test_criterion_2_degree_oracle_equivalence(capsys):
             m = int(rng.integers(0, min(25, len(pool)) + 1))
             take = rng.choice(len(pool), size=m, replace=False)
             g = Hypergraph3(n, tuple(sorted(pool[j] for j in take)))
-            _, _, formula = _links_and_degrees(g)
+            formula = LinkPass(n, g.edges).degrees
             for v in range(n):
                 assert berge_degree_matching(g, v) == formula[v], (g.edges, v)
             vertices_checked += n

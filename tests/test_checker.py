@@ -12,7 +12,6 @@ from bergesat.checker import (
     TYPE_I,
     TYPE_II,
     _lifts,
-    _links_and_degrees,
     aggressive_sufficient,
     classify_aggressive,
     classify_link_5,
@@ -28,6 +27,7 @@ from bergesat.gadgets import (
 )
 from bergesat.hypercore import (
     Hypergraph3,
+    LinkPass,
     berge_degree,
     disjoint_union,
     incidence_index,
@@ -83,11 +83,10 @@ def _type_ii_cases(draw):
 def _literal_counterexample(g, ell):
     """The reference scan: every triple in lexicographic order, each
     absent one decided by the pair-insertion rule.  g must be free."""
-    _, nontree, dbs = _links_and_degrees(g)
-    sets = [nontree(v) for v in range(g.vertex_count)]
+    lp = LinkPass(g.vertex_count, g.edges)
     present = set(g.edges)
     return next((e for e in combinations(range(g.vertex_count), 3)
-                 if e not in present and not _lifts(sets, dbs, e, ell)), None)
+                 if e not in present and not _lifts(lp.nontree, lp.degrees, e, ell)), None)
 
 
 def _assert_paths_match_the_literal_scan(g, ell):
@@ -113,6 +112,49 @@ def test_fast_path_and_full_scan_agree_on_linear_inputs(g, ell):
     _assert_paths_match_the_literal_scan(g, ell)
 
 
+def _reference_components(verts, pairs):
+    """Components of the graph on verts, as (sorted vertex list, pair
+    count) in order of their first vertex in verts, by a depth-first
+    search: a reference independent of the union-find in the package."""
+    adj = {v: [] for v in verts}
+    for x, y in pairs:
+        adj[x].append(y)
+        adj[y].append(x)
+    seen = set()
+    out = []
+    for s in verts:
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, comp = [s], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comp.sort()
+        out.append((comp, sum(len(adj[u]) for u in comp) // 2))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10).flatmap(lambda k: st.tuples(
+    st.permutations(range(k + 4)),
+    st.sets(st.sampled_from(list(combinations(range(k), 2))), max_size=12)
+    if k >= 2 else st.just(set()))))
+def test_components_keeps_isolated_vertices_in_vertex_order(case):
+    # pairs cover at most 0..k-1, so the last four vertices, and any
+    # other vertex outside every pair, must come out as singletons
+    verts, pairs = case
+    pairs = sorted(pairs)
+    assert twographs.components(verts, pairs) == _reference_components(verts, pairs)
+    isolated = set(verts).difference(*pairs)
+    forms = twographs.canonical_form(verts, pairs)
+    assert forms.count((1, (0,), ())) == len(isolated) >= 4
+
+
 def _reference_links(g):
     """(pairs of L(v), NT(v), d_B(v)) per vertex, one component search
     per link."""
@@ -120,7 +162,7 @@ def _reference_links(g):
     for v in range(g.vertex_count):
         l = link(g, v)
         nontree, trees = set(), 0
-        for verts, count in twographs.components(l.neighbors, l.pairs):
+        for verts, count in _reference_components(l.neighbors, l.pairs):
             if count == len(verts) - 1:
                 trees += 1
             else:
@@ -167,11 +209,11 @@ def _linear_beside_a_block(draw):
        st.integers(min_value=0, max_value=11))
 def test_link_pass_matches_a_component_search_per_link(g, pick):
     rows = _reference_links(g)
-    lp, nontree, dbs = _links_and_degrees(g)
-    assert dbs == tuple(d for _, _, d in rows)
+    lp = LinkPass(g.vertex_count, g.edges)
+    assert lp.degrees == tuple(d for _, _, d in rows)
     for v, (pairs, nt, _) in enumerate(rows):
-        assert nontree(v) == nt
-        assert lp.pairs(v) == pairs
+        assert lp.nontree[v] == nt
+        assert tuple(sorted(lp.links[v])) == pairs
     # tag at an ell where the picked vertex sits at Berge degree ell - 1
     ell = 1 + rows[pick % g.vertex_count][2]
     assert classify_aggressive(g, ell).tags == _reference_tags(rows, ell)
@@ -182,16 +224,16 @@ def test_link_pass_matches_a_component_search_per_link(g, pick):
 def test_pair_insertion_rule_matches_the_matching_oracle(g):
     # adding the absent triple {v, p, q} leaves d_B(v) unchanged exactly
     # when p and q both lie in NT(v), and raises it by one otherwise
-    _, nontree, dbs = _links_and_degrees(g)
+    lp = LinkPass(g.vertex_count, g.edges)
     for v in range(g.vertex_count):
         before = berge_degree_matching(g, v)
-        assert dbs[v] == before
+        assert lp.degrees[v] == before
         others = [u for u in range(g.vertex_count) if u != v]
         for p, q in combinations(others, 2):
             e = tuple(sorted((v, p, q)))
             if e in g.edges:
                 continue
-            gain = 0 if p in nontree(v) and q in nontree(v) else 1
+            gain = 0 if p in lp.nontree[v] and q in lp.nontree[v] else 1
             h = make(g.vertex_count, g.edges + (e,))
             assert berge_degree_matching(h, v) == before + gain
 

@@ -54,6 +54,11 @@ def test_validation_rejects_bad_edges():
         Hypergraph3(5, ((0, 1, 3), (0, 1, 2)))
     with pytest.raises(ValueError, match="negative"):
         Hypergraph3(-1, ())
+    # lists would leave the value mutable and unhashable
+    with pytest.raises(ValueError, match="tuple of triples"):
+        Hypergraph3(4, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="not a triple"):
+        Hypergraph3(4, ([0, 1, 2],))
 
 
 def test_hypergraph_is_an_immutable_value():
@@ -162,8 +167,8 @@ def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nont
         d = berge_degree_matching(g, v)
         assert lp.degrees[v] == scattered.degrees[perm[v]] == d
     if g.vertex_count:
-        assert len(lp.nontree(0)) == len(scattered.nontree(0)) == nontree_0
-        assert lp.pairs(0) == link(g, 0).pairs
+        assert len(lp.nontree[0]) == len(scattered.nontree[0]) == nontree_0
+        assert tuple(sorted(lp.links[0])) == link(g, 0).pairs
 
 
 @settings(max_examples=120, deadline=None)
