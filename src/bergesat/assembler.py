@@ -405,7 +405,8 @@ def plan_witness(n, ell, m) -> Verdict:
 
 
 def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
-    """(plan_witness's verdict, the union of its blocks or None)."""
+    """(plan_witness's verdict, the union of its blocks or None).  A block
+    built with other (vertices, edges) than planned is an InternalError."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if m < 0:
@@ -415,6 +416,10 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
         return verdict, None
     # each block object is built once: the c cliques of a split share one graph
     built = {b: b.build(seed=seed, max_tries=max_tries) for b in dict.fromkeys(verdict.plan)}
+    for b, h in built.items():
+        if (h.vertex_count, len(h.edges)) != (b.vertices, b.edges):
+            raise InternalError(f"block {b.name} was built with {h.vertex_count} vertices "
+                                f"and {len(h.edges)} edges, not {b.vertices} and {b.edges}")
     return verdict, disjoint_union(*map(built.__getitem__, verdict.plan))
 
 

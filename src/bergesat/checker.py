@@ -34,19 +34,17 @@ only the candidates the rule cannot settle from d_B alone (see
 `_first_counterexample`): on the 10,008-vertex ell = 6 witness a full
 scan visits 16,038 of its 1.67e11 triples, about 0.06 s on a 2-core
 VM.  Both paths report the same verdict and the same lexicographically
-first counterexample.  For l = 5, `classify_link_5` names a link the
-caller has built, and `degree6_component_claim` checks the degree-6
-claim.
+first counterexample.  For l = 5, `classify_link_5` names a link from
+its pairs, as `LinkPass.links` holds them, by the shape map of
+`twographs`, and `degree6_component_claim` checks the degree-6 claim.
 """
 
 from collections import Counter
-from functools import cache
 from itertools import chain, combinations
 from typing import NamedTuple
 
 from .hypercore import (
     Hypergraph3,
-    LinkGraph,
     LinkPass,
     component_counts,
     link,  # noqa: F401  wrapped by name in perfbench/tracer.py
@@ -247,26 +245,19 @@ def aggressive_sufficient(g: Hypergraph3, ell: int) -> bool:
 
 # --- the ell = 5 link catalog ---------------------------------------------
 
-@cache
-def _catalog_forms() -> dict:
-    """Canonical form -> shape name, built on the first classification so
-    that the commands that classify nothing never import twographs."""
-    from . import twographs
-
-    return {twographs.canonical_form(range(k), p): name for name, (k, p) in twographs.LINK_SHAPES}
-
-
-def classify_link_5(l: LinkGraph) -> str:
-    """Label a link against the fixed small-shape catalog.
+def classify_link_5(pairs) -> str:
+    """Label a link, given by its pairs, against the fixed small-shape catalog.
 
     The canonical form does not depend on vertex labels, so the link is
-    read as built.  Returns "OTHER" for anything outside the catalog; in
-    a Berge-K_{1,5}-free graph that can only happen for |N(v)| <= 4 with
-    a link other than K4 or K4-.
+    read as built, in any pair order.  Returns "OTHER" for anything
+    outside the catalog; in a Berge-K_{1,5}-free graph that can only
+    happen for |N(v)| <= 4 with a link other than K4 or K4-.  twographs
+    is imported here, so commands that classify nothing never load it.
     """
     from . import twographs
 
-    return _catalog_forms().get(twographs.canonical_form(l.neighbors, l.pairs), "OTHER")
+    form = twographs.canonical_form(set(chain.from_iterable(pairs)), pairs)
+    return twographs.shape_names().get(form, "OTHER")
 
 
 def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:

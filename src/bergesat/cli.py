@@ -26,6 +26,7 @@ Every randomized command echoes the effective seed on its summary line.
 """
 
 import argparse
+from itertools import chain
 import json
 from math import comb
 import os
@@ -56,6 +57,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -273,9 +278,9 @@ def _cmd_classify_links(args):
     from . import checker
 
     g = _read_graph(args.graph)
-    index = hypercore.incidence_index(g)
-    links = (hypercore.link(g, v, index) for v in range(g.vertex_count))
-    rows = [(l.center, checker.classify_link_5(l)) for l in links if len(l.neighbors) >= 5]
+    lp = hypercore.LinkPass(g.vertex_count, g.edges)
+    rows = [(v, checker.classify_link_5(ps)) for v, ps in enumerate(lp.links)
+            if len(set(chain.from_iterable(ps))) >= 5]
     for v, label in rows:
         print(f"vertex {v}: {label}")
     _write_report(args, {"classes": {str(v): label for v, label in rows}})

@@ -83,6 +83,11 @@ class DegreeSpec(NamedTuple):
                 + [self.ell - 1] * (self.n - low - self.t))
 
     @property
+    def active(self) -> int:
+        """Vertices of positive degree: the low block has degree 0 at ell = 5."""
+        return self.n - (15 * self.k if self.ell == 5 else 0)
+
+    @property
     def edge_count(self) -> int:
         return (self.n * (self.ell - 1) - 60 * self.k - self.t) // 3
 
@@ -226,7 +231,7 @@ def refusal(spec: DegreeSpec, require_pair=True):
                 f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
                 f"{15 * k} low-degree vertices")
     blocks = ((ell - 5, 15 * k), (ell - 2, spec.t), (ell - 1, n - 15 * k - spec.t))
-    active = sum(size for d, size in blocks if d > 0)
+    active = spec.active
     d_max = max((d for d, size in blocks if d > 0 and size), default=0)
     head = f"no simple linear realization of (n={n}, ell={ell}, k={k})"
     if d_max and active < 2 * d_max + 1:
@@ -247,7 +252,7 @@ def _wants_exact_search(spec: DegreeSpec) -> bool:
     """At most 13 active vertices: the realizations are rigid packings
     (or do not exist at all), so the seeded backtracking search settles
     them, within a recursion depth of C(13, 2) / 3 = 26 edges."""
-    return sum(d > 0 for d in spec.degree_array()) <= 13
+    return spec.active <= 13
 
 
 def _sample_reject(spec, seed, max_tries, stats):
@@ -257,7 +262,7 @@ def _sample_reject(spec, seed, max_tries, stats):
     pts = np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
     if pts.size % 3:
         raise InternalError("degree sum not divisible by 3")
-    low_count = 15 * spec.k if spec.ell > 5 else 0
+    low_count = 15 * spec.k
     done = 0
     while done < max_tries:
         count = min(_BATCH, max_tries - done)
@@ -300,7 +305,7 @@ def _sample_hill(spec, seed, max_tries, stats):
     """
     stats.repaired = True
     n = spec.n
-    low = 15 * spec.k if spec.ell > 5 else 0
+    low = 15 * spec.k
     rnd = random.Random(seed)
     rd = spec.degree_array()
     live = [v for v in range(n) if rd[v] > 0]

@@ -16,9 +16,11 @@ host edges {v, x, y}.  The Berge degree of v is
 where tree(.) counts connected components of the link that are trees.
 It equals the size of a maximum matching between the hyperedges at v and
 the neighbors of v (the matching route is implemented independently in
-the oracle module and cross-checked in tests).  One union-find,
-`component_counts`, is the package's only component finder; `LinkPass`
-runs it on every link, with a shortcut for matching and complete links.
+the oracle module and cross-checked in tests).  `LinkPass` is the only
+whole-graph link builder; `link` scans the edges for one vertex, for
+`berge_degree` and `berge_witness`.  One union-find, `component_counts`,
+is the package's only component finder; `LinkPass` runs it on every
+link, with a shortcut for matching and complete links.
 
 All values here are immutable and all functions are pure; sharing across
 threads is safe: Hypergraph3 refuses assignment and compares and hashes
@@ -138,31 +140,13 @@ class BergeWitness(NamedTuple):
     assignment: tuple[tuple[tuple[int, int, int], int], ...]
 
 
-def incidence_index(g: Hypergraph3) -> list[list[int]]:
-    """Edge indices incident to each vertex.  Build once for whole-graph sweeps."""
-    idx: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for ei, (a, b, c) in enumerate(g.edges):
-        idx[a].append(ei)
-        idx[b].append(ei)
-        idx[c].append(ei)
-    return idx
-
-
-def link(g: Hypergraph3, v: int, index=None) -> LinkGraph:
-    """Link of v.  `index` may be a precomputed incidence_index(g)."""
+def link(g: Hypergraph3, v: int) -> LinkGraph:
+    """Link of v, from one scan of the edges; `LinkPass` builds every link
+    of a graph at once."""
     if not isinstance(v, int) or not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex id {v!r} out of range [0, {g.vertex_count - 1}]")
-    if index is not None:
-        es = (g.edges[i] for i in index[v])
-    else:
-        es = (e for e in g.edges if v in e)
-    pairs = []
-    nbrs = set()
-    for e in es:
-        p = tuple(x for x in e if x != v)
-        pairs.append(p)
-        nbrs.update(p)
-    return LinkGraph(v, tuple(sorted(nbrs)), tuple(sorted(pairs)))
+    pairs = sorted(tuple(x for x in e if x != v) for e in g.edges if v in e)
+    return LinkGraph(v, tuple(sorted(set(chain.from_iterable(pairs)))), tuple(pairs))
 
 
 class LinkPass:
@@ -236,13 +220,13 @@ def tree_components(l: LinkGraph) -> int:
     return sum(held[r] == s - 1 for r, s in size.items())
 
 
-def berge_degree(g: Hypergraph3, v: int, index=None) -> int:
+def berge_degree(g: Hypergraph3, v: int) -> int:
     """d_B(v) = |N(v)| - tree(L(v)), from the components of the link of v."""
-    l = link(g, v, index)
+    l = link(g, v)
     return len(l.neighbors) - tree_components(l)
 
 
-def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
+def berge_witness(g: Hypergraph3, v: int) -> BergeWitness:
     """A maximum Berge star at v, from one search per link component.
 
     Each non-root vertex of a search tree takes the pair to its parent.
@@ -250,7 +234,7 @@ def berge_witness(g: Hypergraph3, v: int, index=None) -> BergeWitness:
     which then takes (x, y), so only tree components leave a vertex
     without a pair: |N(v)| - tree(L(v)) = d_B(v) leaves in all.
     """
-    l = link(g, v, index)
+    l = link(g, v)
     adj: dict[int, list[int]] = {u: [] for u in l.neighbors}
     for x, y in l.pairs:
         adj[x].append(y)

@@ -24,6 +24,7 @@ Three tools live here, deliberately sharing no logic with the checker:
   disconnected shapes are all multisets of connected ones.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -278,7 +279,7 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
 # --- link catalog and the deficiency bound table ---------------------------
 
 # the published catalog rows: the named link shapes on five or more vertices
-_NAMED_ROWS = tuple(row for row in twographs.LINK_SHAPES if row[1][0] >= 5)
+_ROW_NAMES = tuple(name for name, (k, _) in twographs.LINK_SHAPES if k >= 5)
 
 PUBLISHED_BOUNDS = (18, 15, 15, 14, 12, 12, 9, 12, 9, 12, 9)
 
@@ -361,7 +362,8 @@ def enumerate_link_catalog() -> CatalogReport:
     that span at least 5 vertices are asserted to be exactly the named
     catalog, stratum by stratum, and for each named row both the
     recomputed bound 6 - |E| + 2*L1 + L2 + 2*L4 and the published value
-    are reported.
+    are reported.  Class names come from `twographs.shape_names`, so the
+    4-vertex K4 and K4- classes carry theirs too.
     """
     conn = _connected_classes(CATALOG_MAX_VERTICES, CATALOG_MAX_EDGES)
     conn_list = sorted(conn.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
@@ -381,9 +383,7 @@ def enumerate_link_catalog() -> CatalogReport:
 
     extend(0, 0, 0, [])
 
-    named_canon = {}
-    for name, (gn, gp) in _NAMED_ROWS:
-        named_canon[twographs.canonical_form(range(gn), gp)] = name
+    shape_names = twographs.shape_names()
 
     # combos are non-decreasing index tuples, so each is a distinct multiset
     classes = []
@@ -397,7 +397,7 @@ def enumerate_link_catalog() -> CatalogReport:
         for p in parts:
             degrees.extend(p[0][1])
         degrees = tuple(sorted(degrees))
-        name = named_canon.get(canon_multi)
+        name = shape_names.get(canon_multi)
         classes.append(
             LinkClass(nv, ne, tree, nv - tree, degrees, canon_multi, name)
         )
@@ -414,19 +414,18 @@ def enumerate_link_catalog() -> CatalogReport:
                     f"unexpected link class in stratum |N|={s}: degrees {c.degrees}"
                 )
 
-    computed = []
-    for name, (gn, gp) in _NAMED_ROWS:
-        canon = twographs.canonical_form(range(gn), gp)
-        match = [c for c in classes if c.canon == canon]
-        if len(match) != 1:
+    named = Counter(c.name for c in classes)
+    for name in _ROW_NAMES:
+        if named[name] != 1:
             raise InternalError(f"named class {name} not found exactly once")
-        c = match[0]
-        computed.append(_bound_from_structure(c.edge_count, c.degrees))
-    computed = tuple(computed)
-    names = tuple(r[0] for r in _NAMED_ROWS)
+    by_name = {c.name: c for c in classes}
+    computed = tuple(
+        _bound_from_structure(by_name[name].edge_count, by_name[name].degrees)
+        for name in _ROW_NAMES
+    )
     discrepancies = tuple(
-        names[i] for i in range(len(names)) if computed[i] != PUBLISHED_BOUNDS[i]
+        name for name, b, p in zip(_ROW_NAMES, computed, PUBLISHED_BOUNDS) if b != p
     )
     return CatalogReport(
-        classes, strata, computed, PUBLISHED_BOUNDS, discrepancies, names
+        classes, strata, computed, PUBLISHED_BOUNDS, discrepancies, _ROW_NAMES
     )

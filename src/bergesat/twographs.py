@@ -1,13 +1,16 @@
 """Small ordinary-graph helpers shared by the checker and the oracle.
 
 A 2-graph is a vertex list and a tuple of ascending vertex pairs; the
-named shapes below are (n, pairs) on 0..n-1.  Everything here targets
+named link shapes below are (n, pairs) on 0..n-1, and `shape_names` is
+the one map from a canonical form to its shape name, read by the
+checker's link labels and the oracle's catalog.  Everything here targets
 link-sized graphs, where brute-force canonical forms are exact, fast and
 label-free: a connected graph is canonicalized by minimizing its edge
 list over all degree-preserving relabelings, and a general graph by the
 sorted multiset of its component forms.
 """
 
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .hypercore import component_counts
@@ -126,3 +129,10 @@ LINK_SHAPES = (
     ("K4", complete(4)),
     ("K4-", complete_minus_edge(4)),
 )
+
+
+@cache
+def shape_names() -> dict:
+    """Canonical form -> name of each LINK_SHAPES entry, the package's one
+    form-to-name map, built on first use."""
+    return {canonical_form(range(k), p): name for name, (k, p) in LINK_SHAPES}

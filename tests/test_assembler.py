@@ -38,7 +38,6 @@ from bergesat.hypercore import (
     InternalError,
     LinkPass,
     disjoint_union,
-    incidence_index,
     make,
     write_h3,
 )
@@ -311,9 +310,8 @@ def test_planner_agrees_with_tiny_n_ground_truth():
 def test_witnesses_use_every_vertex_budget():
     v, g = build_spectrum_witness(45, 5, 64, seed=3)
     assert v.status == OK
-    idx = incidence_index(g)
     # the clique block leaves no isolated vertices behind
-    assert all(len(idx[u]) > 0 for u in range(g.vertex_count))
+    assert all(LinkPass(g.vertex_count, g.edges).links)
 
 
 def test_build_w_validates_parameters():

@@ -1,6 +1,7 @@
 """Saturation verdicts: fast path against full scan, tags, and the catalog."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 import time
 
 import pytest
@@ -30,7 +31,6 @@ from bergesat.hypercore import (
     LinkPass,
     berge_degree,
     disjoint_union,
-    incidence_index,
     link,
     make,
     remove_edge,
@@ -340,14 +340,14 @@ def test_aggressive_components_compose_under_disjoint_union():
 
 
 def test_link_classification_on_known_vertices():
-    assert classify_link_5(link(k5(), 0)) == "K4"
+    assert classify_link_5(link(k5(), 0).pairs) == "K4"
     # in D, the catalog promise holds for vertices with 5 or more
     # neighbors; smaller links may fall outside the named shapes
     d = gadget_D()
-    links = [link(d, v) for v in range(d.vertex_count)]
-    wide = [l for l in links if len(l.neighbors) >= 5]
+    links = LinkPass(d.vertex_count, d.edges).links
+    wide = [ps for ps in links if len(set(chain.from_iterable(ps))) >= 5]
     assert wide
-    labels = {classify_link_5(l) for l in wide}
+    labels = {classify_link_5(ps) for ps in wide}
     assert "OTHER" not in labels
 
 
@@ -376,11 +376,11 @@ def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():
     ]
     g = make(9, edges)
     assert is_berge_free(g, 5)
-    assert classify_link_5(link(g, 0)) == "K2+K1,3"
+    assert classify_link_5(link(g, 0).pairs) == "K2+K1,3"
     # the deficiency of the closed neighborhood: the sum of 6 - d(v)
-    index = incidence_index(g)
+    degree = Counter(chain.from_iterable(g.edges))
     closed = (0,) + link(g, 0).neighbors
-    assert sum(6 - len(index[v]) for v in closed) == 12
+    assert sum(6 - degree[v] for v in closed) == 12
 
 
 def test_verify_report_serializes():

@@ -508,27 +508,49 @@ def test_classify_links_per_vertex(tmp_path, capsys):
     assert out.count("K2+K3") == 6
 
 
-def test_classify_links_reuses_the_incidence_index(tmp_path, monkeypatch, capsys):
-    # one incidence index serves every link, and each link is built once
-    # and then classified; a link built without the index scans all
-    # edges, which makes the command quadratic in n
+def test_classify_links_reads_the_link_pass(tmp_path, monkeypatch, capsys):
+    # every link comes from one LinkPass over the graph; a link built by
+    # its own scan of the edges makes the command quadratic in n
     path = tmp_path / "w.h3"
     assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
                "-o", str(path), "--quiet") == 0
-    calls = []
-    link = hypercore.link
+    g = read_h3(path.read_text())
+    links = [hypercore.link(g, v) for v in range(g.vertex_count)]
+    want = "".join(f"vertex {l.center}: {checker.classify_link_5(l.pairs)}\n"
+                   for l in links if len(l.neighbors) >= 5)
 
-    def recorded(g, v, index=None):
-        calls.append((v, index is not None))
-        return link(g, v, index)
+    def scan(*args):
+        raise RuntimeError("classify-links built a link by scanning the edges")
 
-    # checker binds its own name for link; count builds through it too
-    monkeypatch.setattr(hypercore, "link", recorded)
-    monkeypatch.setattr(checker, "link", recorded)
+    # checker binds its own name for link; neither may be called
+    monkeypatch.setattr(hypercore, "link", scan)
+    monkeypatch.setattr(checker, "link", scan)
     assert run("classify-links", str(path)) == 0
-    assert capsys.readouterr().out.count("vertex ") > 0
-    n = read_h3(path.read_text()).vertex_count
-    assert calls == [(v, True) for v in range(n)]
+    assert want and capsys.readouterr().out == want
+
+
+def test_block_of_the_wrong_size_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # a clique block one isolated vertex too large still certifies, so
+    # only the build's size check keeps the 12-vertex graph unwritten
+    clique3 = gadgets.clique3
+    monkeypatch.setattr(gadgets, "clique3", lambda s: hypercore.disjoint_union(
+        clique3(s), Hypergraph3(1, ())))
+    out = tmp_path / "gap.h3"
+    assert run("build", "--n", "10", "--ell", "5", "--m", "20",
+               "-o", str(out), "--quiet") == 8
+    assert not out.exists()
+    assert "block K_5" in capsys.readouterr().err
+
+
+def test_artifacts_follow_the_umask(tmp_path):
+    out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
+    umask = os.umask(0o022)
+    try:
+        assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
+                   "-o", str(out), "--report", str(rep), "--quiet") == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == rep.stat().st_mode & 0o777 == 0o644
 
 
 def test_no_partial_artifact_after_infeasible_build(tmp_path):

@@ -21,7 +21,6 @@ from bergesat.hypercore import (
     berge_degree,
     berge_witness,
     disjoint_union,
-    incidence_index,
     link,
     make,
     read_h3,
@@ -83,9 +82,9 @@ def test_degree_and_link_on_a_known_graph():
     l = link(g, 0)
     assert l.neighbors == (1, 2, 3)
     assert l.pairs == ((1, 2), (1, 3))
-    idx = incidence_index(g)
-    assert [len(es) for es in idx] == [2, 2, 2, 2, 1]
-    assert link(g, 2, idx).pairs == ((0, 1), (3, 4))
+    links = LinkPass(g.vertex_count, g.edges).links
+    assert [len(ps) for ps in links] == [2, 2, 2, 2, 1]
+    assert link(g, 2).pairs == ((0, 1), (3, 4))
 
 
 def test_vertex_range_checked():
@@ -174,10 +173,9 @@ def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nont
 @settings(max_examples=120, deadline=None)
 @given(small_3graphs())
 def test_witness_matches_degree_and_is_a_valid_berge_star(g):
-    idx = incidence_index(g)
     for v in range(g.vertex_count):
-        d = berge_degree(g, v, idx)
-        w = berge_witness(g, v, idx)
+        d = berge_degree(g, v)
+        w = berge_witness(g, v)
         assert w.center == v
         assert len(w.assignment) == d == berge_degree_matching(g, v)
         leaves = [leaf for _, leaf in w.assignment]

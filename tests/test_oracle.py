@@ -13,8 +13,8 @@ from bergesat import twographs
 from bergesat.checker import is_saturated
 from bergesat.hypercore import (
     Hypergraph3,
+    LinkPass,
     berge_degree,
-    incidence_index,
     make,
 )
 from bergesat.oracle import (
@@ -33,9 +33,9 @@ from conftest import small_3graphs
 @settings(max_examples=150, deadline=None)
 @given(small_3graphs())
 def test_matching_route_equals_formula_route(g):
-    idx = incidence_index(g)
+    lp = LinkPass(g.vertex_count, g.edges)
     for v in range(g.vertex_count):
-        assert berge_degree_matching(g, v) == berge_degree(g, v, idx)
+        assert berge_degree_matching(g, v) == lp.degrees[v] == berge_degree(g, v)
 
 
 def test_single_triple_baseline():
