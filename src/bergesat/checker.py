@@ -18,8 +18,8 @@ of old neighbors, one of them in a tree component, lowers the tree count
 by one: it merges that tree into another component or closes a cycle in
 it.  A pair of two vertices in non-tree components changes neither.  So
 one `hypercore.LinkPass` over the whole graph suffices, and each absent
-triple costs a few set lookups.  The checker reads the pass's NT sets
-in place, and L(v), unsorted, only for the Type II candidates.
+triple costs a few lookups.  The checker reads the pass's NT sets in
+place, and derives L(v), unsorted, only for the Type II candidates.
 
 The fast path rests on the tagged-vertex lemma: an absent triple through
 a Type I or Type II vertex always creates a new Berge star, so only
@@ -35,10 +35,11 @@ only the candidates the rule cannot settle from d_B alone (see
 scan visits 16,038 of its 1.67e11 triples, about 0.06 s on a 2-core
 VM.  Both paths report the same verdict and the same lexicographically
 first counterexample.  For l = 5, `classify_link_5` names a link from
-its pairs, as `LinkPass.links` holds them, by the shape map of
+its pairs, as `LinkPass.pairs` derives them, by the shape map of
 `twographs`, and `degree6_component_claim` checks the degree-6 claim.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations
 from typing import NamedTuple
@@ -158,7 +159,7 @@ def _classify(ell, lp):
         if type_i[v]:
             tags.append(TYPE_I)
         elif d == ell - 1 and all(
-            type_i[x] or type_i[y] for x, y in _neutral_pairs(lp.links[v], lp.nontree[v])
+            type_i[x] or type_i[y] for x, y in _neutral_pairs(lp.pairs(v), lp.nontree[v])
         ):
             tags.append(TYPE_II)
         else:
@@ -178,16 +179,15 @@ def classify_aggressive(g: Hypergraph3, ell: int) -> AggressiveClass:
     return _classify(ell, LinkPass(g.vertex_count, g.edges))
 
 
-def _first_counterexample(g, nontree, degrees, ell, pool):
+def _first_counterexample(through, nontree, degrees, ell, pool):
     """Lexicographically first absent triple inside pool that creates no
-    Berge K_{1,ell}, or None.  g must be free.
+    Berge K_{1,ell}, or None; the graph must be free.
 
     By the rule, a full vertex v (d_B(v) = ell-1) stays short only when
     the other two lie in NT(v), and a vertex below ell-1 never lifts.  So
     for a < b < c, b runs over NT(a) when a is full and c over the NT of
     the full ones among a and b; the triples skipped all lift.  Each
-    candidate is still decided by `_lifts`."""
-    present = set(g.edges)
+    candidate absent from through[a] is still decided by `_lifts`."""
     pool = tuple(pool)
     rank = {v: i for i, v in enumerate(pool)}
 
@@ -196,15 +196,17 @@ def _first_counterexample(g, nontree, degrees, ell, pool):
         nts = [nontree[u] for u in members if degrees[u] == ell - 1]
         if not nts:
             return pool[rank[v] + 1:]
-        return sorted(x for x in nts[0].intersection(*nts[1:]) if x > v and x in rank)
+        return sorted(x for x in set(nts[0]).intersection(*nts[1:]) if x > v and x in rank)
 
     for a in pool:
         for b in above(a, a):
             if degrees[b] == ell - 1 and a not in nontree[b]:
                 continue
             for c in above(b, a, b):
-                if (a, b, c) not in present and not _lifts(nontree, degrees, (a, b, c), ell):
-                    return a, b, c
+                e, es = (a, b, c), through[a]
+                i = bisect_left(es, e)
+                if e not in es[i:i + 1] and not _lifts(nontree, degrees, e, ell):
+                    return e
     return None
 
 
@@ -227,7 +229,7 @@ def is_saturated(g: Hypergraph3, ell: int, full_scan: bool = False) -> VerifyRep
         return VerifyReport(ell, False, False, dbs, aggressive, bad)
 
     pool = range(g.vertex_count) if full_scan else aggressive.untagged()
-    counterexample = _first_counterexample(g, lp.nontree, dbs, ell, pool)
+    counterexample = _first_counterexample(lp.through, lp.nontree, dbs, ell, pool)
     return VerifyReport(
         ell, True, counterexample is None, dbs, aggressive, counterexample
     )
@@ -256,8 +258,10 @@ def classify_link_5(pairs) -> str:
     """
     from . import twographs
 
-    form = twographs.canonical_form(set(chain.from_iterable(pairs)), pairs)
-    return twographs.shape_names().get(form, "OTHER")
+    verts = set(chain.from_iterable(pairs))
+    if (len(verts), len(pairs)) not in twographs.SHAPE_SIZES:
+        return "OTHER"
+    return twographs.shape_names().get(twographs.canonical_form(verts, pairs), "OTHER")
 
 
 def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:

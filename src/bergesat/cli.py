@@ -53,7 +53,10 @@ def _say(args, text):
 
 def _atomic_write(path, text):
     folder = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".part")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -279,8 +282,8 @@ def _cmd_classify_links(args):
 
     g = _read_graph(args.graph)
     lp = hypercore.LinkPass(g.vertex_count, g.edges)
-    rows = [(v, checker.classify_link_5(ps)) for v, ps in enumerate(lp.links)
-            if len(set(chain.from_iterable(ps))) >= 5]
+    rows = [(v, checker.classify_link_5(ps)) for v in range(g.vertex_count)
+            if len(set(chain.from_iterable(ps := lp.pairs(v)))) >= 5]
     for v, label in rows:
         print(f"vertex {v}: {label}")
     _write_report(args, {"classes": {str(v): label for v, label in rows}})

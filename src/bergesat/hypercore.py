@@ -28,7 +28,7 @@ by value, and the records are named tuples.
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 import json
 from typing import NamedTuple
 
@@ -114,10 +114,6 @@ class Hypergraph3:
     def __repr__(self):
         return f"Hypergraph3(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def make(vertex_count, edges) -> Hypergraph3:
     """Build a Hypergraph3 from any iterable of triples, sorting as needed."""
@@ -160,38 +156,44 @@ class LinkPass:
     d_B(v) = k, NT(v) = N(v).  Any other link runs `component_counts`
     over its pairs, and a component is a tree iff it has one pair fewer
     than vertices.  The fields are read in place, indexed by vertex:
-    links[v] lists the pairs of L(v) unsorted, nontree[v] is NT(v),
-    degrees[v] = d_B(v) = |N(v)| - trees(v), and clique[v] holds iff
-    NT(v) is a clique in L(v), i.e. v's non-tree components have
-    C(|NT(v)|, 2) pairs.
+    through[v] lists the given triples through v, in order (ascending
+    for a Hypergraph3), and `pairs(v)` derives L(v) from them; nontree[v]
+    is NT(v), a tuple for a complete link, else a frozenset; degrees[v] =
+    d_B(v) = |N(v)| - trees(v), and clique[v] holds iff NT(v) is a clique
+    in L(v), i.e. v's non-tree components have C(|NT(v)|, 2) pairs.
     """
 
     def __init__(self, n, edges):
-        self.links = links = [[] for _ in range(n)]
-        for a, b, c in edges:
-            links[a].append((b, c))
-            links[b].append((a, c))
-            links[c].append((a, b))
+        self.through = through = [[] for _ in range(n)]
+        for e in edges:
+            a, b, c = e
+            through[a].append(e)
+            through[b].append(e)
+            through[c].append(e)
         self.nontree = [frozenset()] * n
         self.clique = [True] * n
-        degrees = [len(ps) for ps in links]
-        for v, ps in enumerate(links):
-            if not ps:
+        degrees = [len(es) for es in through]
+        for v, es in enumerate(through):
+            if not es:
                 continue
-            nbrs = frozenset(chain.from_iterable(ps))
+            nbrs = set(chain.from_iterable(es)) - {v}
             k = len(nbrs)
-            if k == 2 * len(ps):
+            if k == 2 * len(es):
                 continue
-            if k * (k - 1) == 2 * len(ps):
-                degrees[v], self.nontree[v] = k, nbrs
+            if k * (k - 1) == 2 * len(es):
+                degrees[v], self.nontree[v] = k, tuple(nbrs)
                 continue
-            label, size, held = component_counts(ps)
+            label, size, held = component_counts(self.pairs(v))
             cyclic = {r for r, s in size.items() if held[r] >= s}
             nt = frozenset(x for x, r in label.items() if r in cyclic)
             degrees[v] = k - len(size) + len(cyclic)
             self.clique[v] = sum(held[r] for r in cyclic) == len(nt) * (len(nt) - 1) // 2
             self.nontree[v] = nt
         self.degrees = tuple(degrees)
+
+    def pairs(self, v):
+        """The pairs of L(v), unsorted: each edge through v less v."""
+        return [(b, c) if v == a else (a, c) if v == b else (a, b) for a, b, c in self.through[v]]
 
 
 def component_counts(pairs):
@@ -273,11 +275,12 @@ def berge_witness(g: Hypergraph3, v: int) -> BergeWitness:
 def disjoint_union(*parts: Hypergraph3) -> Hypergraph3:
     """The parts side by side, each shifted up by the vertex counts before
     it.  Each part's edges are sorted and the shifts ascend, so the
-    concatenation is already canonical."""
+    concatenation is already canonical; unshifted parts lend their triples."""
     edges = []
     shift = 0
     for g in parts:
-        edges.extend((x + shift, y + shift, z + shift) for x, y, z in g.edges)
+        edges.extend(((x + shift, y + shift, z + shift) for x, y, z in g.edges)
+                     if shift else g.edges)
         shift += g.vertex_count
     return Hypergraph3(shift, tuple(edges))
 
@@ -313,17 +316,24 @@ def write_h3(g: Hypergraph3) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text, chunk=1 << 15):
+    """The lines of text.split("\n"), split some 32K characters at a time."""
+    start = 0
+    while (end := text.find("\n", start + chunk)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
+
+
 def read_h3(text: str) -> Hypergraph3:
     """Parse the .h3 format.  Raises FormatError with a 1-based line number."""
-    header = None
+    m = None  # until the header is read
     edges = []
-    linenos = []  # of each edge, read only to place an _EdgeError
-    expect = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
-        if header is None:
+        if m is None:
             if len(parts) != 3 or parts[0] != "h3":
                 raise FormatError(f"expected header 'h3 <n> <m>', got {raw!r}", lineno)
             try:
@@ -333,8 +343,6 @@ def read_h3(text: str) -> Hypergraph3:
             if n < 0 or m < 0:
                 raise FormatError(f"negative count in header {raw!r}", lineno)
             _check_vertex_cap(n, lineno)
-            header = (n, m)
-            expect = m
             continue
         if len(parts) != 3:
             raise FormatError(f"expected 3 vertex ids, got {raw!r}", lineno)
@@ -342,19 +350,20 @@ def read_h3(text: str) -> Hypergraph3:
             a, b, c = map(int, parts)
         except ValueError:
             raise FormatError(f"non-integer vertex id in {raw!r}", lineno)
-        if len(edges) >= expect:
-            raise FormatError(f"more than {expect} edge lines", lineno)
+        if len(edges) >= m:
+            raise FormatError(f"more than {m} edge lines", lineno)
         edges.append((a, b, c))
-        linenos.append(lineno)
-    if header is None:
+    if m is None:
         raise FormatError("missing 'h3 <n> <m>' header")
-    n, m = header
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
     try:
         return Hypergraph3(n, tuple(edges))
     except _EdgeError as exc:
-        raise FormatError(str(exc), linenos[exc.pos]) from exc
+        # a second scan, on this error path only: edge pos is on the
+        # (pos + 2)-th line that is neither blank nor a comment
+        kept = (i for i, raw in enumerate(_lines(text), 1) if raw.lstrip()[:1] not in ("", "#"))
+        raise FormatError(str(exc), next(islice(kept, exc.pos + 1, None))) from exc
 
 
 def write_json(g: Hypergraph3) -> str:

@@ -130,6 +130,9 @@ LINK_SHAPES = (
     ("K4-", complete_minus_edge(4)),
 )
 
+# (vertices, pairs) of each named shape, none with an isolated vertex
+SHAPE_SIZES = frozenset((k, len(p)) for _, (k, p) in LINK_SHAPES)
+
 
 @cache
 def shape_names() -> dict:

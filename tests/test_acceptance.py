@@ -315,7 +315,8 @@ def test_criterion_9_structural_claims(capsys):
             assert rep.is_saturated, tag
             assert degree6_component_claim(g, rep), tag
             checked_claim += 1
-            for v, ps in enumerate(LinkPass(g.vertex_count, g.edges).links):
+            lp = LinkPass(g.vertex_count, g.edges)
+            for v, ps in enumerate(map(lp.pairs, range(g.vertex_count))):
                 if len(set(chain.from_iterable(ps))) >= 5:
                     assert classify_link_5(ps) != "OTHER", (tag, v)
                     checked_links += 1

@@ -311,7 +311,7 @@ def test_witnesses_use_every_vertex_budget():
     v, g = build_spectrum_witness(45, 5, 64, seed=3)
     assert v.status == OK
     # the clique block leaves no isolated vertices behind
-    assert all(LinkPass(g.vertex_count, g.edges).links)
+    assert all(LinkPass(g.vertex_count, g.edges).through)
 
 
 def test_build_w_validates_parameters():

@@ -212,8 +212,8 @@ def test_link_pass_matches_a_component_search_per_link(g, pick):
     lp = LinkPass(g.vertex_count, g.edges)
     assert lp.degrees == tuple(d for _, _, d in rows)
     for v, (pairs, nt, _) in enumerate(rows):
-        assert lp.nontree[v] == nt
-        assert tuple(sorted(lp.links[v])) == pairs
+        assert sorted(lp.nontree[v]) == sorted(nt)
+        assert tuple(sorted(lp.pairs(v))) == pairs
     # tag at an ell where the picked vertex sits at Berge degree ell - 1
     ell = 1 + rows[pick % g.vertex_count][2]
     assert classify_aggressive(g, ell).tags == _reference_tags(rows, ell)
@@ -344,11 +344,29 @@ def test_link_classification_on_known_vertices():
     # in D, the catalog promise holds for vertices with 5 or more
     # neighbors; smaller links may fall outside the named shapes
     d = gadget_D()
-    links = LinkPass(d.vertex_count, d.edges).links
+    lp = LinkPass(d.vertex_count, d.edges)
+    links = [lp.pairs(v) for v in range(d.vertex_count)]
     wide = [ps for ps in links if len(set(chain.from_iterable(ps))) >= 5]
     assert wide
     labels = {classify_link_5(ps) for ps in wide}
     assert "OTHER" not in labels
+
+
+def test_link_classification_canonicalizes_only_the_sizes_of_shapes(monkeypatch):
+    # each named shape keeps its name under relabelling; a link of a
+    # (vertices, pairs) size that no shape has is OTHER with no canonical
+    # form computed: K5, 5K2 and the 6-cycle here
+    for name, (k, pairs) in twographs.LINK_SHAPES:
+        assert classify_link_5([(3 * x + 7, 3 * y + 7) for x, y in pairs]) == name
+
+    def refuse(*args):
+        raise AssertionError("canonicalized a link that no shape can match")
+
+    monkeypatch.setattr(twographs, "canonical_form", refuse)
+    for pairs in (list(combinations(range(5), 2)),
+                  [(2 * i, 2 * i + 1) for i in range(5)],
+                  [(i, i + 1) for i in range(5)] + [(0, 5)]):
+        assert classify_link_5(pairs) == "OTHER"
 
 
 def test_degree6_component_claim_on_clique_unions():

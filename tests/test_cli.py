@@ -553,6 +553,16 @@ def test_artifacts_follow_the_umask(tmp_path):
     assert out.stat().st_mode & 0o777 == rep.stat().st_mode & 0o777 == 0o644
 
 
+def test_unwritable_report_names_the_requested_path(tmp_path, capsys):
+    k5 = tmp_path / "k5.h3"
+    k5.write_text(write_h3(Hypergraph3(5, tuple(combinations(range(5), 3)))))
+    rep = tmp_path / "missing" / "r.json"
+    assert run("verify", str(k5), "--ell", "3", "--report", str(rep)) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{rep}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_no_partial_artifact_after_infeasible_build(tmp_path):
     out = tmp_path / "none.h3"
     assert run("build", "--n", "45", "--ell", "5", "--m", "88",

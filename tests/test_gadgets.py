@@ -97,9 +97,9 @@ def test_lantern_and_sun_reject_small_ell():
 
 def test_lantern_degrees_split_spine_from_groups():
     g = lantern(5)
-    links = LinkPass(g.vertex_count, g.edges).links
-    assert [len(links[v]) for v in range(6)] == [4] * 6
-    assert [len(links[v]) for v in range(6, 15)] == [5] * 9
+    through = LinkPass(g.vertex_count, g.edges).through
+    assert [len(through[v]) for v in range(6)] == [4] * 6
+    assert [len(through[v]) for v in range(6, 15)] == [5] * 9
 
 
 @pytest.mark.parametrize("n", (16, 20, 31))

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from bergesat.hypercore import (
     write_json,
 )
 
+from bergesat.assembler import build_spectrum_witness
 from bergesat.oracle import berge_degree_matching
 
 from conftest import small_3graphs
@@ -82,8 +84,8 @@ def test_degree_and_link_on_a_known_graph():
     l = link(g, 0)
     assert l.neighbors == (1, 2, 3)
     assert l.pairs == ((1, 2), (1, 3))
-    links = LinkPass(g.vertex_count, g.edges).links
-    assert [len(ps) for ps in links] == [2, 2, 2, 2, 1]
+    through = LinkPass(g.vertex_count, g.edges).through
+    assert [len(es) for es in through] == [2, 2, 2, 2, 1]
     assert link(g, 2).pairs == ((0, 1), (3, 4))
 
 
@@ -167,7 +169,7 @@ def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nont
         assert lp.degrees[v] == scattered.degrees[perm[v]] == d
     if g.vertex_count:
         assert len(lp.nontree[0]) == len(scattered.nontree[0]) == nontree_0
-        assert tuple(sorted(lp.links[0])) == link(g, 0).pairs
+        assert tuple(sorted(lp.pairs(0))) == link(g, 0).pairs
 
 
 @settings(max_examples=120, deadline=None)
@@ -214,6 +216,33 @@ def test_add_and_remove_edge():
 def test_h3_and_json_round_trip(g):
     assert read_h3(write_h3(g)) == g
     assert read_json(write_json(g)) == g
+
+
+def _largest_witness():
+    """The (10008, 6, 25590) witness, mostly a linear layer and 891 K6 blocks."""
+    _, g = build_spectrum_witness(10008, 6, 25590, seed=0)
+    return g
+
+
+def test_h3_round_trip_on_the_largest_witness():
+    g = _largest_witness()
+    assert len(g.edges) > 10**4
+    assert read_h3(write_h3(g)) == g
+
+
+def test_link_pass_makes_no_object_per_incidence():
+    # the pass lists the host's own edge tuples per vertex and keeps each
+    # complete link's NT set as a tuple; a pair tuple per incidence and a
+    # frozenset per complete link held about 393 B per edge
+    g = _largest_witness()
+    tracemalloc.start()
+    try:
+        lp = LinkPass(g.vertex_count, g.edges)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(lp.degrees) == 5 and sum(map(len, lp.through)) == 3 * len(g.edges)
+    assert held / len(g.edges) < 150
 
 
 def test_h3_write_is_canonical_fixed_point():
