@@ -21,11 +21,9 @@ _HOME = {
     name: module
     for module, names in {
         "assembler": ("Verdict", "build_spectrum_witness", "ex_formula", "sat_formula"),
-        "checker": ("VerifyReport", "aggressive_sufficient", "classify_aggressive",
-                    "is_berge_free", "is_saturated"),
+        "checker": ("VerifyReport", "aggressive_sufficient", "is_saturated"),
         "hypercore": ("FormatError", "Hypergraph3", "InternalError", "SamplerBudgetError",
-                      "berge_degree", "berge_witness", "link", "make", "read_h3",
-                      "read_json", "write_h3", "write_json"),
+                      "link", "make", "read_h3", "read_json", "write_h3", "write_json"),
         "confmodel": ("DegreeSpec", "NoDisjointPair", "degree_spec", "sample_linear"),
     }.items()
     for name in names

@@ -114,35 +114,6 @@ def _lifts(nontree, degrees, e, ell) -> bool:
     )
 
 
-def is_berge_free(g: Hypergraph3, ell: int) -> bool:
-    """True iff every Berge degree is at most ell-1."""
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    return all(d <= ell - 1 for d in LinkPass(g.vertex_count, g.edges).degrees)
-
-
-def creates_new_berge(g: Hypergraph3, e, ell: int) -> bool:
-    """Does adding the absent triple e create a Berge K_{1,ell}?
-
-    Only the three vertices of e can gain Berge degree: every other link,
-    and in particular every potential star elsewhere, is unchanged.  The
-    caller is expected to pass a Berge-K_{1,ell}-free g (a star that
-    avoids e would contradict freeness, so any new star must use e).
-    """
-    e = tuple(sorted(e))
-    if len(set(e)) != 3:
-        raise ValueError(f"triple {e!r} has repeated vertices")
-    if e in g.edges:
-        raise ValueError(f"edge {e} already present")
-    if e[0] < 0 or e[2] >= g.vertex_count:
-        raise ValueError(f"triple {e!r} out of range [0, {g.vertex_count - 1}]")
-    through = [x for x in g.edges if e[0] in x or e[1] in x or e[2] in x]
-    # compact ids, e's first, so the pass is sized to these edges and not to n
-    ids = {v: i for i, v in enumerate(dict.fromkeys(chain(e, *through)))}
-    lp = LinkPass(len(ids), [(ids[a], ids[b], ids[c]) for a, b, c in through])
-    return _lifts(lp.nontree, lp.degrees, (0, 1, 2), ell)
-
-
 def _neutral_pairs(pairs, nontree):
     """Absent link pairs that leave d_B unchanged: non-adjacent pairs of NT."""
     present = set(pairs)
@@ -152,6 +123,9 @@ def _neutral_pairs(pairs, nontree):
 
 
 def _classify(ell, lp):
+    """Tag every vertex Type I, Type II, or neither, in two passes: Type
+    II consults the finished Type I marks (the definition does not recurse
+    further)."""
     # Type I: no neutral pair, i.e. NT(v) is a clique in L(v)
     type_i = [d == ell - 1 and c for d, c in zip(lp.degrees, lp.clique)]
     tags = []
@@ -165,18 +139,6 @@ def _classify(ell, lp):
         else:
             tags.append(None)
     return AggressiveClass(ell, tuple(tags))
-
-
-def classify_aggressive(g: Hypergraph3, ell: int) -> AggressiveClass:
-    """Tag every vertex Type I, Type II, or neither.
-
-    Two passes: Type I is decided per vertex in isolation, Type II then
-    consults the finished Type I marks (the definition does not recurse
-    further).
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    return _classify(ell, LinkPass(g.vertex_count, g.edges))
 
 
 def _first_counterexample(through, nontree, degrees, ell, pool):
@@ -273,7 +235,7 @@ def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) 
     """
     if report is None:
         report = is_saturated(g, 5)
-    if not report.is_saturated:
+    if report.ell != 5 or not report.is_saturated:
         raise ValueError("claim requires a Berge-K_{1,5}-saturated input")
     # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
     # so a component with 10 edges counts 20 pairs

@@ -16,11 +16,13 @@ host edges {v, x, y}.  The Berge degree of v is
 where tree(.) counts connected components of the link that are trees.
 It equals the size of a maximum matching between the hyperedges at v and
 the neighbors of v (the matching route is implemented independently in
-the oracle module and cross-checked in tests).  `LinkPass` is the only
-whole-graph link builder; `link` scans the edges for one vertex, for
-`berge_degree` and `berge_witness`.  One union-find, `component_counts`,
-is the package's only component finder; `LinkPass` runs it on every
-link, with a shortcut for matching and complete links.
+the oracle module and cross-checked in tests).  `LinkPass` is the
+package's one answer for links, Berge degrees and NT sets; `link` and
+`tree_components` compute one link and its tree count on their own, as
+a sorted reference for the tests and a named hook for perfbench's
+tracer.  One union-find, `component_counts`, is the package's only
+component finder; `LinkPass` runs it on every link, with a shortcut for
+matching and complete links.
 
 All values here are immutable and all functions are pure; sharing across
 threads is safe: Hypergraph3 refuses assignment and compares and hashes
@@ -129,16 +131,10 @@ class LinkGraph(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-class BergeWitness(NamedTuple):
-    """An explicit Berge star at center: distinct edges mapped to distinct leaves."""
-
-    center: int
-    assignment: tuple[tuple[tuple[int, int, int], int], ...]
-
-
 def link(g: Hypergraph3, v: int) -> LinkGraph:
-    """Link of v, from one scan of the edges; `LinkPass` builds every link
-    of a graph at once."""
+    """Link of v, sorted, from one scan of the edges.  No command calls
+    it: `LinkPass` builds every link of a graph at once, and this is the
+    tests' sorted reference and a name perfbench's tracer wraps."""
     if not isinstance(v, int) or not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex id {v!r} out of range [0, {g.vertex_count - 1}]")
     pairs = sorted(tuple(x for x in e if x != v) for e in g.edges if v in e)
@@ -220,56 +216,6 @@ def tree_components(l: LinkGraph) -> int:
     """Number of link components C with |E(C)| = |V(C)| - 1."""
     _, size, held = component_counts(l.pairs)
     return sum(held[r] == s - 1 for r, s in size.items())
-
-
-def berge_degree(g: Hypergraph3, v: int) -> int:
-    """d_B(v) = |N(v)| - tree(L(v)), from the components of the link of v."""
-    l = link(g, v)
-    return len(l.neighbors) - tree_components(l)
-
-
-def berge_witness(g: Hypergraph3, v: int) -> BergeWitness:
-    """A maximum Berge star at v, from one search per link component.
-
-    Each non-root vertex of a search tree takes the pair to its parent.
-    A component with a pair (x, y) outside its tree is rerooted at x,
-    which then takes (x, y), so only tree components leave a vertex
-    without a pair: |N(v)| - tree(L(v)) = d_B(v) leaves in all.
-    """
-    l = link(g, v)
-    adj: dict[int, list[int]] = {u: [] for u in l.neighbors}
-    for x, y in l.pairs:
-        adj[x].append(y)
-        adj[y].append(x)
-    parent: dict[int, int | None] = {}
-    assignment = []
-    for root in l.neighbors:
-        if root in parent:
-            continue
-        parent[root] = None
-        order, spare = [root], None
-        for u in order:
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                elif spare is None and w != parent[u] and parent[w] != u:
-                    spare = (u, w)
-        if spare is not None:
-            # reroot at the spare pair's first end by reversing its tree
-            # path; the pair itself becomes that end's link to its parent
-            u, up = spare
-            while u is not None:
-                nxt = parent[u]
-                parent[u] = up
-                u, up = nxt, u
-        for u in order:
-            if parent[u] is not None:
-                assignment.append((tuple(sorted((v, u, parent[u]))), u))
-
-    if len(assignment) != len(l.neighbors) - tree_components(l):
-        raise InternalError(f"witness at {v} is not a maximum Berge star")
-    return BergeWitness(v, tuple(assignment))
 
 
 def disjoint_union(*parts: Hypergraph3) -> Hypergraph3:

@@ -14,11 +14,8 @@ from bergesat.checker import (
     TYPE_II,
     _lifts,
     aggressive_sufficient,
-    classify_aggressive,
     classify_link_5,
-    creates_new_berge,
     degree6_component_claim,
-    is_berge_free,
     is_saturated,
 )
 from bergesat import twographs
@@ -29,7 +26,6 @@ from bergesat.gadgets import (
 from bergesat.hypercore import (
     Hypergraph3,
     LinkPass,
-    berge_degree,
     disjoint_union,
     link,
     make,
@@ -45,9 +41,9 @@ def k5():
 
 
 def test_free_means_degree_cap():
-    assert is_berge_free(k5(), 5)
-    assert not is_berge_free(k5(), 4)
-    assert is_berge_free(Hypergraph3(6, ()), 1)
+    assert is_saturated(k5(), 5).is_free
+    assert not is_saturated(k5(), 4).is_free
+    assert is_saturated(Hypergraph3(6, ()), 1).is_free
 
 
 def test_k5_is_saturated_at_ell_5():
@@ -216,7 +212,7 @@ def test_link_pass_matches_a_component_search_per_link(g, pick):
         assert tuple(sorted(lp.pairs(v))) == pairs
     # tag at an ell where the picked vertex sits at Berge degree ell - 1
     ell = 1 + rows[pick % g.vertex_count][2]
-    assert classify_aggressive(g, ell).tags == _reference_tags(rows, ell)
+    assert is_saturated(g, ell).aggressive.tags == _reference_tags(rows, ell)
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,12 +241,13 @@ def test_creates_new_berge_matches_the_matching_oracle(g, slack):
     ell = 1 + slack + max(
         (berge_degree_matching(g, v) for v in range(g.vertex_count)), default=0
     )
+    lp = LinkPass(g.vertex_count, g.edges)
     for e in combinations(range(g.vertex_count), 3):
         if e in g.edges:
             continue
         h = make(g.vertex_count, g.edges + (e,))
         expected = any(berge_degree_matching(h, v) >= ell for v in e)
-        assert creates_new_berge(g, e, ell) == expected
+        assert _lifts(lp.nontree, lp.degrees, e, ell) == expected
 
 
 def test_fast_path_and_full_scan_agree_on_a_built_witness_minus_an_edge():
@@ -281,15 +278,12 @@ def test_creates_new_berge_examples():
     # one triple: adding a second through 0 lifts 0 to Berge degree 2,
     # and any triple sharing a vertex does the same for that vertex
     g = make(7, [(0, 1, 2)])
-    assert creates_new_berge(g, (0, 3, 4), 2)
-    assert not creates_new_berge(g, (0, 3, 4), 3)
-    assert creates_new_berge(g, (2, 3, 4), 2)
+    lp = LinkPass(g.vertex_count, g.edges)
+    assert _lifts(lp.nontree, lp.degrees, (0, 3, 4), 2)
+    assert not _lifts(lp.nontree, lp.degrees, (0, 3, 4), 3)
+    assert _lifts(lp.nontree, lp.degrees, (2, 3, 4), 2)
     # a vertex-disjoint triple leaves every Berge degree at 1
-    assert not creates_new_berge(g, (3, 4, 5), 2)
-    for bad, problem in (((3, 4, 7), "out of range"), ((3, 3, 4), "repeated"),
-                         ((0, 1, 2), "already present")):
-        with pytest.raises(ValueError, match=problem):
-            creates_new_berge(g, bad, 2)
+    assert not _lifts(lp.nontree, lp.degrees, (3, 4, 5), 2)
 
 
 def test_two_broken_lanterns_saturated_three_not():
@@ -306,18 +300,17 @@ def test_two_broken_lanterns_saturated_three_not():
 
 
 def test_lantern_tags_split_into_both_types():
-    cls = classify_aggressive(lantern(5), 5)
-    tags = cls.tags
+    tags = is_saturated(lantern(5), 5).aggressive.tags
     assert len(tags) == 15 and all(t is not None for t in tags)
     assert sum(1 for t in tags if t == TYPE_I) == 6
     assert sum(1 for t in tags if t == TYPE_II) == 9
 
 
 def test_broken_lantern_has_one_untagged_vertex():
-    cls = classify_aggressive(broken_lantern(), 5)
-    assert len(cls.untagged()) == 1
-    v = cls.untagged()[0]
-    assert berge_degree(broken_lantern(), v) == 3
+    rep = is_saturated(broken_lantern(), 5)
+    assert len(rep.aggressive.untagged()) == 1
+    v = rep.aggressive.untagged()[0]
+    assert rep.berge_degrees[v] == 3
 
 
 def test_aggressive_sufficient_on_the_block_components():
@@ -378,6 +371,11 @@ def test_degree6_component_claim_on_clique_unions():
     # component; the claim fails even when the report says saturated
     wide = make(7, k5().edges + ((0, 5, 6),))
     assert not degree6_component_claim(wide, report=is_saturated(k5(), 5))
+    # a saturated report at another ell does not stand in for ell = 5:
+    # K_6^(3) is saturated at 6 but has Berge degree 5 everywhere
+    six = clique3(6)
+    with pytest.raises(ValueError, match="saturated"):
+        degree6_component_claim(six, report=is_saturated(six, 6))
 
 
 def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():
@@ -393,7 +391,7 @@ def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():
         (1, 7, 8), (2, 7, 8),
     ]
     g = make(9, edges)
-    assert is_berge_free(g, 5)
+    assert is_saturated(g, 5).is_free
     assert classify_link_5(link(g, 0).pairs) == "K2+K1,3"
     # the deficiency of the closed neighborhood: the sum of 6 - d(v)
     degree = Counter(chain.from_iterable(g.edges))

@@ -1,4 +1,4 @@
-"""Data structure, Berge degrees, witnesses, and the text formats."""
+"""Data structure, links, Berge degrees, and the text formats."""
 
 import copy
 import inspect
@@ -19,8 +19,6 @@ from bergesat.hypercore import (
     FormatError,
     Hypergraph3,
     LinkPass,
-    berge_degree,
-    berge_witness,
     disjoint_union,
     link,
     make,
@@ -99,26 +97,26 @@ def test_vertex_range_checked():
 
 def test_berge_degree_of_complete_graph_vertex():
     # the link of any K5 vertex is K4: one component, not a tree
-    assert all(berge_degree(k5(), v) == 4 for v in range(5))
+    assert LinkPass(5, k5().edges).degrees == (4, 4, 4, 4, 4)
 
 
 def test_berge_degree_counts_tree_components():
     # two triples through 0 sharing no pair: link is a 2-edge matching,
     # two tree components, so the Berge degree is 4 - 2 = 2
     g = make(5, [(0, 1, 2), (0, 3, 4)])
-    assert berge_degree(g, 0) == 2
+    assert LinkPass(g.vertex_count, g.edges).degrees[0] == 2
     # make the link a path of two edges: still one tree component
     g2 = make(5, [(0, 1, 2), (0, 2, 3)])
-    assert berge_degree(g2, 0) == 2
+    assert LinkPass(g2.vertex_count, g2.edges).degrees[0] == 2
     # close a triangle in the link: component stops being a tree
     g3 = make(5, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
-    assert berge_degree(g3, 0) == 3
+    assert LinkPass(g3.vertex_count, g3.edges).degrees[0] == 3
 
 
 def test_tree_components_of_links():
     g = make(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)])
     assert tree_components(link(g, 0)) == 3
-    assert berge_degree(g, 0) == 6 - 3
+    assert LinkPass(g.vertex_count, g.edges).degrees[0] == 6 - 3
 
 
 def _pass_without_recursion(g):
@@ -170,23 +168,6 @@ def test_link_pass_matches_the_matching_oracle_on_extreme_links(g, checked, nont
     if g.vertex_count:
         assert len(lp.nontree[0]) == len(scattered.nontree[0]) == nontree_0
         assert tuple(sorted(lp.pairs(0))) == link(g, 0).pairs
-
-
-@settings(max_examples=120, deadline=None)
-@given(small_3graphs())
-def test_witness_matches_degree_and_is_a_valid_berge_star(g):
-    for v in range(g.vertex_count):
-        d = berge_degree(g, v)
-        w = berge_witness(g, v)
-        assert w.center == v
-        assert len(w.assignment) == d == berge_degree_matching(g, v)
-        leaves = [leaf for _, leaf in w.assignment]
-        used = [e for e, _ in w.assignment]
-        assert len(set(leaves)) == len(leaves)
-        assert len(set(used)) == len(used)
-        for e, leaf in w.assignment:
-            assert e in g.edges
-            assert v in e and leaf in e and leaf != v
 
 
 def test_disjoint_union_shifts_the_second_block():
