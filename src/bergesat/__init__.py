@@ -24,7 +24,7 @@ _HOME = {
         "checker": ("VerifyReport", "aggressive_sufficient", "is_saturated"),
         "hypercore": ("FormatError", "Hypergraph3", "InternalError", "SamplerBudgetError",
                       "link", "make", "read_h3", "read_json", "write_h3", "write_json"),
-        "confmodel": ("DegreeSpec", "NoDisjointPair", "degree_spec", "sample_linear"),
+        "confmodel": ("DegreeSpec", "degree_spec", "sample_linear"),
     }.items()
     for name in names
 }

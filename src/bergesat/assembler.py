@@ -130,7 +130,7 @@ def select_a_star(n: int, ell: int) -> int:
     window = [a for a in sorted(argmin) if 3 <= a <= max(3, ell - 3)]
     if not window:
         raise InternalError(f"no argmin of sat_formula({n}, {ell}) in the admissible window")
-    return 3 if 3 in window else window[0]
+    return window[0]
 
 
 def ex_formula(n: int, ell: int):

@@ -47,7 +47,6 @@ search draw from a ``random.Random``; only the rejection route imports
 numpy and draws from numpy Generators.
 """
 
-from functools import cache
 from itertools import combinations
 from math import comb
 import random
@@ -59,10 +58,6 @@ _BATCH = 1024
 _PROGRESS_EVERY = 100_000
 _PARTNER_DRAWS = 16
 _PAIR_REJECT_EVICTIONS = 4
-
-
-class NoDisjointPair(LookupError):
-    """No admissible disjoint pair of full-degree edges exists."""
 
 
 class DegreeSpec(NamedTuple):
@@ -166,6 +161,7 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
     """(g, stats, pair): a simple linear 3-graph g realizing d(n, ell, k),
     the run's SampleStats, and the disjoint pair that
     find_disjoint_edge_pair accepted g with (None without require_pair).
+    A candidate for which the search returns None counts as a pair reject.
 
     Hill-climbing is the default route; rejection=True selects the
     clean rejection sampling the defect diagnostics are calibrated
@@ -187,7 +183,7 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
     if spec.edge_count == 0:
         stats.tries, stats.repaired = 1, not rejection
         return Hypergraph3(n, ()), stats, None
-    if _wants_exact_search(spec):
+    if spec.active <= 13:
         route = _sample_dfs(spec, seed, max_tries, stats)
     elif rejection:
         route = _sample_reject(spec, seed, max_tries, stats)
@@ -198,11 +194,10 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
         if not require_pair:
             _check_realizes(g, spec)
             break
-        try:  # the pair search checks g against the spec first
-            pair = find_disjoint_edge_pair(g, spec)
+        pair = find_disjoint_edge_pair(g, spec)  # checks g against the spec first
+        if pair is not None:
             break
-        except NoDisjointPair:
-            stats.pair_rejects += 1
+        stats.pair_rejects += 1
     else:
         raise SamplerBudgetError(
             f"exhaustive search: no simple linear realization of (n={n}, ell={ell}, k={k})"
@@ -248,13 +243,6 @@ def refusal(spec: DegreeSpec, require_pair=True):
     return None
 
 
-def _wants_exact_search(spec: DegreeSpec) -> bool:
-    """At most 13 active vertices: the realizations are rigid packings
-    (or do not exist at all), so the seeded backtracking search settles
-    them, within a recursion depth of C(13, 2) / 3 = 26 edges."""
-    return spec.active <= 13
-
-
 def _sample_reject(spec, seed, max_tries, stats):
     """Clean configuration-model draws, in batches of _BATCH."""
     import numpy as np
@@ -278,7 +266,7 @@ def _sample_reject(spec, seed, max_tries, stats):
             yield Hypergraph3(spec.n, tuple(sorted(tuple(int(x) for x in row)
                                                    for row in trip[idx])))
         done += count
-        if done % _PROGRESS_EVERY == 0:
+        if done // _PROGRESS_EVERY > (done - count) // _PROGRESS_EVERY:
             import logging
 
             logging.getLogger(__name__).info(
@@ -394,14 +382,14 @@ def _sample_dfs(spec, seed, max_tries, stats):
     """
     n = spec.n
     rd = spec.degree_array()
-    pairs = list(combinations([v for v in range(n) if rd[v] > 0], 2))
+    active = [v for v in range(n) if rd[v] > 0]
+    pairs = list(combinations(active, 2))
     random.Random(seed).shuffle(pairs)
-    priority = {p: i for i, p in enumerate(pairs)}
     used = set()
     edges = []
 
     def unfilled_min():
-        return next((v for v in range(n) if rd[v] > 0), None)
+        return next((v for v in active if rd[v] > 0), None)
 
     def place(u):
         stats.tries += 1
@@ -411,25 +399,15 @@ def _sample_dfs(spec, seed, max_tries, stats):
                 f"backtracking budget exhausted for (n={n}, ell={spec.ell}, k={spec.k})",
                 stats,
             )
-        cands = []
-        for v in range(n):
-            if v == u or rd[v] <= 0:
-                continue
-            if (min(u, v), max(u, v)) in used:
-                continue
-            for w in range(v + 1, n):
-                if w == u or rd[w] <= 0:
-                    continue
-                if (v, w) in used or (min(u, w), max(u, w)) in used:
-                    continue
-                cands.append((v, w))
-        cands.sort(key=priority.__getitem__)
+        # u is the lowest unfilled vertex, so u < v < w for every candidate
+        cands = [(v, w) for v, w in pairs if u < v and rd[v] > 0 and rd[w] > 0
+                 and (u, v) not in used and (u, w) not in used and (v, w) not in used]
         for v, w in cands:
-            pairs = ((min(u, v), max(u, v)), (min(u, w), max(u, w)), (v, w))
-            used.update(pairs)
+            sides = ((u, v), (u, w), (v, w))
+            used.update(sides)
             for x in (u, v, w):
                 rd[x] -= 1
-            edges.append(tuple(sorted((u, v, w))))
+            edges.append((u, v, w))
             nxt = unfilled_min()
             if nxt is None:
                 yield Hypergraph3(n, tuple(sorted(edges)))
@@ -438,13 +416,14 @@ def _sample_dfs(spec, seed, max_tries, stats):
             edges.pop()
             for x in (u, v, w):
                 rd[x] += 1
-            used.difference_update(pairs)
+            used.difference_update(sides)
 
     yield from place(unfilled_min())
 
 
 def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
-    """Degrees of g; ValueError unless g is linear and realizes spec."""
+    """(degrees, covered pairs) of g, each pair an (a, b) with a < b;
+    ValueError unless g is linear and realizes spec."""
     if g.vertex_count != spec.n:
         raise ValueError(f"graph has {g.vertex_count} vertices, spec wants {spec.n}")
     degs = [0] * spec.n
@@ -462,41 +441,24 @@ def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
             raise ValueError(
                 f"degree mismatch at vertex {v}: found {degs[v]}, spec says {want[v]}"
             )
-    return degs
+    return degs, seen_pairs
 
 
 def find_disjoint_edge_pair(g: Hypergraph3, spec: DegreeSpec):
     """Lexicographically first disjoint pair of full-degree edges that no
-    third edge meets on both sides.
+    third edge meets on both sides, or None when there is none.
 
-    Both edges consist of degree-(ell-1) vertices only.  Raises
-    NoDisjointPair when none exists and ValueError when g is not linear
-    or does not realize the spec.
+    Both edges consist of degree-(ell-1) vertices only.  Such a pair is
+    one where no {x, y} with x in e1 and y in e2 is covered: a shared
+    vertex x puts {x, y} in e2, and any edge covering {x, y} when e1 and
+    e2 are disjoint is a third edge that meets both.  Raises ValueError
+    when g is not linear or does not realize the spec.
     """
-    degs = _check_realizes(g, spec)
+    degs, covered = _check_realizes(g, spec)
     full = spec.ell - 1
-    qualifying = [
-        i for i, e in enumerate(g.edges)
-        if all(degs[v] == full for v in e)
-    ]
-    incident: dict = {}
-    for i, e in enumerate(g.edges):
-        for v in e:
-            incident.setdefault(v, set()).add(i)
-
-    @cache  # most searches stop early, so build each meet set on first use
-    def meeting(i):
-        a, b, c = g.edges[i]
-        return incident[a] | incident[b] | incident[c]
-
-    for pos, i in enumerate(qualifying):
-        ei = set(g.edges[i])
-        for j in qualifying[pos + 1 :]:
-            if ei & set(g.edges[j]):
-                continue
-            if (meeting(i) & meeting(j)) - {i, j}:
-                continue
-            return g.edges[i], g.edges[j]
-    raise NoDisjointPair(
-        f"no disjoint full-degree edge pair in graph on {spec.n} vertices"
-    )
+    qualifying = [e for e in g.edges if all(degs[v] == full for v in e)]
+    for pos, e1 in enumerate(qualifying):
+        for e2 in qualifying[pos + 1 :]:
+            if covered.isdisjoint((min(x, y), max(x, y)) for x in e1 for y in e2):
+                return e1, e2
+    return None

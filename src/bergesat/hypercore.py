@@ -250,6 +250,8 @@ MAX_VERTICES = 2**20
 # triples; far above the 25,590 edges of the largest n = 10008 witness.
 MAX_EDGES = 2**22
 
+_CHUNK = 1 << 15  # characters per split in the .h3 reader
+
 
 def _check_vertex_cap(n, line=None):
     if n > MAX_VERTICES:
@@ -262,10 +264,10 @@ def write_h3(g: Hypergraph3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lines(text, chunk=1 << 15):
-    """The lines of text.split("\n"), split some 32K characters at a time."""
+def _lines(text):
+    """The lines of text.split("\n"), split some _CHUNK characters at a time."""
     start = 0
-    while (end := text.find("\n", start + chunk)) >= 0:
+    while (end := text.find("\n", start + _CHUNK)) >= 0:
         yield from text[start:end].split("\n")
         start = end + 1
     yield from text[start:].split("\n")

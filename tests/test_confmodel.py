@@ -2,7 +2,7 @@
 
 from collections import Counter
 import hashlib
-from itertools import chain
+from itertools import chain, islice
 import time
 
 import numpy as np
@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from bergesat.confmodel import (
     DegreeSpec,
-    NoDisjointPair,
     SampleStats,
     SamplerBudgetError,
     degree_spec,
     _sample_dfs,
+    _sample_hill,
     find_disjoint_edge_pair,
     refusal,
     sample_linear,
 )
-from bergesat.hypercore import write_h3
+from bergesat.hypercore import make, write_h3
 
 
 def count_degrees(g):
@@ -182,6 +182,21 @@ def test_zero_edge_spec_yields_the_empty_graph():
     assert g.edges == ()
 
 
+def test_rejection_logs_each_time_it_crosses_a_progress_step(monkeypatch, caplog):
+    # batches end at 1024, 2048, 3072, 4096 and 5000 tries, crossing
+    # 1500, 3000 and 4500
+    from bergesat import confmodel
+
+    monkeypatch.setattr(confmodel, "_PROGRESS_EVERY", 1500)
+    with caplog.at_level("INFO", logger="bergesat.confmodel"):
+        with pytest.raises(SamplerBudgetError):
+            sample_linear(60, 6, 0, seed=0, max_tries=5000, rejection=True)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sample_linear(n=60, ell=6, k=0): {done} tries, no accept yet"
+        for done in (2048, 3072, 5000)
+    ]
+
+
 def test_budget_error_reports_progress():
     with pytest.raises(SamplerBudgetError) as e:
         sample_linear(36, 5, 0, seed=1, max_tries=3, rejection=True)
@@ -198,17 +213,50 @@ def test_disjoint_pair_on_a_sampled_graph():
     assert e1 in g.edges and e2 in g.edges
 
 
+def fano_plane():
+    return make(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
+                    (1, 4, 6), (2, 3, 6), (2, 4, 5)])
+
+
 def test_disjoint_pair_absent_in_the_fano_plane():
     # the seven lines pairwise intersect, so no disjoint pair exists,
     # even though every vertex sits at the qualifying degree
-    from bergesat.hypercore import make
-
-    g = make(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
-                 (1, 4, 6), (2, 3, 6), (2, 4, 5)])
+    g = fano_plane()
     spec = degree_spec(7, 4, 0)
     assert count_degrees(g) == list(spec.degree_array())
-    with pytest.raises(NoDisjointPair):
-        find_disjoint_edge_pair(g, spec)
+    assert find_disjoint_edge_pair(g, spec) is None
+
+
+def reference_pair(g, spec):
+    """The first index pair i < j of full-degree, disjoint edges such that
+    no third edge shares a vertex with both, read off the definition."""
+    degs = count_degrees(g)
+    edges = g.edges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e1, e2 = set(edges[i]), set(edges[j])
+            if any(degs[v] != spec.ell - 1 for v in e1 | e2) or e1 & e2:
+                continue
+            if any(f & e1 and f & e2 for h, f in enumerate(map(set, edges)) if h not in (i, j)):
+                continue
+            return edges[i], edges[j]
+    return None
+
+
+def test_disjoint_pair_search_matches_the_definition():
+    cases = [(fano_plane(), degree_spec(7, 4, 0))]
+    # the first finished graphs of the (14, 4, 0) climb, which the pinned
+    # seed-0 sample rejects five times for want of a pair
+    spec = degree_spec(14, 4, 0)
+    cases += [(g, spec) for g in islice(_sample_hill(spec, 0, 10_000, SampleStats()), 8)]
+    for n, ell, k in [(14, 4, 0), (17, 5, 0), (24, 5, 0), (30, 4, 0), (27, 5, 1), (45, 5, 1),
+                      (33, 6, 1)]:
+        spec = degree_spec(n, ell, k)
+        cases += [(sample_linear(n, ell, k, seed=seed, require_pair=False)[0], spec)
+                  for seed in range(6)]
+    found = [find_disjoint_edge_pair(g, spec) for g, spec in cases]
+    assert found == [reference_pair(g, spec) for g, spec in cases]
+    assert None in found and any(found)
 
 
 def test_disjoint_pair_rejects_mismatched_spec():
