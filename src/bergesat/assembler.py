@@ -41,12 +41,14 @@ MAX_PLANNED = 2**17
 
 
 class Verdict(NamedTuple):
-    """Outcome of planning: a status, a human-readable detail line, and
-    the plan, a tuple of blocks, when status is "ok"."""
+    """Outcome of planning: a status, a human-readable detail line, the
+    plan, a tuple of blocks, when status is "ok", and the run, the
+    (status, rule) pair under which spectrum_runs groups this m."""
 
     status: str
     detail: str
     plan: tuple = None
+    run: tuple = None
 
     @property
     def feasible(self) -> bool:
@@ -236,40 +238,46 @@ def _largest_split(n, ell, m):
     return lo, residue(lo)
 
 
+_NO_SPLIT = ("unsupported", "no clique split with an admissible residue and core degree spec; "
+             "exit 7")
+
+
 def plan_lower(n, ell, m) -> Verdict:
     """Decompose m as C(ell,3) c + sat(n - c ell) + 3k + i with the
-    largest number of split-off cliques c, for any m in [sat, ex]: the
-    core W, then c copies of K_ell^(3).
+    largest number of split-off cliques c: the core W, then c copies of
+    K_ell^(3).  Needs ell >= 5, n > ell and m in [sat, ex], which
+    plan_witness checks first.
 
     The plan stands only when confmodel.degree_spec accepts the core
-    sequence d(n - c ell - a, ell, k); its refusal is the verdict.  When
-    ell | n, m = ex is n / ell cliques and no core.
+    sequence d(n - c ell - a, ell, k); its refusal is the verdict, and
+    confmodel.refusal names the run of a core no sampler can realize.
+    When ell | n, m = ex is n / ell cliques and no core.
     """
-    if ell < 5 or n <= ell:
-        return Verdict(UNSUPPORTED, f"lower planner needs ell >= 5 and n > ell, got ({n}, {ell})")
-    sat, _ = sat_formula(n, ell)
-    if m < sat:
-        return Verdict(BELOW_SAT, f"m = {m} below the saturation number {sat}")
-    ex, _ = ex_formula(n, ell)
-    if m > ex:
-        return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {ex}")
-    if m == ex and n % ell == 0:
-        plan = (_clique(ell, ell),) * (n // ell)
-        return Verdict(OK, f"{n // ell} disjoint cliques and no core graph", plan)
+    if m == ex_formula(n, ell)[0] and n % ell == 0:
+        return Verdict(OK, f"{n // ell} disjoint cliques and no core graph",
+                       (_clique(ell, ell),) * (n // ell), ("feasible", "disjoint ell-cliques"))
     c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
-        return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1")
+        return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1",
+                       run=_NO_SPLIT)
     k, i = divmod(s, 3)
     core = n - c * ell
     a_star = select_a_star(core, ell)
     try:
         spec = confmodel.degree_spec(core - a_star, ell, k)
     except ValueError as exc:
-        return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}")
+        return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}", run=_NO_SPLIT)
     w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, a_star, i),
               (spec, i > 0))
-    plan = (w,) + (_clique(ell, ell),) * c
-    return Verdict(OK, f"core graph with {k} lanterns and {i} surgeries plus {c} cliques", plan)
+    if confmodel.refusal(spec, i > 0) is None:
+        run = ("feasible", "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
+                           "is vouched for by certification only")
+    else:
+        run = ("sampler-refused", "clique-split plan whose core degree spec no simple linear "
+               "3-graph realizes (too few active vertices or edges, or more edges than a "
+               "linear 3-graph on its active vertices holds); exit 5")
+    return Verdict(OK, f"core graph with {k} lanterns and {i} surgeries plus {c} cliques",
+                   (w,) + (_clique(ell, ell),) * c, run)
 
 
 # perfbench/tracer.py wraps the planners by name, this one included; the
@@ -295,31 +303,28 @@ _EXACT5_UNITS = {
 
 
 def plan_exact5(n, m) -> Verdict:
-    """The exact mixture cases for ell = 5 with 5 | n: the special blocks
-    of the deficit's residue, then lanterns, then 5-cliques."""
-    if n % 5:
-        return Verdict(UNSUPPORTED, f"exact planner needs 5 | n, got n = {n}")
-    if m > 2 * n:
-        return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {2 * n}")
+    """The exact mixture cases for ell = 5 with 5 | n and m in [5n/3, 2n],
+    which plan_witness checks first: the special blocks of the deficit's
+    residue, then lanterns, then 5-cliques.  The units of a deficit
+    m* <= n/3 fit in n vertices, so no m in that range runs out of room."""
     if m == 2 * n:
-        return Verdict(OK, "disjoint 5-cliques", (_clique(5, 5),) * (n // 5))
+        return Verdict(OK, "disjoint 5-cliques", (_clique(5, 5),) * (n // 5),
+                       ("feasible", "disjoint 5-cliques"))
     if m > 2 * n - 5:
         return Verdict(
             BY_THEOREM,
             f"no saturated graph on {n} vertices has {m} edges: "
             f"deficits 1 through 4 below the extremal number are unrealizable",
+            run=("infeasible", "clique-count gap just under the maximum"),
         )
-    if 3 * m < 5 * n:
-        return Verdict(OUT_OF_RANGE, f"m = {m} below the exact-range floor 5n/3")
     m_star = 2 * n - m
     a, b = divmod(m_star, 7)
     units, replaced = _EXACT5_UNITS[b]
     lanterns = a - replaced
     used = sum(u.vertices for u in units) + 15 * lanterns
-    if used > n:
-        return Verdict(UNSUPPORTED, f"mixture for m* = {m_star} needs {used} vertices, n = {n}")
     plan = units + (_LANTERN,) * lanterns + (_clique(5, 5),) * ((n - used) // 5)
-    return Verdict(OK, f"mixture case b = {b} with {lanterns} lanterns", plan)
+    return Verdict(OK, f"mixture case b = {b} with {lanterns} lanterns", plan,
+                   ("feasible", "exact-fifth-zone gadget unions"))
 
 
 def _wrap_cycle(q) -> Block:
@@ -375,11 +380,20 @@ def _closed_form(n, ell):
 
 def plan_witness(n, ell, m) -> Verdict:
     """The one planner for every (n, ell, m), building nothing: the
-    closed-form table for ell <= 4 and n <= ell, the exact mixtures in the
-    ell = 5, 5 | n zone from 5n/3 up, and the clique split elsewhere.  An
-    ok plan is checked against n, m and the union rule."""
+    closed-form table for ell <= 4 and n <= ell, else a gate on m in
+    [sat, ex], then the exact mixtures in the ell = 5, 5 | n zone from
+    5n/3 up or the clique split.  Every verdict names its run; an ok
+    plan is checked against n, m and the union rule."""
     table = _closed_form(n, ell)
+    top = ex_formula(n, ell)[0] if table is None else max(table)
+    if m > top:
+        detail = f"m = {m} above the extremal number {top}"
+        return Verdict(OUT_OF_RANGE, detail, run=("out-of-range", detail))
     if table is None:
+        sat, _ = sat_formula(n, ell)
+        if m < sat:
+            return Verdict(BELOW_SAT, f"m = {m} below the saturation number {sat}",
+                           run=("infeasible", "below the saturation minimum"))
         if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
             verdict = plan_exact5(n, m)
         else:
@@ -387,13 +401,12 @@ def plan_witness(n, ell, m) -> Verdict:
     elif m in table:
         need, name, blocks = table[m]
         if need > n:
-            return Verdict(UNSUPPORTED, f"{name} needs n >= {need}, got n = {n}")
-        verdict = Verdict(OK, name, blocks)
-    elif m > max(table):
-        return Verdict(OUT_OF_RANGE, f"m = {m} above the extremal number {max(table)}")
+            detail = f"{name} needs n >= {need}, got n = {n}"
+            return Verdict(UNSUPPORTED, detail, run=("unsupported", detail))
+        verdict = Verdict(OK, name, blocks, ("feasible", name))
     else:
-        return Verdict(BY_THEOREM,
-                       f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}")
+        detail = f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}"
+        return Verdict(BY_THEOREM, detail, run=("infeasible", detail))
     if verdict.feasible:
         copies = block_runs(verdict.plan)
         size = (sum(k * b.vertices for b, k in copies), sum(k * b.edges for b, k in copies))
@@ -407,8 +420,6 @@ def plan_witness(n, ell, m) -> Verdict:
 def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
     """(plan_witness's verdict, the union of its blocks or None).  A block
     built with other (vertices, edges) than planned is an InternalError."""
-    if n < 1 or ell < 1:
-        raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if m < 0:
         raise ValueError(f"negative m = {m}")
     verdict = plan_witness(n, ell, m)
@@ -423,57 +434,26 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
     return verdict, disjoint_union(*map(built.__getitem__, verdict.plan))
 
 
-def _split_label(verdict):
-    """(status, rule) of one clique-split or exact-range verdict, read
-    from its first block: the core W, a clique, or an exact-5 piece."""
-    if verdict.plan is None:
-        if verdict.status == BY_THEOREM:
-            return "infeasible", "clique-count gap just under the maximum"
-        return ("unsupported",
-                "no clique split with an admissible residue and core degree spec; exit 7")
-    first = verdict.plan[0]
-    if first.spec is not None:
-        if confmodel.refusal(*first.spec) is not None:
-            return ("sampler-refused",
-                    "clique-split plan whose core degree spec no simple linear "
-                    "3-graph realizes (too few active vertices or edges, or more "
-                    "edges than a linear 3-graph on its active vertices holds); exit 5")
-        return ("feasible",
-                "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
-                "is vouched for by certification only")
-    if first.name.startswith("K_"):
-        return "feasible", "disjoint 5-cliques" if first.name == "K_5" else "disjoint ell-cliques"
-    return "feasible", "exact-fifth-zone gadget unions"
-
-
-# the run status of each closed-form verdict
-_WORD = {OK: "feasible", BY_THEOREM: "infeasible", UNSUPPORTED: "unsupported"}
-
-
 def spectrum_runs(n, ell):
-    """Maximal runs of m in [0, top] sharing the planner's verdict, with the
-    rule behind each; top is the largest closed-form m, else ex.  The run
-    below sat comes from sat_formula, and the closed form plans only its
-    table entries and the m just past each."""
+    """Maximal runs of m in [0, top] sharing the run plan_witness names;
+    top is the largest closed-form m, else ex.  Below sat one verdict
+    stands for the whole run, and the closed form plans only its table
+    entries and the m just past each."""
     table = _closed_form(n, ell)
     if table is None:
         sat, ex = sat_formula(n, ell)[0], ex_formula(n, ell)[0]
         if ex - sat + 1 > MAX_PLANNED:
             raise ValueError(f"({n}, {ell}) has {ex - sat + 1} values of m from sat to ex, "
                              f"above the planning limit {MAX_PLANNED}")
-        bounds = range(sat, ex + 2)
-        runs = [{"lo": 0, "hi": sat - 1, "status": "infeasible",
-                 "rule": "below the saturation minimum"}]
+        bounds = [0, *range(sat, ex + 2)]
     else:
         # the verdict changes only at a table entry and just past one
-        bounds, runs = sorted({0, *table, *(m + 1 for m in table)}), []
-    key = None
+        bounds = sorted({0, *table, *(m + 1 for m in table)})
+    runs = []
     for m, nxt in zip(bounds, bounds[1:]):
-        verdict = plan_witness(n, ell, m)
-        label = _split_label(verdict) if table is None else (_WORD[verdict.status], verdict.detail)
-        if label == key:
+        status, rule = plan_witness(n, ell, m).run
+        if runs and (runs[-1]["status"], runs[-1]["rule"]) == (status, rule):
             runs[-1]["hi"] = nxt - 1
         else:
-            key = label
-            runs.append({"lo": m, "hi": nxt - 1, "status": label[0], "rule": label[1]})
+            runs.append({"lo": m, "hi": nxt - 1, "status": status, "rule": rule})
     return runs

@@ -196,6 +196,8 @@ def _cmd_sample_config(args):
     print(json.dumps(vars(stats), sort_keys=True), file=sys.stderr)
     if args.out:
         _write_graph(args.out, g, args.format)
+    _write_report(args, {"n": args.n, "ell": args.ell, "k": args.k, "seed": args.seed,
+                         "edges": len(g.edges), "stats": vars(stats)})
     _say(args, f"sample-config n={args.n} ell={args.ell} k={args.k} "
                f"seed={args.seed}: {len(g.edges)} edges in {stats.tries} tries")
     return _EXIT_OK
@@ -245,6 +247,7 @@ def _cmd_gadget(args):
     g = _GADGETS[args.name](gadgets, args)
     if args.out:
         _write_graph(args.out, g, args.format)
+    _write_report(args, {"name": args.name, "vertices": g.vertex_count, "edges": len(g.edges)})
     _say(args, f"gadget {args.name}: {g.vertex_count} vertices, "
                f"{len(g.edges)} edges, out={args.out or '(not written)'}")
     return _EXIT_OK

@@ -6,11 +6,12 @@ Three tools live here, deliberately sharing no logic with the checker:
   vertex/edge incidence structure), cross-checked everywhere against the
   closed-form |N(v)| - tree(L(v));
 * an exhaustive saturation-spectrum sweep over all edge subsets for
-  n <= 7, vectorized over bitmasks: per vertex, lookup tables built once
-  from the matching route give, for each link pattern, whether the
-  vertex already has Berge degree ell and which absent triples would
-  lift it to ell, so each block of masks costs a fixed number of table
-  gathers per vertex.  Relabelling the other vertices permutes vertex
+  n <= 7, vectorized over bitmasks: one Berge-degree table over the
+  link patterns, built once from the matching route, serves every
+  vertex (each lists its triples in the same pair order); per vertex,
+  tables read off it which absent triples would lift the degree to ell,
+  so each block of masks costs a fixed number of table gathers per
+  vertex.  Relabelling the other vertices permutes vertex
   0's link within its isomorphism class and keeps edge counts and
   saturation, so one least link code per class is swept, with every
   setting of the other triples, and its counts are weighted by the
@@ -96,46 +97,25 @@ class SpectrumResult(NamedTuple):
 _SLICE = 10  # mask bits per slice table
 
 
-def _popcount(arr):
-    import numpy as np
-    f = getattr(np, "bitwise_count", None)
-    if f is not None:
-        return f(arr)
-    pc16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    out = pc16[arr & 0xFFFF].astype(np.int64)
-    out += pc16[(arr >> 16) & 0xFFFF]
-    out += pc16[(arr >> 32) & 0xFFFF]
-    return out
+def _degree_table(n):
+    """The Berge degree of one vertex of an n-vertex graph over all its
+    link bit patterns, by the matching route.
 
-
-def _degree_tables(n, triples, pos):
-    """Per-vertex Berge-degree lookup over all link bit patterns.
-
-    Entry v is an int8 array of length 2^len(pos[v]): the Berge degree of
-    v (by the matching route) when exactly the triples flagged by the
-    pattern are present.  Vertices whose pair lists agree after an
-    order-preserving relabelling of the other vertices share one table
-    (in K_n^(3) that is every vertex).
+    Bit j of a pattern is the j-th pair of combinations(range(n - 1), 2).
+    Every vertex v of K_n^(3) lists its triples in lexicographic order
+    in that pair order, once the other vertices are relabelled 0..n-2 in
+    order, so this one int8 array of length 2^C(n-1, 2) serves them all.
     """
     import numpy as np
-    tables = []
-    seen = {}
-    for v in range(n):
-        plist = [tuple(x - (x > v) for x in triples[t] if x != v) for t in pos[v]]
-        key = tuple(plist)
-        if key not in seen:
-            k = len(plist)
-            tab = np.zeros(1 << k, dtype=np.int8)
-            for code in range(1 << k):
-                chosen = [plist[j] for j in range(k) if code >> j & 1]
-                tab[code] = _max_matching(chosen)
-            seen[key] = tab
-        tables.append(seen[key])
-    return tables
+    pairs = list(combinations(range(n - 1), 2))
+    tab = np.zeros(1 << len(pairs), dtype=np.int8)
+    for code in range(len(tab)):
+        tab[code] = _max_matching([p for j, p in enumerate(pairs) if code >> j & 1])
+    return tab
 
 
 def _lift_tables(n, ell, triples, pos):
-    """The sweep's per-vertex lookup tables, all read off _degree_tables.
+    """The sweep's lookup tables, all read off _degree_table.
 
     Vertex v's link code sets bit j when triple pos[v][j] is present.
     Returns (slices, over, lift):
@@ -143,19 +123,20 @@ def _lift_tables(n, ell, triples, pos):
     * slices[v][i][s] is the part of v's code that mask bits
       i*_SLICE .. i*_SLICE + _SLICE - 1 contribute when they read s, so
       the code is the OR of one lookup per slice;
-    * over[v][code] says d_B(v) >= ell;
+    * over[code] says d_B >= ell, for every vertex alike;
     * lift[v][code] is a uint64 with bit pos[v][j] set for every j such
       that adding triple pos[v][j] brings d_B(v) to ell or more.
     """
     import numpy as np
     T = len(triples)
-    slices, over, lift = [], [], []
-    for v, tab in enumerate(_degree_tables(n, triples, pos)):
-        codes = np.arange(len(tab))
+    tab = _degree_table(n)
+    codes = np.arange(len(tab))
+    over = tab >= ell
+    slices, lift = [], []
+    for v in range(n):
         bits = np.zeros(len(tab), dtype=np.uint64)
         for j, p in enumerate(pos[v]):
             bits[tab[codes | (1 << j)] >= ell] |= np.uint64(1 << p)
-        over.append(tab >= ell)
         lift.append(bits)
         per = []
         for start in range(0, T, _SLICE):
@@ -210,11 +191,11 @@ def _saturated(masks, T, slices, over, lift):
     ]
     bad = np.zeros(len(masks), dtype=bool)
     cover = masks.copy()
-    for per, o, l in zip(slices, over, lift):
+    for per, l in zip(slices, lift):
         code = per[0][parts[0]]
         for tab, part in zip(per[1:], parts[1:]):
             code |= tab[part]
-        bad |= o[code]
+        bad |= over[code]
         cover |= l[code]
     return (cover == np.uint64((1 << T) - 1)) & ~bad
 
@@ -255,12 +236,13 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
     best_mask = {}
     counts = {}
     for rep, size in zip(*_link_classes(n)):
-        if over[0][rep]:
+        if over[rep]:
             continue  # vertex 0's link code is rep: d_B(0) >= ell in every mask
         masks = rest | np.uint64(rep)
         # ascending, so the first mask of each edge count is its least
         sel = masks[_saturated(masks, T, slices, over, lift)]
-        ms, first, cs = np.unique(_popcount(sel), return_index=True, return_counts=True)
+        edge_counts = np.unpackbits(sel.view(np.uint8)).reshape(-1, 64).sum(axis=1)
+        ms, first, cs = np.unique(edge_counts, return_index=True, return_counts=True)
         for m, i, c in zip(ms.tolist(), first.tolist(), cs.tolist()):
             counts[m] = counts.get(m, 0) + int(size) * c
             if m not in best_mask or sel[i] < best_mask[m]:

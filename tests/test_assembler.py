@@ -4,6 +4,7 @@ dispatch boundaries."""
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
+import json
 from math import comb
 import random
 
@@ -29,6 +30,7 @@ from bergesat.assembler import (
     plan_witness,
     sat_formula,
     select_a_star,
+    spectrum_runs,
     union_saturated,
 )
 from bergesat import assembler, gadgets
@@ -143,7 +145,7 @@ def test_lower_plan_reaches_the_extremal_end():
         assert verdict.status == OK, (m, verdict.detail)
         assert split_fields(verdict.plan, 6)[0] == c
     ex_val, _ = ex_formula(10008, 6)
-    assert plan_lower(10008, 6, ex_val + 1).status == OUT_OF_RANGE
+    assert plan_witness(10008, 6, ex_val + 1).status == OUT_OF_RANGE
 
 
 def test_lower_plan_keeps_the_largest_clique_split():
@@ -162,6 +164,29 @@ def test_lower_plan_keeps_the_largest_clique_split():
             assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == s
             if n - (c + 1) * ell > ell:
                 assert m - comb(ell, 3) * (c + 1) - sat_formula(n - (c + 1) * ell, ell)[0] < 0
+
+
+# spectrum_runs reaches every rule on this grid: the closed form at
+# ell <= 4 and at n <= ell, sampler-refused cores at (20, 6) and (120, 6),
+# the exact range at (45, 5) and (60, 5), and the clique split off ell | n
+RUN_GRID = ([(n, ell) for ell in (1, 2, 3, 4) for n in range(1, 18)]
+            + [(3, 5), (5, 5), (6, 7), (8, 8)]
+            + [(20, 6), (120, 6), (45, 5), (60, 5), (61, 5), (120, 7), (87, 8)])
+RUNS_SHA256 = "522754b9d1b19847bd430c049d748c484b70eccbc4afb86fec271a9324a861b1"
+
+
+def test_spectrum_runs_are_pinned_and_every_verdict_names_its_run():
+    runs = [spectrum_runs(n, ell) for n, ell in RUN_GRID]
+    assert sha256(json.dumps(runs).encode()).hexdigest() == RUNS_SHA256
+    statuses = {r["status"] for rs in runs for r in rs}
+    assert statuses == {"feasible", "infeasible", "unsupported", "sampler-refused"}
+    for n, ell in RUN_GRID:
+        table = assembler._closed_form(n, ell)
+        top = ex_formula(n, ell)[0] if table is None else max(table)
+        for m in range(top + 2):
+            run = plan_witness(n, ell, m).run
+            assert isinstance(run, tuple) and len(run) == 2, (n, ell, m)
+            assert all(isinstance(x, str) and x for x in run), (n, ell, m)
 
 
 def test_unrealizable_core_specs_are_unsupported():

@@ -190,6 +190,33 @@ def test_verify_report_carries_the_verdict(tmp_path):
     assert obj["is_saturated"] is True and obj["ell"] == 5
 
 
+# each command and the report fields it writes on exit 0; "K5" is a
+# graph file the test writes first
+REPORTS = [
+    (["build", "--n", "45", "--ell", "5", "--m", "57"],
+     {"n": 45, "ell": 5, "m": 57, "seed": 0, "status": "ok", "verified_saturated": True}),
+    (["verify", "K5", "--ell", "5"], {"is_saturated": True, "ell": 5}),
+    (["spectrum", "--theory", "--n", "10", "--ell", "4"], {"n": 10, "ell": 4, "ex": 10}),
+    (["sample-config", "--n", "30", "--ell", "5", "--seed", "2"],
+     {"n": 30, "ell": 5, "k": 0, "seed": 2, "edges": 40}),
+    (["gadget", "--name", "lantern"], {"name": "lantern", "vertices": 15, "edges": 23}),
+    (["classify-links", "--enumerate"], {"discrepancies": ["K2+K1,3"]}),
+]
+
+
+@pytest.mark.parametrize("argv, fields", REPORTS, ids=[argv[0] for argv, _ in REPORTS])
+def test_every_command_writes_its_report(tmp_path, argv, fields):
+    k5 = tmp_path / "K5"
+    k5.write_text(write_h3(gadgets.clique3(5)))
+    rep = tmp_path / "rep.json"
+    argv = [str(k5) if a == "K5" else a for a in argv]
+    assert run(*argv, "--report", str(rep), "--quiet") == 0
+    obj = json.loads(rep.read_text())
+    assert {key: obj[key] for key in fields} == fields
+    if argv[0] == "sample-config":
+        assert obj["stats"]["tries"] >= 1
+
+
 def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
     for name, text in [("huge.h3", "h3 99999999999 0\n"),
                        ("huge.json", '{"n": 99999999999, "edges": []}')]:

@@ -18,8 +18,10 @@ from bergesat.hypercore import (
 )
 from bergesat.oracle import (
     _connected_classes,
+    _degree_table,
     _lift_tables,
     _link_classes,
+    _max_matching,
     _saturated,
     berge_degree_matching,
     enumerate_link_catalog,
@@ -70,6 +72,20 @@ def test_all_witnesses_reverify():
 def test_large_n_guard():
     with pytest.raises(ValueError):
         exhaustive_spectrum(8, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_degree_table_serves_every_vertex(n):
+    # each vertex's own pairs, in the order of its triples' mask bits,
+    # give on every link code the Berge degree the shared table holds
+    triples = list(combinations(range(n), 3))
+    table = _degree_table(n).tolist()
+    for v in range(n):
+        pairs = [tuple(x for x in t if x != v) for t in triples if v in t]
+        assert len(table) == 1 << len(pairs)
+        for code in range(len(table)):
+            chosen = [p for j, p in enumerate(pairs) if code >> j & 1]
+            assert _max_matching(chosen) == table[code], (n, v, code)
 
 
 @pytest.mark.parametrize("n, classes", [(4, 4), (5, 11), (6, 34), (7, 156)])
