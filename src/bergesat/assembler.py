@@ -60,8 +60,7 @@ class Block(NamedTuple):
 
     nonfull counts the vertices with d_B < ell - 1, exactly for every block
     but the sampled core W, where it is W's vertex count, an upper bound.
-    build(seed=, max_tries=) makes the graph on ids 0..vertices-1.  W alone
-    has a spec: the sampler's (degree spec, require_pair) for its core.
+    build(seed=, max_tries=) makes the graph on ids 0..vertices-1.
     """
 
     name: str
@@ -69,7 +68,6 @@ class Block(NamedTuple):
     edges: int
     nonfull: int
     build: object
-    spec: tuple = None
 
 
 def block_runs(plan):
@@ -197,27 +195,6 @@ def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
     return make(n, edges)
 
 
-def build_H1(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    """H block with three lantern overlays; (ell-1)n0/3 + 9 edges.
-
-    No planner uses the H blocks; they stay as certified aggressive
-    components of the paper's upper construction."""
-    if n0 % (3 * ell):
-        raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
-    g, _, _ = confmodel.sample_linear(n0, ell, 3, seed=seed, max_tries=max_tries,
-                                      require_pair=False)
-    return make(n0, g.edges + disjoint_union(*[gadgets.lantern(5)] * 3).edges)
-
-
-def build_H2(n0, ell, seed=0, max_tries=10_000_000) -> Hypergraph3:
-    """H block with three 5-clique overlays; one edge more than H1."""
-    if n0 % (3 * ell):
-        raise ValueError(f"n0 = {n0} not a multiple of 3*ell = {3 * ell}")
-    g, _, _ = confmodel.sample_linear(n0, ell, 1, seed=seed, max_tries=max_tries,
-                                      require_pair=False)
-    return make(n0, g.edges + disjoint_union(*[gadgets.clique3(5)] * 3).edges)
-
-
 def _largest_split(n, ell, m):
     """Largest c with n - c ell > ell and s(c) = m - C(ell,3) c
     - sat(n - c ell) >= 0, and s(c); needs m >= sat(n), so s(0) >= 0.
@@ -267,8 +244,7 @@ def plan_lower(n, ell, m) -> Verdict:
         spec = confmodel.degree_spec(core - a_star, ell, k)
     except ValueError as exc:
         return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}", run=_NO_SPLIT)
-    w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, a_star, i),
-              (spec, i > 0))
+    w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, a_star, i))
     if confmodel.refusal(spec, i > 0) is None:
         run = ("feasible", "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
                            "is vouched for by certification only")
@@ -422,6 +398,8 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
     built with other (vertices, edges) than planned is an InternalError."""
     if m < 0:
         raise ValueError(f"negative m = {m}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     verdict = plan_witness(n, ell, m)
     if not verdict.feasible:
         return verdict, None

@@ -6,10 +6,10 @@ Exit codes are part of the interface and are kept apart deliberately:
     2  free but not saturated (build: certification failed, nothing written)
     3  verify only: not free
     4  bad arguments (build, sample-config, spectrum and gadget cap --n
-       at 2^20, as the readers do; build caps --m at 2^22 before
-       planning, sample-config refuses a degree spec of more than 2^22
-       edges, and gadget --name clique, lantern and sun refuse more than
-       2^22 triples;
+       at 2^20, as the readers do; build and sample-config refuse
+       --max-tries below 1; build caps --m at 2^22 before planning,
+       sample-config a degree spec at 2^22 edges, and gadget --name
+       clique, lantern and sun at 2^22 triples;
        spectrum --exhaustive refuses n >= 8, and spectrum --theory more
        than 2^17 values of m from sat to ex outside the closed form),
        unreadable input, or malformed graph file
@@ -306,7 +306,8 @@ def _build_parser():
             p.add_argument("--format", choices=("h3", "json"), default="h3")
             p.add_argument("-o", "--out", help="output graph file")
         p.add_argument("--report", help="also write a JSON report here")
-        p.add_argument("--quiet", action="store_true")
+        p.add_argument("--quiet", action="store_true",
+                       help="no summary line (spectrum and classify-links print their result)")
 
     p = sub.add_parser("build", help="construct a witness for (n, ell, m)")
     p.add_argument("--n", type=int, required=True)

@@ -20,8 +20,6 @@ from bergesat.assembler import (
     UNSUPPORTED,
     Block,
     Verdict,
-    build_H1,
-    build_H2,
     build_spectrum_witness,
     build_W,
     ex_formula,
@@ -34,7 +32,7 @@ from bergesat.assembler import (
     union_saturated,
 )
 from bergesat import assembler, gadgets
-from bergesat.checker import aggressive_sufficient, is_saturated
+from bergesat.checker import is_saturated
 from bergesat.confmodel import SamplerBudgetError
 from bergesat.hypercore import (
     InternalError,
@@ -66,7 +64,7 @@ def split_fields(plan, ell):
     """(c, s) of a clique-split plan: its K_ell blocks, and the core's
     edges above sat of its vertices (0 without a core)."""
     c = sum(b.name == f"K_{ell}" for b in plan)
-    core = [b for b in plan if b.spec is not None]
+    core = [b for b in plan if b.name == "W"]
     s = core[0].edges - sat_formula(core[0].vertices, ell)[0] if core else 0
     return c, s
 
@@ -218,15 +216,6 @@ def test_every_m_from_sat_to_ex_is_built_or_refused(n, ell):
         assert certified(g, ell), m
         certified_ms += 1
     assert certified_ms >= COVERAGE_FLOOR[(n, ell)]
-
-
-def test_h_components_are_aggressive():
-    for ell, n0 in ((5, 60), (6, 72)):
-        h1, h2 = build_H1(n0, ell, seed=0), build_H2(n0, ell, seed=0)
-        assert len(h1.edges) == (ell - 1) * n0 // 3 + 9
-        assert len(h2.edges) == len(h1.edges) + 1
-        assert aggressive_sufficient(h1, ell)
-        assert aggressive_sufficient(h2, ell)
 
 
 def test_exact5_zone_covers_the_top_band():
@@ -470,7 +459,7 @@ def test_declared_nonfull_counts_match_the_link_pass():
         g = b.build(seed=0, max_tries=10_000_000)
         assert (g.vertex_count, len(g.edges)) == (b.vertices, b.edges), b.name
         assert certified(g, ell), (ell, b.name)
-        if b.spec is None:
+        if b.name != "W":
             assert nonfull(g, ell) == b.nonfull, (ell, b.name)
         else:
             # the sampled core declares its vertex count, an upper bound

@@ -134,13 +134,17 @@ def test_closed_form_requests_build(tmp_path, capsys):
     assert [r["status"] for r in ranges] == ["infeasible", "feasible", "unsupported", "feasible"]
 
 
-def test_l4_sparse_build_follows_seed_and_max_tries(tmp_path):
+def test_l4_sparse_build_follows_seed_and_max_tries(tmp_path, capsys):
     out = tmp_path / "w.h3"
     assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--seed", "3",
                "-o", str(out), "--quiet") == 0
     assert read_h3(out.read_text()) == gadgets.l4_sparse(30, seed=3)
-    assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--max-tries", "0",
-               "--quiet") == 4
+    # every build refuses a budget below 1, also when its plan samples nothing
+    for n, ell, m in ((30, 4, 29), (4, 2, 1), (45, 5, 80), (30, 4, 28)):
+        assert run("build", "--n", str(n), "--ell", str(ell), "--m", str(m),
+                   "--max-tries", "0", "--quiet") == 4
+        err = capsys.readouterr().err
+        assert err == "error: max_tries must be >= 1, got 0\n"
 
 
 def test_small_star_requests_sample_only_what_they_return(monkeypatch, capsys):
@@ -238,7 +242,14 @@ def test_verify_refuses_a_huge_vertex_count(tmp_path, capsys):
                       (("spectrum", "--theory", "--n", "100000000", "--ell", "6"),
                        "exceeds the vertex limit"),
                       (("spectrum", "--theory", "--n", "400", "--ell", "200"),
-                       "above the planning limit 131072")):
+                       "above the planning limit 131072"),
+                      # the smallest gadgets past the edge limit
+                      (("gadget", "--name", "clique", "--n", "300"),
+                       "4455100 triples, above the edge limit 4194304"),
+                      (("gadget", "--name", "sun", "--ell", "3000"),
+                       "8988003 triples, above the edge limit 4194304"),
+                      (("gadget", "--name", "lantern", "--ell", "250"),
+                       "7718258 triples, above the edge limit 4194304")):
         assert run(*argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -275,6 +286,10 @@ def _broken(*args, **kwargs):
     # a file and the catalog together: refused, not the file ignored
     pytest.param(4, ["classify-links", "K5", "--enumerate"],
                  (oracle, "enumerate_link_catalog"), id="file-and-enumerate"),
+    # neither a file nor the catalog, and a sparse split without its size
+    pytest.param(4, ["classify-links"], (checker, "classify_link_5"), id="no-input"),
+    pytest.param(4, ["gadget", "--name", "l4-sparse"], (gadgets, "l4_sparse"),
+                 id="l4-sparse-without-n"),
     pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
                  id="sampler-budget"),
     pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,

@@ -53,14 +53,11 @@ def test_degree_spec_arithmetic():
 
 
 def test_degree_spec_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        degree_spec(30, 3, 0)
-    with pytest.raises(ValueError):
-        degree_spec(30, 4, 1)
-    with pytest.raises(ValueError):
-        degree_spec(30, 5, 11)
-    with pytest.raises(ValueError):
-        degree_spec(14, 5, 1)
+    for args, problem in (((30, 3, 0), "unsupported"), ((30, 4, 1), "unsupported"),
+                          ((30, 5, 11), "outside"), ((14, 5, 1), "15k = 15 exceeds"),
+                          ((16, 6, 1), "15k \\+ t = 17 exceed n = 16")):
+        with pytest.raises(ValueError, match=problem):
+            degree_spec(*args)
 
 
 @pytest.mark.parametrize(

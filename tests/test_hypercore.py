@@ -247,6 +247,9 @@ def test_h3_parser_diagnostics_carry_line_numbers():
         ("h3 4 2\n0 1 2\n# c\n0 1 9\n", "out of range", 4),
         ("h3 4 2\r\n0 1 2\r\n  #c\r\n\r\n2 1 3\r\n", "not strictly ascending", 5),
         ("h3 4 1\r\n\r\n0 1 x\r\n", "non-integer vertex id", 3),
+        ("h3 x 1\n", "non-integer header field", 1),
+        ("h3 3 -1\n", "negative count", 1),
+        ("h3 3 1\n0 1 2\n0 1 2\n", "more than 1 edge lines", 3),
     ]
     for text, problem, line in bad_edges:
         with pytest.raises(FormatError, match=problem) as e:

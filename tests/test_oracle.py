@@ -70,8 +70,14 @@ def test_all_witnesses_reverify():
 
 
 def test_large_n_guard():
-    with pytest.raises(ValueError):
-        exhaustive_spectrum(8, 3)
+    # the sweep's cap and argument check, and the matching's vertex range
+    k4 = make(4, list(combinations(range(4), 3)))
+    for call, problem in ((lambda: exhaustive_spectrum(8, 3), "exhaustive cap"),
+                          (lambda: exhaustive_spectrum(3, 0), "bad arguments"),
+                          (lambda: berge_degree_matching(k4, 4), "out of range"),
+                          (lambda: berge_degree_matching(k4, -1), "out of range")):
+        with pytest.raises(ValueError, match=problem):
+            call()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
