@@ -291,11 +291,15 @@ def read_h3(text: str) -> Hypergraph3:
             if n < 0 or m < 0:
                 raise FormatError(f"negative count in header {raw!r}", lineno)
             _check_vertex_cap(n, lineno)
+            # one shared int per vertex id, in a table no larger than the text
+            ids = {str(v): v for v in range(min(n, len(text) // 2))}
             continue
         if len(parts) != 3:
             raise FormatError(f"expected 3 vertex ids, got {raw!r}", lineno)
         try:
-            a, b, c = map(int, parts)
+            a, b, c = map(ids.get, parts)
+            if a is None or b is None or c is None:
+                a, b, c = map(int, parts)
         except ValueError:
             raise FormatError(f"non-integer vertex id in {raw!r}", lineno)
         if len(edges) >= m:
@@ -340,11 +344,11 @@ def read_json(text: str) -> Hypergraph3:
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise FormatError("field 'edges' must be an array")
-    edges = []
+    edges, ids = [], {}  # ids: the first int read of each value, shared as in read_h3
     for pos, e in enumerate(raw):
         if not (isinstance(e, list) and len(e) == 3 and all(_is_int(x) for x in e)):
             raise FormatError(f"edges[{pos}] must be an array of 3 integers, got {e!r}")
-        edges.append(tuple(e))
+        edges.append(tuple(map(ids.setdefault, e, e)))
     try:
         return Hypergraph3(n, tuple(edges))
     except ValueError as exc:

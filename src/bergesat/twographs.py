@@ -6,25 +6,33 @@ the one map from a canonical form to its shape name, read by the
 checker's link labels and the oracle's catalog.  Everything here targets
 link-sized graphs, where brute-force canonical forms are exact, fast and
 label-free: a connected graph is canonicalized by minimizing its edge
-list over all degree-preserving relabelings, and a general graph by the
-sorted multiset of its component forms.
+list, coded as the integers i*k + j, over the degree-preserving
+relabelings that keep interchangeable vertices in ascending order, and a
+general graph by the sorted multiset of its component forms.
 """
 
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 
 from .hypercore import component_counts
+
+
+def _by_component(verts, pairs):
+    """(vertex list, pair list) per component, in order of first vertex in verts."""
+    label = component_counts(pairs)[0]
+    groups = {}
+    for v in verts:
+        groups.setdefault(label.get(v, v), ([], []))[0].append(v)
+    for p in pairs:
+        groups[label[p[0]]][1].append(p)
+    return groups.values()
 
 
 def components(verts, pairs):
     """Connected components of the graph on verts with the given pairs,
     as (sorted vertex list, edge count) pairs in order of their first
     vertex in verts; a vertex outside every pair is its own component."""
-    label, _, held = component_counts(pairs)
-    groups = {}
-    for v in verts:
-        groups.setdefault(label.get(v, v), []).append(v)
-    return [(sorted(group), held[r]) for r, group in groups.items()]
+    return [(sorted(vs), len(ps)) for vs, ps in _by_component(verts, pairs)]
 
 
 def canonical_connected(verts, pairs):
@@ -32,37 +40,38 @@ def canonical_connected(verts, pairs):
 
     Vertices are first relabeled 0..k-1 grouped by ascending degree, then
     the lexicographically least edge tuple over all relabelings that
-    permute within degree classes is taken.  Exact for any size, intended
-    for k <= 8 or so.
+    permute within degree classes is taken, comparing the pair codes
+    i*k + j (i <= j), which sort as the pairs do.  Swapping two vertices
+    whose other neighbours agree is an automorphism, so such
+    interchangeable vertices are kept in ascending order.  Exact for any
+    size, intended for k <= 8 or so.
     """
     k = len(verts)
-    deg = {v: 0 for v in verts}
+    nbrs = {v: [] for v in verts}
     for x, y in pairs:
-        deg[x] += 1
-        deg[y] += 1
-    by_deg = sorted(verts, key=lambda v: (deg[v], v))
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    # lead[v]: least vertex with v's open or closed neighbourhood (no vertex has both kinds)
+    lead, seen = {}, {}
+    for v in sorted(verts):
+        nb = sorted(nbrs[v])
+        lead[v] = seen.setdefault(tuple(nb), seen.setdefault(tuple(sorted(nb + [v])), v))
+    by_deg = sorted(verts, key=lambda v: (len(nbrs[v]), lead[v], v))
     base = {v: i for i, v in enumerate(by_deg)}
-    # contiguous index ranges per degree class
-    classes = []
-    i = 0
-    while i < k:
-        j = i
-        while j < k and deg[by_deg[j]] == deg[by_deg[i]]:
-            j += 1
-        classes.append(range(i, j))
-        i = j
-    base_pairs = [tuple(sorted((base[x], base[y]))) for x, y in pairs]
-    best = None
-    for perms in product(*(permutations(c) for c in classes)):
-        relab = {}
-        for c, p in zip(classes, perms):
-            for src, dst in zip(c, p):
-                relab[src] = dst
-        cand = tuple(sorted(tuple(sorted((relab[x], relab[y]))) for x, y in base_pairs))
-        if best is None or cand < best:
-            best = cand
-    degs = tuple(sorted(deg.values()))
-    return (k, degs, best)
+    base_pairs = [(base[x], base[y]) for x, y in pairs]
+    # relabelings concatenate, per degree class, a permutation ascending on each run of equal lead
+    choices, end = [], 0
+    for _, cls in groupby(by_deg, key=lambda v: len(nbrs[v])):
+        runs = [len(list(run)) for _, run in groupby(cls, key=lead.get)]
+        span = range(end, end := end + sum(runs))
+        twins = len(runs) < len(span)
+        perms = [()] if twins else list(permutations(span))
+        for s in runs if twins else ():
+            perms = [p + c for p in perms for c in combinations([d for d in span if d not in p], s)]
+        choices.append(perms)
+    best = min(sorted([r[x] * k + r[y] if r[x] < r[y] else r[y] * k + r[x] for x, y in base_pairs])
+               for r in (sum(ps, ()) for ps in product(*choices)))
+    return (k, tuple(sorted(map(len, nbrs.values()))), tuple(divmod(c, k) for c in best))
 
 
 def canonical_form(verts, pairs):
@@ -70,12 +79,9 @@ def canonical_form(verts, pairs):
 
     Isolated vertices contribute the trivial component form (1, (0,), ()).
     """
-    forms = []
-    for comp, _ in components(verts, pairs):
-        keep = set(comp)
-        sub = [p for p in pairs if p[0] in keep and p[1] in keep]
-        forms.append(canonical_connected(comp, sub))
-    return tuple(sorted(forms))
+    # a component of one pair, as in a matching link, is K2 under any labels
+    return tuple(sorted((2, (1, 1), ((0, 1),)) if len(ps) == 1 < len(vs)
+                        else canonical_connected(vs, ps) for vs, ps in _by_component(verts, pairs)))
 
 
 # --- constructors for the named link shapes -------------------------------

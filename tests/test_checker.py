@@ -1,7 +1,7 @@
 """Saturation verdicts: fast path against full scan, tags, and the catalog."""
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 import time
 
 import pytest
@@ -149,6 +149,88 @@ def test_components_keeps_isolated_vertices_in_vertex_order(case):
     isolated = set(verts).difference(*pairs)
     forms = twographs.canonical_form(verts, pairs)
     assert forms.count((1, (0,), ())) == len(isolated) >= 4
+
+
+def _reference_canonical_connected(verts, pairs):
+    """`twographs.canonical_connected` before integer pair codes and
+    interchangeable vertices, verbatim: every permutation of every degree
+    class, a relabeling dict and sorted pair tuples per candidate."""
+    k = len(verts)
+    deg = {v: 0 for v in verts}
+    for x, y in pairs:
+        deg[x] += 1
+        deg[y] += 1
+    by_deg = sorted(verts, key=lambda v: (deg[v], v))
+    base = {v: i for i, v in enumerate(by_deg)}
+    # contiguous index ranges per degree class
+    classes = []
+    i = 0
+    while i < k:
+        j = i
+        while j < k and deg[by_deg[j]] == deg[by_deg[i]]:
+            j += 1
+        classes.append(range(i, j))
+        i = j
+    base_pairs = [tuple(sorted((base[x], base[y]))) for x, y in pairs]
+    best = None
+    for perms in product(*(permutations(c) for c in classes)):
+        relab = {}
+        for c, p in zip(classes, perms):
+            for src, dst in zip(c, p):
+                relab[src] = dst
+        cand = tuple(sorted(tuple(sorted((relab[x], relab[y]))) for x, y in base_pairs))
+        if best is None or cand < best:
+            best = cand
+    degs = tuple(sorted(deg.values()))
+    return (k, degs, best)
+
+
+def test_canonical_connected_matches_the_reference_on_every_small_graph():
+    # every connected labelled graph on at most 6 vertices: 27,476 graphs
+    count = 0
+    for k in range(1, 7):
+        verts = list(range(k))
+        pool = list(combinations(verts, 2))
+        for mask in range(1 << len(pool)):
+            pairs = [p for i, p in enumerate(pool) if mask >> i & 1]
+            if len(twographs.components(verts, pairs)) == 1:
+                count += 1
+                assert (twographs.canonical_connected(verts, pairs)
+                        == _reference_canonical_connected(verts, pairs)), pairs
+    assert count == 27476
+
+
+@st.composite
+def _labelled_graphs(draw, max_vertices=8, max_pairs=10):
+    """(verts, pairs) under distinct labels from 0..99, in shuffled pair
+    order with either orientation per pair."""
+    k = draw(st.integers(min_value=1, max_value=max_vertices))
+    pool = list(combinations(range(k), 2))
+    picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=max_pairs)
+                  if pool else st.just([]))
+    label = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(picked), max_size=len(picked)))
+    pairs = [(label[y], label[x]) if f else (label[x], label[y])
+             for (x, y), f in zip(picked, flips)]
+    return label, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_graphs())
+def test_canonical_connected_matches_the_reference_under_any_labelling(graph):
+    # connected or not: the candidate set is the same either way
+    verts, pairs = graph
+    assert twographs.canonical_connected(verts, pairs) == _reference_canonical_connected(verts, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_graphs(), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_vertex_labels(graph, rng):
+    verts, pairs = graph
+    relabel = dict(zip(verts, rng.sample(range(1000), len(verts))))
+    moved = [(relabel[y], relabel[x]) for x, y in rng.sample(pairs, len(pairs))]
+    assert (twographs.canonical_form(rng.sample(list(relabel.values()), len(verts)), moved)
+            == twographs.canonical_form(verts, pairs))
 
 
 def _reference_links(g):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism, reports."""
 
 from array import array
+from hashlib import sha256
 import json
 import os
 from pathlib import Path
@@ -548,6 +549,27 @@ def test_classify_links_per_vertex(tmp_path, capsys):
     assert run("classify-links", str(g), "--quiet") == 0
     out = capsys.readouterr().out
     assert out.count("K2+K3") == 6
+
+
+# sha256 of the `classify-links` stdout on each built graph, taken with
+# the candidate loop that tried every degree-class permutation
+PINNED_LABELS = {
+    ("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1"):
+        "75600e20eef0a594a83c0139f7314dd935ceed7bb1d1c4eab6e45e0bb6e7abf1",
+    ("build", "--n", "60", "--ell", "5", "--m", "100"):
+        "c9ceef03da52170ce81c8490ee01cb1731d3bc1d95a40d3078fe41c1965f8c48",
+    ("gadget", "--name", "lantern", "--ell", "5"):
+        "b6a52334d44c7ec3dcc2d78d32ccaa7bc2c5477377e55f850306705d08c240a9",
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_LABELS.items(), ids=["n45", "n60", "lantern5"])
+def test_classify_links_labels_are_pinned(tmp_path, capsys, argv, digest):
+    path = tmp_path / "g.h3"
+    assert run(*argv, "-o", str(path), "--quiet") == 0
+    capsys.readouterr()
+    assert run("classify-links", str(path)) == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_classify_links_reads_the_link_pass(tmp_path, monkeypatch, capsys):
