@@ -13,8 +13,13 @@ not fill n vertices with m edges is an InternalError.  Three branches:
 
 - closed form, ell <= 4 or n <= ell: a table from m to the construction
   (and the vertices it needs); any other m below its top is infeasible.
-- exact mixtures, ell = 5 with 5 | n, from 5n/3 up: every m up to 2n - 5
-  and 2n itself, with 2n-4 .. 2n-1 provably unrealizable.
+- composed unions, ell = 5 with 5 | n from 5n/3 up, and m = ex when
+  ell | n: compose sets fixed blocks, the rows of _BESIDE, beside
+  ell-cliques.  A block's share C(ell,3) N - ell e is 0 for K_ell, and a
+  union's shares sum to C(ell,3) n - ell m; compose takes the fewest
+  units that leave a multiple of the repeating first row's share, so a
+  new block joins as a row, not as a branch.  At ell = 5 that is every m
+  up to 2n - 5 and 2n; 2n-4 .. 2n-1 are provably unrealizable.
 - clique split, every other m from sat to ex: a core W (a sampled
   near-regular linear graph with lantern overlays, an attached clique
   and up to two edge surgeries), then disjoint ell-cliques, accepted
@@ -23,7 +28,7 @@ not fill n vertices with m edges is an InternalError.  Three branches:
 """
 
 from functools import lru_cache, partial
-from itertools import combinations, groupby
+from itertools import chain, combinations, combinations_with_replacement, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -228,11 +233,9 @@ def plan_lower(n, ell, m) -> Verdict:
     The plan stands only when confmodel.degree_spec accepts the core
     sequence d(n - c ell - a, ell, k); its refusal is the verdict, and
     confmodel.refusal names the run of a core no sampler can realize.
-    When ell | n, m = ex is n / ell cliques and no core.
     """
     if m == ex_formula(n, ell)[0] and n % ell == 0:
-        return Verdict(OK, f"{n // ell} disjoint cliques and no core graph",
-                       (_clique(ell, ell),) * (n // ell), ("feasible", "disjoint ell-cliques"))
+        return compose(n, ell, m)
     c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
         return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1",
@@ -261,46 +264,52 @@ def plan_lower(n, ell, m) -> Verdict:
 plan_upper = plan_lower
 
 
-_LANTERN = Block("lantern", 15, 23, 0, lambda **_: gadgets.lantern(5))
-_BROKEN = Block("broken lantern", 10, 15, 1, lambda **_: gadgets.broken_lantern())
+# the fixed blocks compose sets beside ell-cliques, by ell: the first row,
+# all full, repeats, and the others join at most twice; a block joins as a row
+_BESIDE = {5: (
+    Block("lantern", 15, 23, 0, lambda **_: gadgets.lantern(5)),
+    Block("sun", 6, 8, 0, lambda **_: gadgets.sun(5)),
+    _clique(4, 5),
+    Block("R", 15, 21, 2, lambda **_: gadgets.gadget_R()),
+    Block("broken lantern", 10, 15, 1, lambda **_: gadgets.broken_lantern()),
+    Block("Q", 20, 29, 2, lambda **_: gadgets.gadget_Q()),
+    Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D()),
+)}
 
-# residue b of the deficit m* = 7a + b at ell = 5: its special blocks and
-# how many of the a lanterns they replace; 2N - e of a block is its share
-# of m*, 7 for a lantern and 0 for K_5
-_EXACT5_UNITS = {
-    0: ((), 0),
-    1: ((Block("sun", 6, 8, 0, lambda **_: gadgets.sun(5)), _clique(4, 5)), 1),
-    2: ((Block("R", 15, 21, 2, lambda **_: gadgets.gadget_R()),), 1),
-    3: ((_BROKEN, _BROKEN), 1),
-    4: ((Block("Q", 20, 29, 2, lambda **_: gadgets.gadget_Q()),), 1),
-    5: ((_BROKEN,), 0),
-    6: ((Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D()),), 0),
-}
+
+def compose(n, ell, m):
+    """The verdict for a union of _BESIDE[ell] blocks and ell-cliques on n
+    vertices with m edges, or None.  The units are the fewest rows past
+    the first, at most two and first in row order, whose shares leave a
+    non-negative multiple of the first row's, that fit in n with a
+    multiple of ell vertices left and keep the union rule; the plan is
+    the units, copies of the first row, then cliques."""
+    clique = _clique(ell, ell)
+    # with no rows K_ell heads alone, and its share 0 admits cliques only
+    head, *rows = _BESIDE.get(ell) or (clique,)
+    share = {b: comb(ell, 3) * b.vertices - ell * b.edges for b in (head, *rows)}
+    for units in chain.from_iterable(combinations_with_replacement(rows, k) for k in range(3)):
+        rest = comb(ell, 3) * n - ell * m - sum(map(share.get, units))
+        copies, off = divmod(rest, share[head]) if share[head] else (0, rest)
+        c, left = divmod(n - sum(b.vertices for b in units) - copies * head.vertices, ell)
+        if copies < 0 or c < 0 or off or left or not union_saturated([b.nonfull for b in units]):
+            continue
+        counts = ((copies, head), (c, clique))
+        detail = " + ".join([b.name for b in units] + [f"{k} x {b.name}" for k, b in counts if k])
+        run = "exact-fifth-zone gadget unions" if units or copies else "disjoint ell-cliques"
+        return Verdict(OK, detail, units + (head,) * copies + (clique,) * c, ("feasible", run))
+    return None
 
 
 def plan_exact5(n, m) -> Verdict:
-    """The exact mixture cases for ell = 5 with 5 | n and m in [5n/3, 2n],
-    which plan_witness checks first: the special blocks of the deficit's
-    residue, then lanterns, then 5-cliques.  The units of a deficit
-    m* <= n/3 fit in n vertices, so no m in that range runs out of room."""
-    if m == 2 * n:
-        return Verdict(OK, "disjoint 5-cliques", (_clique(5, 5),) * (n // 5),
-                       ("feasible", "disjoint 5-cliques"))
-    if m > 2 * n - 5:
-        return Verdict(
-            BY_THEOREM,
-            f"no saturated graph on {n} vertices has {m} edges: "
-            f"deficits 1 through 4 below the extremal number are unrealizable",
-            run=("infeasible", "clique-count gap just under the maximum"),
-        )
-    m_star = 2 * n - m
-    a, b = divmod(m_star, 7)
-    units, replaced = _EXACT5_UNITS[b]
-    lanterns = a - replaced
-    used = sum(u.vertices for u in units) + 15 * lanterns
-    plan = units + (_LANTERN,) * lanterns + (_clique(5, 5),) * ((n - used) // 5)
-    return Verdict(OK, f"mixture case b = {b} with {lanterns} lanterns", plan,
-                   ("feasible", "exact-fifth-zone gadget unions"))
+    """ell = 5 with 5 | n and m in [5n/3, 2n], which plan_witness checks
+    first: 2n-4 .. 2n-1 are unrealizable, and compose plans every other m,
+    since the units of a deficit 2n - m <= n/3 fit in n vertices."""
+    if 2 * n - 5 < m < 2 * n:
+        return Verdict(BY_THEOREM, f"no saturated graph on {n} vertices has {m} edges: deficits "
+                       f"1 through 4 below the extremal number are unrealizable",
+                       run=("infeasible", "clique-count gap just under the maximum"))
+    return compose(n, 5, m)
 
 
 def _wrap_cycle(q) -> Block:

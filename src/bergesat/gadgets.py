@@ -12,6 +12,11 @@ from itertools import combinations
 from .hypercore import Hypergraph3, make
 
 
+def _stars(apexes, group):
+    """Every triple of one apex and two vertices of group."""
+    return [(s, p, q) for s in apexes for p, q in combinations(group, 2)]
+
+
 def clique3(s: int) -> Hypergraph3:
     """Complete 3-graph on s vertices; s < 3 gives isolated vertices."""
     if s < 0:
@@ -34,8 +39,7 @@ def lantern(ell: int) -> Hypergraph3:
     edges = [(0, 1, 2), (3, 4, 5)]
     for i in range(3):
         group = [6 + w * i + j for j in range(w)]
-        for x, y in combinations(group, 2):
-            edges.append((i, x, y))
+        edges += _stars((i,), group)
         edges.extend(combinations([3 + i] + group, 3))
     return make(6 + 3 * w, edges)
 
@@ -70,14 +74,7 @@ def broken_lantern() -> Hypergraph3:
     v = (2, 3)
     x = (4, 5, 6)
     y = (7, 8, 9)
-    edges = [(a[0], v[0], v[1]), x, y]
-    for s in a:
-        for p, q in combinations(x, 2):
-            edges.append((s, p, q))
-    for s in v:
-        for p, q in combinations(y, 2):
-            edges.append((s, p, q))
-    return make(10, edges)
+    return make(10, [(a[0], v[0], v[1]), x, y] + _stars(a, x) + _stars(v, y))
 
 
 def gadget_D() -> Hypergraph3:
@@ -87,14 +84,7 @@ def gadget_D() -> Hypergraph3:
     """
     x = (2, 3, 4, 5)
     y = (6, 7, 8, 9)
-    edges = []
-    for p, q in combinations(x, 2):
-        edges.append((0, p, q))
-    for p, q in combinations(y, 2):
-        edges.append((1, p, q))
-    edges.append((x[0], x[1], y[0]))
-    edges.append((y[2], y[3], x[3]))
-    return make(10, edges)
+    return make(10, _stars((0,), x) + _stars((1,), y) + [(x[0], x[1], y[0]), (y[2], y[3], x[3])])
 
 
 def gadget_Q() -> Hypergraph3:
@@ -135,17 +125,8 @@ def gadget_R() -> Hypergraph3:
     c = (9, 10, 11)
     d1, d2 = 12, 13
     z = 14
-    edges = []
-    for s in xs:
-        for p, q in combinations(a, 2):
-            edges.append((s, p, q))
-        edges.append((s, b1, b2))
-    for s in ys:
-        for p, q in combinations(c, 2):
-            edges.append((s, p, q))
-        edges.append((s, d1, d2))
-    edges += [a, c, (b1, b2, z), (d1, d2, z), (b1, b2, d1)]
-    return make(15, edges)
+    edges = _stars(xs, a) + _stars(xs, (b1, b2)) + _stars(ys, c) + _stars(ys, (d1, d2))
+    return make(15, edges + [a, c, (b1, b2, z), (d1, d2, z), (b1, b2, d1)])
 
 
 def l4_sparse(n: int, seed: int = 0, max_tries: int = 10_000_000) -> Hypergraph3:

@@ -22,6 +22,7 @@ from bergesat.assembler import (
     Verdict,
     build_spectrum_witness,
     build_W,
+    compose,
     ex_formula,
     plan_exact5,
     plan_lower,
@@ -170,7 +171,7 @@ def test_lower_plan_keeps_the_largest_clique_split():
 RUN_GRID = ([(n, ell) for ell in (1, 2, 3, 4) for n in range(1, 18)]
             + [(3, 5), (5, 5), (6, 7), (8, 8)]
             + [(20, 6), (120, 6), (45, 5), (60, 5), (61, 5), (120, 7), (87, 8)])
-RUNS_SHA256 = "522754b9d1b19847bd430c049d748c484b70eccbc4afb86fec271a9324a861b1"
+RUNS_SHA256 = "8ed0c00819644dbb1fbe4f85057e64dc7ec4e86efbb4fc557d01f7420e4c4b37"
 
 
 def test_spectrum_runs_are_pinned_and_every_verdict_names_its_run():
@@ -244,6 +245,53 @@ def test_exact5_single_unit_per_deficit_class():
     assert sum(2 * b.vertices - b.edges for b in plan) == 8
     g = build(plan)
     assert len(g.edges) == 82 and certified(g, 5)
+
+
+_REF_LANTERN = Block("lantern", 15, 23, 0, lambda **_: gadgets.lantern(5))
+_REF_BROKEN = Block("broken lantern", 10, 15, 1, lambda **_: gadgets.broken_lantern())
+
+# residue b of the deficit m* = 7a + b at ell = 5: its special blocks and
+# how many of the a lanterns they replace; 2N - e of a block is its share
+# of m*, 7 for a lantern and 0 for K_5
+_REF_EXACT5_UNITS = {
+    0: ((), 0),
+    1: ((Block("sun", 6, 8, 0, lambda **_: gadgets.sun(5)), assembler._clique(4, 5)), 1),
+    2: ((Block("R", 15, 21, 2, lambda **_: gadgets.gadget_R()),), 1),
+    3: ((_REF_BROKEN, _REF_BROKEN), 1),
+    4: ((Block("Q", 20, 29, 2, lambda **_: gadgets.gadget_Q()),), 1),
+    5: ((_REF_BROKEN,), 0),
+    6: ((Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D()),), 0),
+}
+
+
+def _reference_exact5_plan(n, m):
+    """The ell = 5, 5 | n mixture plan for m in [5n/3, 2n - 5] or 2n
+    before `compose`, verbatim: a residue table of special blocks, then
+    lanterns, then 5-cliques."""
+    if m == 2 * n:
+        return (assembler._clique(5, 5),) * (n // 5)
+    m_star = 2 * n - m
+    a, b = divmod(m_star, 7)
+    units, replaced = _REF_EXACT5_UNITS[b]
+    lanterns = a - replaced
+    used = sum(u.vertices for u in units) + 15 * lanterns
+    return units + (_REF_LANTERN,) * lanterns + (assembler._clique(5, 5),) * ((n - used) // 5)
+
+
+def test_compose_rebuilds_the_residue_table_plans():
+    # every 5 | n <= 600 and every m the mixtures planned: the same blocks
+    # in the same order; the four counts under 2n have no union at all
+    def shape(plan):
+        return [(b.name, b.vertices, b.edges) for b in plan]
+
+    plans = 0
+    for n in range(5, 601, 5):
+        for m in [*range(-(-5 * n // 3), 2 * n - 4), 2 * n]:
+            assert shape(compose(n, 5, m).plan) == shape(_reference_exact5_plan(n, m)), (n, m)
+            plans += 1
+        for m in range(2 * n - 4, 2 * n):
+            assert compose(n, 5, m) is None, (n, m)
+    assert plans == 11704
 
 
 def test_dispatch_boundaries_at_45():
@@ -436,7 +484,7 @@ def test_union_rule_matches_the_checker():
 
 def _planned_blocks():
     """(ell, block) for every distinct block the planner uses on a grid
-    that covers each branch."""
+    that covers each branch, and every row of assembler._BESIDE."""
     points = [(n, ell, m) for n in (2, 3, 5, 8, 16, 30, 31, 32) for ell in (1, 2, 3, 4)
               for m in range(comb(n, 3) + 1)]
     points += [(5, 7, 10)]
@@ -447,6 +495,10 @@ def _planned_blocks():
         verdict = plan_witness(n, ell, m)
         for b in verdict.plan or ():
             seen.setdefault((ell, b.name, b.vertices), (ell, b))
+    # every row compose sets beside cliques, planned on this grid or not
+    for ell, rows in assembler._BESIDE.items():
+        for b in rows:
+            seen.setdefault((ell, b.name, b.vertices), (ell, b))
     return list(seen.values())
 
 
@@ -455,6 +507,8 @@ def test_declared_nonfull_counts_match_the_link_pass():
     names = {b.name for _, b in blocks}
     assert {"W", "lantern", "sun", "broken lantern", "D", "Q", "R", "K_4", "K_5",
             "wrap cycle", "tight cycle", "sparse split", "empty graph"} <= names
+    # compose checks the union rule on its units alone: every first row is all full
+    assert all(rows[0].nonfull == 0 for rows in assembler._BESIDE.values())
     for ell, b in blocks:
         g = b.build(seed=0, max_tries=10_000_000)
         assert (g.vertex_count, len(g.edges)) == (b.vertices, b.edges), b.name
@@ -478,3 +532,7 @@ def test_planner_refuses_blocks_that_break_the_rule_or_the_sums(monkeypatch):
     monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D", (d,)))
     with pytest.raises(InternalError, match="\\(10, 14\\)"):
         plan_witness(20, 5, 28)
+    # compose skips units that break the rule: with only lanterns and D,
+    # two D blocks and five 5-cliques are the one union with 45 vertices and 78 edges
+    monkeypatch.setattr(assembler, "_BESIDE", {5: (assembler._BESIDE[5][0], d)})
+    assert compose(45, 5, 78) is None

@@ -18,7 +18,7 @@ from bergesat.checker import (
     degree6_component_claim,
     is_saturated,
 )
-from bergesat import twographs
+from bergesat import checker, twographs
 from bergesat.confmodel import sample_linear
 from bergesat.gadgets import (
     broken_lantern, clique3, gadget_D, gadget_Q, gadget_R, lantern, sun,
@@ -341,16 +341,28 @@ def test_fast_path_and_full_scan_agree_on_a_built_witness_minus_an_edge():
     _assert_paths_match_the_literal_scan(h, 6)
 
 
-def test_full_scan_on_the_largest_witness_agrees_with_the_fast_path():
+def test_full_scan_on_the_largest_witness_agrees_with_the_fast_path(monkeypatch):
     # C(10008, 3) = 1.67e11 triples: a literal scan would never finish,
-    # the rule-pruned one takes a fraction of a second
+    # the rule-pruned one takes a fraction of a second and, as the README
+    # and the checker docstring say, visits 16,038 triples on the witness
     _, g = build_spectrum_witness(10008, 6, 25590, seed=0)
     assert g is not None and len(g.edges) == 25590
+    lifts = []
+
+    def counted(*args, _lifts=checker._lifts):
+        lifts.append(args[2])
+        return _lifts(*args)
+
+    monkeypatch.setattr(checker, "_lifts", counted)
     for h, saturated in ((g, True), (remove_edge(g, g.edges[len(g.edges) // 2]), False)):
+        lifts.clear()
         fast = is_saturated(h, 6)
+        fast_lifts = len(lifts)
         started = time.perf_counter()
         full = is_saturated(h, 6, full_scan=True)
         assert time.perf_counter() - started < 10.0
+        if saturated:
+            assert (fast_lifts, len(lifts) - fast_lifts) == (0, 16038)
         assert fast.is_free and full.is_free
         assert fast.is_saturated == full.is_saturated == saturated
         assert full.counterexample == fast.counterexample
