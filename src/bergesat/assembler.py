@@ -1,11 +1,12 @@
 """Planners and builders for saturated graphs with prescribed size.
 
-Every plan is an ordered tuple of `Block`s, the pieces whose disjoint
-union is the witness.  plan_witness is the one planner for every
-(n, ell, m) and builds nothing; build_spectrum_witness glues the blocks
-of its plan in order with hypercore.disjoint_union, and the checker
-re-verifies every witness.  The union rule composes them: call v full
-when d_B(v) = ell - 1; a disjoint union of saturated free blocks is
+Every plan is a tuple of runs (`Block`, copies >= 1), no two
+neighbouring runs on one block, whose copies' disjoint union is the
+witness.  plan_witness is the one planner for every (n, ell, m) and
+builds nothing; build_spectrum_witness builds each run's block once,
+glues the copies in order with hypercore.disjoint_union, and the checker
+re-verifies every witness.  The union rule composes the blocks: call v
+full when d_B(v) = ell - 1; a disjoint union of saturated free blocks is
 saturated iff its non-full vertices lie in one block or number at most
 2, since by the pair-insertion rule a triple across blocks lifts exactly
 when one of its vertices is full.  A plan that breaks the rule or does
@@ -47,8 +48,8 @@ MAX_PLANNED = 2**17
 
 class Verdict(NamedTuple):
     """Outcome of planning: a status, a human-readable detail line, the
-    plan, a tuple of blocks, when status is "ok", and the run, the
-    (status, rule) pair under which spectrum_runs groups this m."""
+    plan, a tuple of (block, copies) runs, when status is "ok", and the
+    run, the (status, rule) pair under which spectrum_runs groups this m."""
 
     status: str
     detail: str
@@ -73,12 +74,6 @@ class Block(NamedTuple):
     edges: int
     nonfull: int
     build: object
-
-
-def block_runs(plan):
-    """(block, copies) for each run of one block object in plan order; a
-    clique split repeats K_ell c times."""
-    return [(b, len(list(run))) for b, run in groupby(plan)]
 
 
 def union_saturated(nonfull) -> bool:
@@ -256,7 +251,7 @@ def plan_lower(n, ell, m) -> Verdict:
                "3-graph realizes (too few active vertices or edges, or more edges than a "
                "linear 3-graph on its active vertices holds); exit 5")
     return Verdict(OK, f"core graph with {k} lanterns and {i} surgeries plus {c} cliques",
-                   (w,) + (_clique(ell, ell),) * c, run)
+                   ((w, 1),) + (((_clique(ell, ell), c),) if c else ()), run)
 
 
 # perfbench/tracer.py wraps the planners by name, this one included; the
@@ -283,7 +278,7 @@ def compose(n, ell, m):
     the first, at most two and first in row order, whose shares leave a
     non-negative multiple of the first row's, that fit in n with a
     multiple of ell vertices left and keep the union rule; the plan is
-    the units, copies of the first row, then cliques."""
+    the units, copies of the first row, then cliques, each as a run."""
     clique = _clique(ell, ell)
     # with no rows K_ell heads alone, and its share 0 admits cliques only
     head, *rows = _BESIDE.get(ell) or (clique,)
@@ -294,10 +289,11 @@ def compose(n, ell, m):
         c, left = divmod(n - sum(b.vertices for b in units) - copies * head.vertices, ell)
         if copies < 0 or c < 0 or off or left or not union_saturated([b.nonfull for b in units]):
             continue
-        counts = ((copies, head), (c, clique))
-        detail = " + ".join([b.name for b in units] + [f"{k} x {b.name}" for k, b in counts if k])
+        counts = tuple((b, k) for b, k in ((head, copies), (clique, c)) if k)
+        detail = " + ".join([b.name for b in units] + [f"{k} x {b.name}" for b, k in counts])
         run = "exact-fifth-zone gadget unions" if units or copies else "disjoint ell-cliques"
-        return Verdict(OK, detail, units + (head,) * copies + (clique,) * c, ("feasible", run))
+        plan = tuple((b, len(list(same))) for b, same in groupby(units)) + counts
+        return Verdict(OK, detail, plan, ("feasible", run))
     return None
 
 
@@ -336,30 +332,30 @@ _WRAP_ROWS = {
 
 
 def _closed_form(n, ell):
-    """{m: (vertices the construction needs, its name, its blocks)} for
+    """{m: (vertices the construction needs, its name, its plan)} for
     n <= ell, where no Berge degree can reach ell and K_n^(3) is the only
     saturated graph, and for ell <= 4; None otherwise."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n >= 1 and ell >= 1, got ({n}, {ell})")
     if n <= ell:
         return {comb(n, 3): (n, "the complete 3-graph, the only saturated graph when n <= ell",
-                             (_clique(n, ell),))}
+                             ((_clique(n, ell), 1),))}
     if ell == 1:
         return {0: (1, "the empty graph",
-                    (Block("empty graph", n, 0, 0, lambda **_: make(n, [])),))}
+                    ((Block("empty graph", n, 0, 0, lambda **_: make(n, [])), 1),))}
     if ell == 2:
         return {n // 3: (3, "a maximum matching",
-                         (_clique(3, 2),) * (n // 3) + (_clique(n % 3, 2),))}
+                         ((_clique(3, 2), n // 3), (_clique(n % 3, 2), 1)))}
     if ell == 3:
         return {2 * n // 3 - d: (6 + b.vertices, "a wrap cycle" + what,
-                                 (_wrap_cycle(n - b.vertices), b))
+                                 ((_wrap_cycle(n - b.vertices), 1), (b, 1)))
                 for d, b, what in _WRAP_ROWS[n % 3]}
     if ell == 4:
         sparse = Block("sparse split", n, n - 1, 2, lambda **kw: gadgets.l4_sparse(n, **kw))
         return {n - 2: (6, "a tight cycle and two isolated vertices",
-                        (_tight_cycle(n - 2), _clique(2, 4))),
-                n - 1: (16, "the sparse split of a 3-regular linear graph", (sparse,)),
-                n: (4, "a tight cycle", (_tight_cycle(n),))}
+                        ((_tight_cycle(n - 2), 1), (_clique(2, 4), 1))),
+                n - 1: (16, "the sparse split of a 3-regular linear graph", ((sparse, 1),)),
+                n: (4, "a tight cycle", ((_tight_cycle(n), 1),))}
     return None
 
 
@@ -384,18 +380,18 @@ def plan_witness(n, ell, m) -> Verdict:
         else:
             verdict = plan_lower(n, ell, m)
     elif m in table:
-        need, name, blocks = table[m]
+        need, name, plan = table[m]
         if need > n:
             detail = f"{name} needs n >= {need}, got n = {n}"
             return Verdict(UNSUPPORTED, detail, run=("unsupported", detail))
-        verdict = Verdict(OK, name, blocks, ("feasible", name))
+        verdict = Verdict(OK, name, plan, ("feasible", name))
     else:
         detail = f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}"
         return Verdict(BY_THEOREM, detail, run=("infeasible", detail))
     if verdict.feasible:
-        copies = block_runs(verdict.plan)
-        size = (sum(k * b.vertices for b, k in copies), sum(k * b.edges for b, k in copies))
-        nonfull = [b.nonfull for b, k in copies if b.nonfull for _ in range(k)]
+        plan = verdict.plan
+        size = (sum(k * b.vertices for b, k in plan), sum(k * b.edges for b, k in plan))
+        nonfull = [b.nonfull for b, k in plan if b.nonfull for _ in range(k)]
         if size != (n, m) or not union_saturated(nonfull):
             raise InternalError(f"the blocks planned for {(n, ell, m)} have (vertices, "
                                 f"edges) = {size} and non-full counts {nonfull}")
@@ -412,13 +408,13 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
     verdict = plan_witness(n, ell, m)
     if not verdict.feasible:
         return verdict, None
-    # each block object is built once: the c cliques of a split share one graph
-    built = {b: b.build(seed=seed, max_tries=max_tries) for b in dict.fromkeys(verdict.plan)}
+    # the block of each run is built once: the c cliques of a split share one graph
+    built = {b: b.build(seed=seed, max_tries=max_tries) for b, _ in verdict.plan}
     for b, h in built.items():
         if (h.vertex_count, len(h.edges)) != (b.vertices, b.edges):
             raise InternalError(f"block {b.name} was built with {h.vertex_count} vertices "
                                 f"and {len(h.edges)} edges, not {b.vertices} and {b.edges}")
-    return verdict, disjoint_union(*map(built.__getitem__, verdict.plan))
+    return verdict, disjoint_union(*chain.from_iterable([built[b]] * k for b, k in verdict.plan))
 
 
 def spectrum_runs(n, ell):

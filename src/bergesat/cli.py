@@ -125,7 +125,7 @@ def _cmd_build(args):
     report["verified_saturated"] = certified
     report["plan"] = [{"name": b.name, "vertices": b.vertices, "edges": b.edges,
                        "nonfull": b.nonfull, "copies": copies}
-                      for b, copies in assembler.block_runs(verdict.plan)]
+                      for b, copies in verdict.plan]
     _write_report(args, report)
     dest = args.out if args.out and certified else "(not written)"
     _say(args, f"build n={args.n} ell={args.ell} m={args.m} seed={args.seed}: "

@@ -47,7 +47,7 @@ search draw from a ``random.Random``; only the rejection route imports
 numpy and draws from numpy Generators.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 import random
 from typing import NamedTuple
@@ -61,26 +61,26 @@ _PAIR_REJECT_EVICTIONS = 4
 
 
 class DegreeSpec(NamedTuple):
-    """Degree sequence d(n, ell, k) with the vertex-id layout fixed.
-
-    Ids 0 .. 15k-1 get degree ell-5, the next t get degree ell-2, the
-    rest degree ell-1.
-    """
+    """Degree sequence d(n, ell, k) with the vertex-id layout of blocks fixed."""
 
     n: int
     ell: int
     k: int
     t: int
 
-    def degree_array(self) -> list:
+    @property
+    def blocks(self) -> tuple:
+        """(degree, size) in id order: 15k ids at ell-5, t at ell-2, the rest at ell-1."""
         low = 15 * self.k
-        return ([self.ell - 5] * low + [self.ell - 2] * self.t
-                + [self.ell - 1] * (self.n - low - self.t))
+        return ((self.ell - 5, low), (self.ell - 2, self.t), (self.ell - 1, self.n - low - self.t))
+
+    def degree_array(self) -> list:
+        return list(chain.from_iterable([d] * size for d, size in self.blocks))
 
     @property
     def active(self) -> int:
-        """Vertices of positive degree: the low block has degree 0 at ell = 5."""
-        return self.n - (15 * self.k if self.ell == 5 else 0)
+        """Vertices of positive degree."""
+        return sum(size for d, size in self.blocks if d > 0)
 
     @property
     def edge_count(self) -> int:
@@ -225,9 +225,8 @@ def refusal(spec: DegreeSpec, require_pair=True):
         return (f"no disjoint full-degree edge pair is possible for (n={n}, ell={ell}, "
                 f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
                 f"{15 * k} low-degree vertices")
-    blocks = ((ell - 5, 15 * k), (ell - 2, spec.t), (ell - 1, n - 15 * k - spec.t))
     active = spec.active
-    d_max = max((d for d, size in blocks if d > 0 and size), default=0)
+    d_max = max((d for d, size in spec.blocks if d > 0 and size), default=0)
     head = f"no simple linear realization of (n={n}, ell={ell}, k={k})"
     if d_max and active < 2 * d_max + 1:
         return (f"{head}: a vertex of degree {d_max} needs {2 * d_max} neighbours "

@@ -3,7 +3,7 @@ dispatch boundaries."""
 
 from fractions import Fraction
 from hashlib import sha256
-from itertools import combinations
+from itertools import combinations, groupby
 import json
 from math import comb
 import random
@@ -57,17 +57,29 @@ def certified(g, ell):
 
 
 def build(plan):
-    """The seed-0 union of a plan's blocks, as build_spectrum_witness makes it."""
-    return disjoint_union(*(b.build(seed=0, max_tries=10_000_000) for b in plan))
+    """The seed-0 union of a plan's runs, as build_spectrum_witness makes it."""
+    return disjoint_union(*(b.build(seed=0, max_tries=10_000_000)
+                            for b, copies in plan for _ in range(copies)))
 
 
 def split_fields(plan, ell):
-    """(c, s) of a clique-split plan: its K_ell blocks, and the core's
+    """(c, s) of a clique-split plan: its K_ell copies, and the core's
     edges above sat of its vertices (0 without a core)."""
-    c = sum(b.name == f"K_{ell}" for b in plan)
-    core = [b for b in plan if b.name == "W"]
+    c = sum(copies for b, copies in plan if b.name == f"K_{ell}")
+    core = [b for b, _ in plan if b.name == "W"]
     s = core[0].edges - sat_formula(core[0].vertices, ell)[0] if core else 0
     return c, s
+
+
+def runs_shape(plan):
+    """A plan's runs as (name, vertices, edges, nonfull, copies)."""
+    return [(*b[:4], copies) for b, copies in plan]
+
+
+def assert_lawful_runs(plan):
+    """Each run holds at least one copy, and neighbouring runs differ in block."""
+    assert plan and all(copies >= 1 for _, copies in plan), runs_shape(plan)
+    assert all(a[:4] != b[:4] for (a, _), (b, _) in zip(plan, plan[1:])), runs_shape(plan)
 
 
 def nonfull(g, ell):
@@ -147,6 +159,16 @@ def test_lower_plan_reaches_the_extremal_end():
     assert plan_witness(10008, 6, ex_val + 1).status == OUT_OF_RANGE
 
 
+def test_plan_size_does_not_grow_with_n():
+    # a plan holds one run per block, not one entry per clique
+    n = 999_996
+    ex = ex_formula(n, 6)[0]
+    assert runs_shape(plan_witness(n, 6, ex).plan) == [("K_6", 6, 20, 0, 166_666)]
+    verdict = plan_witness(n, 6, ex - 200)
+    assert verdict.status == OK and verdict.detail.endswith("plus 166646 cliques")
+    assert runs_shape(verdict.plan) == [("W", 120, 200, 120, 1), ("K_6", 6, 20, 0, 166_646)]
+
+
 def test_lower_plan_keeps_the_largest_clique_split():
     # the bisection agrees with a linear scan over every clique count
     for n, ell in ((45, 5), (61, 5), (120, 6), (120, 7), (87, 8)):
@@ -183,7 +205,10 @@ def test_spectrum_runs_are_pinned_and_every_verdict_names_its_run():
         table = assembler._closed_form(n, ell)
         top = ex_formula(n, ell)[0] if table is None else max(table)
         for m in range(top + 2):
-            run = plan_witness(n, ell, m).run
+            verdict = plan_witness(n, ell, m)
+            if verdict.feasible:
+                assert_lawful_runs(verdict.plan)
+            run = verdict.run
             assert isinstance(run, tuple) and len(run) == 2, (n, ell, m)
             assert all(isinstance(x, str) and x for x in run), (n, ell, m)
 
@@ -206,6 +231,9 @@ def test_every_m_from_sat_to_ex_is_built_or_refused(n, ell):
     # verdict (exit 6/7) or a sampler refusal (exit 5); never exit 4
     certified_ms = 0
     for m in range(sat_formula(n, ell)[0], ex_formula(n, ell)[0] + 1):
+        planned = plan_witness(n, ell, m)
+        if planned.feasible:
+            assert_lawful_runs(planned.plan)
         try:
             verdict, g = build_spectrum_witness(n, ell, m, seed=0, max_tries=20000)
         except SamplerBudgetError:
@@ -242,7 +270,7 @@ def test_exact5_single_unit_per_deficit_class():
     assert verdict.status == OK
     plan = verdict.plan
     # the deficit m* = 2n - m is the sum of 2N - e over the blocks
-    assert sum(2 * b.vertices - b.edges for b in plan) == 8
+    assert sum(copies * (2 * b.vertices - b.edges) for b, copies in plan) == 8
     g = build(plan)
     assert len(g.edges) == 82 and certified(g, 5)
 
@@ -281,13 +309,14 @@ def _reference_exact5_plan(n, m):
 def test_compose_rebuilds_the_residue_table_plans():
     # every 5 | n <= 600 and every m the mixtures planned: the same blocks
     # in the same order; the four counts under 2n have no union at all
-    def shape(plan):
-        return [(b.name, b.vertices, b.edges) for b in plan]
+    def shape(runs):
+        return [(b.name, b.vertices, b.edges, copies) for b, copies in runs]
 
     plans = 0
     for n in range(5, 601, 5):
         for m in [*range(-(-5 * n // 3), 2 * n - 4), 2 * n]:
-            assert shape(compose(n, 5, m).plan) == shape(_reference_exact5_plan(n, m)), (n, m)
+            reference = [(b, len(list(same))) for b, same in groupby(_reference_exact5_plan(n, m))]
+            assert shape(compose(n, 5, m).plan) == shape(reference), (n, m)
             plans += 1
         for m in range(2 * n - 4, 2 * n):
             assert compose(n, 5, m) is None, (n, m)
@@ -493,7 +522,7 @@ def _planned_blocks():
     seen = {}
     for n, ell, m in points:
         verdict = plan_witness(n, ell, m)
-        for b in verdict.plan or ():
+        for b, _ in verdict.plan or ():
             seen.setdefault((ell, b.name, b.vertices), (ell, b))
     # every row compose sets beside cliques, planned on this grid or not
     for ell, rows in assembler._BESIDE.items():
@@ -523,13 +552,14 @@ def test_declared_nonfull_counts_match_the_link_pass():
 def test_planner_refuses_blocks_that_break_the_rule_or_the_sums(monkeypatch):
     d = Block("D", 10, 14, 2, lambda **_: gadgets.gadget_D())
     # two D blocks fill (20, 28) but leave 4 non-full vertices in 2 blocks
-    monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D + D", (d, d)))
+    monkeypatch.setattr(assembler, "plan_lower",
+                        lambda n, ell, m: Verdict(OK, "D + D", ((d, 2),)))
     with pytest.raises(InternalError, match="non-full counts \\[2, 2\\]"):
         plan_witness(20, 5, 28)
     with pytest.raises(InternalError):
         build_spectrum_witness(20, 5, 28)
     # one D block: the rule holds, but 10 vertices are not 20
-    monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D", (d,)))
+    monkeypatch.setattr(assembler, "plan_lower", lambda n, ell, m: Verdict(OK, "D", ((d, 1),)))
     with pytest.raises(InternalError, match="\\(10, 14\\)"):
         plan_witness(20, 5, 28)
     # compose skips units that break the rule: with only lanterns and D,

@@ -32,6 +32,20 @@ def test_build_then_verify_round_trip(tmp_path):
     assert run("verify", str(out), "--ell", "5", "--quiet") == 0
 
 
+def test_a_failed_rename_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "w.h3"
+    out.write_text("the earlier artifact\n")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run("build", "--n", "45", "--ell", "5", "--m", "63", "-o", str(out), "--quiet") == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "the earlier artifact\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.h3"]
+
+
 def test_build_reports_provable_infeasibility(capsys):
     assert run("build", "--n", "45", "--ell", "5", "--m", "88") == 6
     assert "infeasible_by_theorem" in capsys.readouterr().out
@@ -270,6 +284,9 @@ def _broken(*args, **kwargs):
     pytest.param(2, ["verify", "ONE", "--ell", "5"], None, id="unsaturated"),
     pytest.param(3, ["verify", "K7", "--ell", "5"], None, id="not-free"),
     pytest.param(4, ["build", "--n", "45", "--ell", "5"], None, id="missing-m"),
+    # a negative m is refused before planning, which exits 8 here
+    pytest.param(4, ["build", "--n", "45", "--ell", "5", "--m", "-1"],
+                 (assembler, "plan_witness"), id="negative-m"),
     # the planner accepts this m = C(3000, 3), and building it would
     # allocate 4.5e9 triples; planning here exits 8, so 4 shows that the
     # cap answers first

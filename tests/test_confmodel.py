@@ -55,7 +55,8 @@ def test_degree_spec_arithmetic():
 def test_degree_spec_rejects_bad_parameters():
     for args, problem in (((30, 3, 0), "unsupported"), ((30, 4, 1), "unsupported"),
                           ((30, 5, 11), "outside"), ((14, 5, 1), "15k = 15 exceeds"),
-                          ((16, 6, 1), "15k \\+ t = 17 exceed n = 16")):
+                          ((16, 6, 1), "15k \\+ t = 17 exceed n = 16"),
+                          ((-1, 5, 0), "negative n = -1")):
         with pytest.raises(ValueError, match=problem):
             degree_spec(*args)
 
@@ -96,12 +97,14 @@ def test_every_route_result_is_checked_against_the_spec(monkeypatch, require_pai
     from bergesat import confmodel
     from bergesat.hypercore import Hypergraph3
 
-    def wrong_degrees(spec, seed, max_tries, stats):
-        yield Hypergraph3(spec.n, ((0, 1, 2),))
+    for edges, problem in ((((0, 1, 2),), "degree mismatch"),
+                           (((0, 1, 2), (0, 1, 3)), "not linear: pair \\(0, 1\\) in two edges")):
+        def wrong_graph(spec, seed, max_tries, stats, edges=edges):
+            yield Hypergraph3(spec.n, edges)
 
-    monkeypatch.setattr(confmodel, "_sample_hill", wrong_degrees)
-    with pytest.raises(ValueError, match="degree mismatch"):
-        sample_linear(24, 5, 0, seed=0, require_pair=require_pair)
+        monkeypatch.setattr(confmodel, "_sample_hill", wrong_graph)
+        with pytest.raises(ValueError, match=problem):
+            sample_linear(24, 5, 0, seed=0, require_pair=require_pair)
 
 
 def test_rejection_defect_rates_match_the_loop_model():
@@ -145,6 +148,21 @@ def test_exact_search_itself_proves_the_refused_specs_unrealizable(n):
     stats = SampleStats()
     assert next(_sample_dfs(spec, 0, 200000, stats), None) is None
     assert 0 < stats.tries < 200000
+
+
+@pytest.mark.parametrize("require_pair, suffix", [(True, " with the disjoint-pair guarantee"),
+                                                  (False, "")])
+def test_search_that_runs_out_raises_the_budget_error(monkeypatch, require_pair, suffix):
+    # refusal() rules d(7, 5, 0) out by counting; without it the search
+    # runs its whole space, 916 nodes, and the acceptance loop gives up
+    from bergesat import confmodel
+
+    monkeypatch.setattr(confmodel, "refusal", lambda spec, require_pair=True: None)
+    with pytest.raises(SamplerBudgetError) as e:
+        sample_linear(7, 5, 0, seed=0, require_pair=require_pair)
+    assert str(e.value) == ("exhaustive search: no simple linear realization of "
+                            f"(n=7, ell=5, k=0){suffix}")
+    assert e.value.stats.tries == 916
 
 
 def test_counting_refusals_come_before_any_sampling():
