@@ -42,7 +42,7 @@ BY_THEOREM = "infeasible_by_theorem"
 OUT_OF_RANGE = "out_of_range"
 UNSUPPORTED = "unsupported"
 
-# the most values of m spectrum_runs plans one by one, from sat to ex
+# the most values of m spectrum_runs plans one by one
 MAX_PLANNED = 2**17
 
 
@@ -82,8 +82,10 @@ def union_saturated(nonfull) -> bool:
     return len(spread) <= 1 or sum(spread) <= 2
 
 
+@lru_cache(maxsize=1 << 8)
 def _clique(s, ell) -> Block:
-    """K_s^(3), whose vertices have Berge degree min(C(s-1, 2), s-1)."""
+    """K_s^(3), whose vertices have Berge degree min(C(s-1, 2), s-1).
+    One Block per (s, ell), so every plan that holds K_s holds the same one."""
     degree = min(comb(s - 1, 2), s - 1) if s else 0
     return Block(f"K_{s}", s, comb(s, 3), 0 if degree == ell - 1 else s,
                  lambda **_: gadgets.clique3(s))
@@ -418,20 +420,17 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
 
 
 def spectrum_runs(n, ell):
-    """Maximal runs of m in [0, top] sharing the run plan_witness names;
-    top is the largest closed-form m, else ex.  Below sat one verdict
-    stands for the whole run, and the closed form plans only its table
-    entries and the m just past each."""
+    """Maximal runs of m in [0, hi] sharing the run plan_witness names,
+    planning m = 0 and each m from lo to hi + 1; (lo, hi) is the least
+    and largest closed-form m, else (sat, ex).  Below lo one verdict
+    stands for the whole run."""
     table = _closed_form(n, ell)
-    if table is None:
-        sat, ex = sat_formula(n, ell)[0], ex_formula(n, ell)[0]
-        if ex - sat + 1 > MAX_PLANNED:
-            raise ValueError(f"({n}, {ell}) has {ex - sat + 1} values of m from sat to ex, "
-                             f"above the planning limit {MAX_PLANNED}")
-        bounds = [0, *range(sat, ex + 2)]
-    else:
-        # the verdict changes only at a table entry and just past one
-        bounds = sorted({0, *table, *(m + 1 for m in table)})
+    keys = table or (sat_formula(n, ell)[0], ex_formula(n, ell)[0])
+    lo, hi = min(keys), max(keys)
+    if hi - lo + 1 > MAX_PLANNED:
+        raise ValueError(f"({n}, {ell}) has {hi - lo + 1} values of m from sat to ex, "
+                         f"above the planning limit {MAX_PLANNED}")
+    bounds = [0, *range(max(lo, 1), hi + 2)]
     runs = []
     for m, nxt in zip(bounds, bounds[1:]):
         status, rule = plan_witness(n, ell, m).run

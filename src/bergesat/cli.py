@@ -11,7 +11,7 @@ Exit codes are part of the interface and are kept apart deliberately:
        sample-config a degree spec at 2^22 edges, and gadget --name
        clique, lantern and sun at 2^22 triples;
        spectrum --exhaustive refuses n >= 8, and spectrum --theory more
-       than 2^17 values of m from sat to ex outside the closed form),
+       than 2^17 values of m from sat to ex),
        unreadable input, or malformed graph file
     5  sampler budget exhausted before a simple linear graph appeared
        (build still writes its --report, with status "sampler_budget")

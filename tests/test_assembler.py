@@ -92,6 +92,9 @@ def test_sat_formula_values_and_minimizers():
     assert sat_formula(30, 4) == (28, frozenset({2, 3}))
     assert sat_formula(30, 2) == (10, frozenset({1, 2}))
     assert sat_formula(30, 3)[0] == 19
+    for n, ell in ((30, 1), (0, 5)):
+        with pytest.raises(ValueError):
+            sat_formula(n, ell)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,6 +112,8 @@ def test_extremal_values():
     assert ex_formula(30, 4) == (30, "exact")
     assert ex_formula(31, 3) == (20, "exact")
     assert ex_formula(120, 6) == (400, "exact")
+    with pytest.raises(ValueError):
+        ex_formula(5, 0)
 
 
 def test_sun_swap_beats_columns_for_all_moderate_ell():
@@ -164,6 +169,8 @@ def test_plan_size_does_not_grow_with_n():
     n = 999_996
     ex = ex_formula(n, 6)[0]
     assert runs_shape(plan_witness(n, 6, ex).plan) == [("K_6", 6, 20, 0, 166_666)]
+    # one Block per clique size, so plans compare whole, build lambda too
+    assert plan_witness(n, 6, ex).plan == ((assembler._clique(6, 6), 166_666),)
     verdict = plan_witness(n, 6, ex - 200)
     assert verdict.status == OK and verdict.detail.endswith("plus 166646 cliques")
     assert runs_shape(verdict.plan) == [("W", 120, 200, 120, 1), ("K_6", 6, 20, 0, 166_646)]
@@ -223,6 +230,25 @@ def test_unrealizable_core_specs_are_unsupported():
 
 
 COVERAGE_FLOOR = {(120, 6): 149, (61, 5): 30, (120, 7): 143}
+
+
+def reference_runs(n, ell):
+    """spectrum_runs from one plan per m in [0, top], merging equal runs;
+    top is the largest closed-form m, else ex."""
+    table = assembler._closed_form(n, ell)
+    top = ex_formula(n, ell)[0] if table is None else max(table)
+    marked = [(plan_witness(n, ell, m).run, m) for m in range(top + 1)]
+    runs = []
+    for (status, rule), same in groupby(marked, key=lambda x: x[0]):
+        ms = [m for _, m in same]
+        runs.append({"lo": ms[0], "hi": ms[-1], "status": status, "rule": rule})
+    return runs
+
+
+def test_spectrum_runs_match_one_plan_per_m():
+    for n in range(1, 61):
+        for ell in range(1, 10):
+            assert spectrum_runs(n, ell) == reference_runs(n, ell), (n, ell)
 
 
 @pytest.mark.parametrize("n,ell", sorted(COVERAGE_FLOOR))

@@ -279,46 +279,57 @@ def _broken(*args, **kwargs):
     raise InternalError("an invariant failed")
 
 
-@pytest.mark.parametrize("code, argv, broken", [
-    pytest.param(0, ["verify", "K5", "--ell", "5"], None, id="saturated"),
-    pytest.param(2, ["verify", "ONE", "--ell", "5"], None, id="unsaturated"),
-    pytest.param(3, ["verify", "K7", "--ell", "5"], None, id="not-free"),
-    pytest.param(4, ["build", "--n", "45", "--ell", "5"], None, id="missing-m"),
+@pytest.mark.parametrize("code, argv, broken, says", [
+    pytest.param(0, ["verify", "K5", "--ell", "5"], None, None, id="saturated"),
+    pytest.param(2, ["verify", "ONE", "--ell", "5"], None, None, id="unsaturated"),
+    pytest.param(3, ["verify", "K7", "--ell", "5"], None, None, id="not-free"),
+    pytest.param(4, ["build", "--n", "45", "--ell", "5"], None, None, id="missing-m"),
     # a negative m is refused before planning, which exits 8 here
     pytest.param(4, ["build", "--n", "45", "--ell", "5", "--m", "-1"],
-                 (assembler, "plan_witness"), id="negative-m"),
+                 (assembler, "plan_witness"), None, id="negative-m"),
     # the planner accepts this m = C(3000, 3), and building it would
     # allocate 4.5e9 triples; planning here exits 8, so 4 shows that the
     # cap answers first
     pytest.param(4, ["build", "--n", "3000", "--ell", "3000", "--m", "4495501000"],
-                 (assembler, "build_spectrum_witness"), id="m-above-cap"),
+                 (assembler, "build_spectrum_witness"), None, id="m-above-cap"),
     # C(3000, 3) triples again, now from the clique gadget; building it
     # here exits 8, so 4 shows that the cap answers before clique3 runs
     pytest.param(4, ["gadget", "--name", "clique", "--n", "3000"],
-                 (gadgets, "clique3"), id="clique-above-cap"),
+                 (gadgets, "clique3"), None, id="clique-above-cap"),
     # 1.3e7 and 1e10 triples: the lantern and sun caps also answer first
     pytest.param(4, ["gadget", "--name", "lantern", "--ell", "300"],
-                 (gadgets, "lantern"), id="lantern-above-cap"),
+                 (gadgets, "lantern"), None, id="lantern-above-cap"),
     pytest.param(4, ["gadget", "--name", "sun", "--ell", "100000"],
-                 (gadgets, "sun"), id="sun-above-cap"),
+                 (gadgets, "sun"), None, id="sun-above-cap"),
     # a file and the catalog together: refused, not the file ignored
     pytest.param(4, ["classify-links", "K5", "--enumerate"],
-                 (oracle, "enumerate_link_catalog"), id="file-and-enumerate"),
+                 (oracle, "enumerate_link_catalog"), None, id="file-and-enumerate"),
     # neither a file nor the catalog, and a sparse split without its size
-    pytest.param(4, ["classify-links"], (checker, "classify_link_5"), id="no-input"),
-    pytest.param(4, ["gadget", "--name", "l4-sparse"], (gadgets, "l4_sparse"),
+    pytest.param(4, ["classify-links"], (checker, "classify_link_5"), None, id="no-input"),
+    pytest.param(4, ["gadget", "--name", "l4-sparse"], (gadgets, "l4_sparse"), None,
                  id="l4-sparse-without-n"),
-    pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None,
+    # the argument guards of the planner and the checker
+    pytest.param(4, ["build", "--n", "0", "--ell", "5", "--m", "0"], None,
+                 "need n >= 1 and ell >= 1", id="build-n-zero"),
+    pytest.param(4, ["build", "--n", "5", "--ell", "0", "--m", "0"], None,
+                 "need n >= 1 and ell >= 1", id="build-ell-zero"),
+    pytest.param(4, ["spectrum", "--theory", "--n", "0", "--ell", "5"], None,
+                 "need n >= 1 and ell >= 1", id="spectrum-n-zero"),
+    pytest.param(4, ["verify", "K5", "--ell", "0"], None, "ell must be positive",
+                 id="verify-ell-zero"),
+    pytest.param(0, ["--help"], None, None, id="help"),
+    pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None, None,
                  id="sampler-budget"),
-    pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None,
+    pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None, None,
                  id="infeasible"),
-    pytest.param(7, ["build", "--n", "45", "--ell", "5", "--m", "500"], None,
+    pytest.param(7, ["build", "--n", "45", "--ell", "5", "--m", "500"], None, None,
                  id="unsupported"),
-    pytest.param(8, ["verify", "K5", "--ell", "5"], (checker, "is_saturated"),
+    pytest.param(8, ["verify", "K5", "--ell", "5"], (checker, "is_saturated"), None,
                  id="internal"),
 ])
-def test_each_exit_code(tmp_path, monkeypatch, code, argv, broken):
-    # one row per documented exit code; a row that raises fails
+def test_each_exit_code(tmp_path, monkeypatch, capsys, code, argv, broken, says):
+    # one row per documented exit code, and what some rows say; a row
+    # that raises fails
     graphs = {"K5": _clique(5), "K7": _clique(7), "ONE": make(6, [(0, 1, 2)])}
     for name, g in graphs.items():
         (tmp_path / f"{name}.h3").write_text(write_h3(g))
@@ -326,6 +337,9 @@ def test_each_exit_code(tmp_path, monkeypatch, code, argv, broken):
         monkeypatch.setattr(*broken, _broken)
     argv = [str(tmp_path / f"{a}.h3") if a in graphs else a for a in argv]
     assert main(argv + ["--quiet"]) == code
+    if says:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
@@ -337,6 +351,11 @@ def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys):
         ("deep.json", '{"n": ' + "[" * 5000),
         ("bool_n.json", '{"n": true, "edges": []}'),
         ("bool_edge.json", '{"n": 3, "edges": [[false, true, 2]]}'),
+        # parsed, then refused by graph validation
+        ("negative_n.json", '{"n": -1, "edges": []}'),
+        ("out_of_range.json", '{"n": 3, "edges": [[0, 1, 5]]}'),
+        ("descending.json", '{"n": 3, "edges": [[2, 1, 0]]}'),
+        ("unordered.json", '{"n": 4, "edges": [[1, 2, 3], [0, 1, 2]]}'),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -542,6 +561,41 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
     expected = sorted(f"bergesat.{m}" for m in ["cli", "hypercore"] + layers)
     heavy = ["inspect"] if numpy else []
     assert json.loads(out.read_text()) == [[], 0, expected, numpy, heavy, []]
+
+
+# four commands in one fresh interpreter, then their exit codes: a
+# clique split with two surgeries, a composer plan, the planner's runs
+# and the link classes of the first witness
+_HASH_SEED_PROBE = """
+from bergesat.cli import main
+codes = [main(argv) for argv in (
+    ["build", "--n", "45", "--ell", "5", "--m", "66", "--seed", "3",
+     "-o", "w1.h3", "--report", "w1.json"],
+    ["build", "--n", "60", "--ell", "5", "--m", "110", "-o", "w2.h3", "--report", "w2.json"],
+    ["spectrum", "--theory", "--n", "120", "--ell", "7"],
+    ["classify-links", "w1.h3"])]
+print(codes)
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # set and dict order must not reach a written file or stdout
+    env = dict(os.environ)
+    src = str(Path(bergesat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = []
+    for seed in ("0", "1", "2"):
+        work = tmp_path / seed
+        work.mkdir()
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], cwd=work,
+                              env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        assert sorted(files) == ["w1.h3", "w1.json", "w2.h3", "w2.json"]
+        seen.append((done.stdout, files))
+    assert seen[0][0].endswith("[0, 0, 0, 0]\n") and "vertex " in seen[0][0]
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_spectrum_exhaustive_small(capsys):

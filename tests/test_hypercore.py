@@ -287,6 +287,13 @@ def test_json_parser_rejects_malformed_objects():
         read_json('{"n": 3}')
     with pytest.raises(FormatError):
         read_json('{"n": "x", "edges": []}')
+    # objects that parse but fail graph validation
+    for text, why in [('{"n": -1, "edges": []}', "negative vertex count"),
+                      ('{"n": 3, "edges": [[0, 1, 5]]}', "vertex out of range"),
+                      ('{"n": 3, "edges": [[2, 1, 0]]}', "not strictly ascending"),
+                      ('{"n": 4, "edges": [[1, 2, 3], [0, 1, 2]]}', "out of lexicographic order")]:
+        with pytest.raises(FormatError, match=why):
+            read_json(text)
 
 
 def test_json_parser_rejects_booleans_as_integers():
