@@ -158,7 +158,7 @@ def _cmd_verify(args):
 def _cmd_spectrum(args):
     _check_n(args)
     if args.exhaustive:
-        from . import oracle  # the sweep imports numpy
+        from . import oracle
 
         res = oracle.exhaustive_spectrum(args.n, args.ell)
         obj = {

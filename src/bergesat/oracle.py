@@ -5,18 +5,17 @@ Three tools live here, deliberately sharing no logic with the checker:
 * a matching-based Berge degree (augmenting paths on the link's
   vertex/edge incidence structure), cross-checked everywhere against the
   closed-form |N(v)| - tree(L(v));
-* an exhaustive saturation-spectrum sweep over all edge subsets for
-  n <= 7, vectorized over bitmasks: one Berge-degree table over the
-  link patterns, built once from the matching route, serves every
-  vertex (each lists its triples in the same pair order); per vertex,
-  tables read off it which absent triples would lift the degree to ell,
-  so each block of masks costs a fixed number of table gathers per
-  vertex.  Relabelling the other vertices permutes vertex
-  0's link within its isomorphism class and keeps edge counts and
-  saturation, so one least link code per class is swept, with every
-  setting of the other triples, and its counts are weighted by the
-  class size (156 blocks of 2^20 masks at n = 7 instead of 2^35 masks).
-  Only the sweep's functions import numpy, so the catalog runs without it;
+* an exhaustive saturation-spectrum sweep for n <= 7, as a depth-first
+  search in pure Python: one Berge-degree table over the link patterns,
+  built from the matching route, serves every vertex (each lists its
+  triples in the same pair order).  Relabelling the other vertices
+  permutes vertex 0's link within its isomorphism class and keeps edge
+  counts and saturation, so the search fixes one least link code per
+  class and decides the other triples on an explicit stack, and its
+  counts are weighted by the class size (156 classes at n = 7).  The
+  Berge degree is monotone in the link, so a triple is never added once
+  it would bring a vertex to ell, and never left out once no vertex of
+  it could reach ell;
 * a catalog of the small link shapes together with the
   degree-deficiency bound table computed from first principles.  The
   connected shapes are grown from K2 by canonical augmentation (one
@@ -26,7 +25,7 @@ Three tools live here, deliberately sharing no logic with the checker:
 """
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError
@@ -94,130 +93,101 @@ class SpectrumResult(NamedTuple):
     ex_observed: int
 
 
-_SLICE = 10  # mask bits per slice table
+def _link_classes(n):
+    """Vertex 0's link codes up to relabelling of vertices 1..n-1.
+
+    The first C(n-1, 2) triples in lexicographic order are the triples
+    through vertex 0, so bit j of a code is the j-th pair of 1..n-1.  A
+    permutation of 1..n-1 permutes the pairs and so the codes, and the
+    classes are the orbits of the codes under a transposition and an
+    (n-1)-cycle, which generate every permutation.  In an ascending
+    scan the first code not yet seen is the least of its orbit.
+    Returns (reps, sizes, of): the least code of every class,
+    ascending, the number of codes in it, and of[code], the index in
+    reps of code's class.
+    """
+    pairs = list(combinations(range(n - 1), 2))
+    index = {p: j for j, p in enumerate(pairs)}
+    swap = [1, 0] + list(range(2, n - 1))
+    cycle = list(range(1, n - 1)) + [0]
+    moves = []
+    for perm in (swap, cycle):
+        image = [0]
+        for a, b in pairs:  # image[code] for every code, one bit at a time
+            bit = 1 << index[tuple(sorted((perm[a], perm[b])))]
+            image += [c | bit for c in image]
+        moves.append(image)
+    of = [-1] * (1 << len(pairs))
+    reps, sizes = [], []
+    for code in range(len(of)):
+        if of[code] >= 0:
+            continue
+        cls = of[code] = len(reps)
+        orbit = [code]
+        for c in orbit:  # grows as the scan finds new images
+            for image in moves:
+                if of[image[c]] < 0:
+                    of[image[c]] = cls
+                    orbit.append(image[c])
+        reps.append(code)
+        sizes.append(len(orbit))
+    return reps, sizes, of
 
 
-def _degree_table(n):
+def _degree_table(n, reps, of):
     """The Berge degree of one vertex of an n-vertex graph over all its
     link bit patterns, by the matching route.
 
     Bit j of a pattern is the j-th pair of combinations(range(n - 1), 2).
     Every vertex v of K_n^(3) lists its triples in lexicographic order
     in that pair order, once the other vertices are relabelled 0..n-2 in
-    order, so this one int8 array of length 2^C(n-1, 2) serves them all.
+    order, so this one list of length 2^C(n-1, 2) serves them all.
+    Relabelling keeps the degree, so one matching per class of
+    `_link_classes(n)` (reps, of) fills the table.
     """
-    import numpy as np
     pairs = list(combinations(range(n - 1), 2))
-    tab = np.zeros(1 << len(pairs), dtype=np.int8)
-    for code in range(len(tab)):
-        tab[code] = _max_matching([p for j, p in enumerate(pairs) if code >> j & 1])
-    return tab
+    degree = [_max_matching([p for j, p in enumerate(pairs) if rep >> j & 1]) for rep in reps]
+    return [degree[cls] for cls in of]
 
 
-def _lift_tables(n, ell, triples, pos):
-    """The sweep's lookup tables, all read off _degree_table.
-
-    Vertex v's link code sets bit j when triple pos[v][j] is present.
-    Returns (slices, over, lift):
-
-    * slices[v][i][s] is the part of v's code that mask bits
-      i*_SLICE .. i*_SLICE + _SLICE - 1 contribute when they read s, so
-      the code is the OR of one lookup per slice;
-    * over[code] says d_B >= ell, for every vertex alike;
-    * lift[v][code] is a uint64 with bit pos[v][j] set for every j such
-      that adding triple pos[v][j] brings d_B(v) to ell or more.
-    """
-    import numpy as np
-    T = len(triples)
-    tab = _degree_table(n)
-    codes = np.arange(len(tab))
-    over = tab >= ell
-    slices, lift = [], []
-    for v in range(n):
-        bits = np.zeros(len(tab), dtype=np.uint64)
-        for j, p in enumerate(pos[v]):
-            bits[tab[codes | (1 << j)] >= ell] |= np.uint64(1 << p)
-        lift.append(bits)
-        per = []
-        for start in range(0, T, _SLICE):
-            s = np.arange(1 << min(_SLICE, T - start))
-            part = np.zeros(len(s), dtype=np.uint16)
-            for j, p in enumerate(pos[v]):
-                if start <= p < start + _SLICE:
-                    part |= ((s >> (p - start) & 1) << j).astype(np.uint16)
-            per.append(part)
-        slices.append(per)
-    return slices, over, lift
-
-
-def _link_classes(n):
-    """Vertex 0's link codes up to relabelling of vertices 1..n-1.
-
-    The first C(n-1, 2) triples in lexicographic order are the triples
-    through vertex 0, so bit j of a code is the j-th pair of 1..n-1.  A
-    permutation of 1..n-1 permutes the pairs and so the codes; each
-    code's least image over all (n-1)! permutations names its class.
-    Returns (reps, sizes): the least code of every class, ascending, and
-    the number of codes in it.
-    """
-    import numpy as np
-    pairs = list(combinations(range(n - 1), 2))
-    index = {p: j for j, p in enumerate(pairs)}
-    codes = np.arange(1 << len(pairs))
-    bits = [codes >> j & 1 for j in range(len(pairs))]
-    least = codes.copy()
-    for perm in permutations(range(n - 1)):
-        image = np.zeros_like(codes)
-        for j, (a, b) in enumerate(pairs):
-            image |= bits[j] << index[tuple(sorted((perm[a], perm[b])))]
-        np.minimum(least, image, out=least)
-    return np.unique(least, return_counts=True)
-
-
-def _saturated(masks, T, slices, over, lift):
-    """Which of `masks` (a uint64 array of T-bit masks) are saturated.
-
-    Per vertex: one lookup per slice of the mask gives its link code,
-    then one lookup in `over` (is d_B(v) already ell?) and one in `lift`
-    (the absent triples whose addition brings d_B(v) to ell).  A mask is
-    saturated iff no vertex is over and the mask OR the lifted triples
-    of all vertices is every triple.
-    """
-    import numpy as np
-    slice_bits = np.uint64((1 << _SLICE) - 1)
-    parts = [
-        (masks >> np.uint64(s) & slice_bits).astype(np.uint16)
-        for s in range(0, T, _SLICE)
-    ]
-    bad = np.zeros(len(masks), dtype=bool)
-    cover = masks.copy()
-    for per, l in zip(slices, lift):
-        code = per[0][parts[0]]
-        for tab, part in zip(per[1:], parts[1:]):
-            code |= tab[part]
-        bad |= over[code]
-        cover |= l[code]
-    return (cover == np.uint64((1 << T) - 1)) & ~bad
+def _all_lifted(over, low, codes, mask, checks):
+    """Whether every triple of checks, (bit, packed bits, field shifts),
+    that mask leaves out brings one of its vertices to a code in over
+    when added to the packed link codes."""
+    for bit, with_bits, (a, b, c) in checks:
+        if not mask & bit:
+            with_t = codes | with_bits
+            if not (over[with_t >> a & low] or over[with_t >> b & low]
+                    or over[with_t >> c & low]):
+                return False
+    return True
 
 
 def exhaustive_spectrum(n, ell) -> SpectrumResult:
-    """Every saturated edge count on n <= 7 labeled vertices, by full sweep.
+    """Every saturated edge count on n <= 7 labeled vertices, by an exact
+    depth-first search.
 
     Bit i of a mask is the i-th triple in lexicographic order, so the
     low k = C(n-1, 2) bits are vertex 0's link code.  Relabelling
     vertices 1..n-1 is a bijection between the graphs of two codes of
     one class (`_link_classes`) that keeps the edge count and
-    saturation, so the sweep visits, for each class, only its least
-    code with every setting of the other triples (one 2^20 block per
-    class at n = 7; a class whose code already gives vertex 0 Berge
-    degree ell is skipped), and weights each count by the class size.
+    saturation, so the search fixes, for each class, only its least
+    code, decides the other triples in index order on an explicit
+    stack, and weights each count by the class size.  All n link codes are packed into one int,
+    k bits per vertex, and deciding a triple changes the codes of its
+    three vertices only.  The Berge degree is monotone in the link, so
+    two prunes keep the search exact: a triple is not added once one of
+    its vertices would reach degree ell, and not left out when none of
+    its vertices could reach ell even with every undecided triple
+    through it added (at the root, the same test drops a class whose
+    absent vertex-0 triples cannot all be lifted).  A leaf is saturated
+    when every absent triple lifts one of its vertices to ell.
     counts[m] is the number of labeled saturated graphs with m edges.
     For every realizable m the witness is the smallest saturated mask
     among the swept ones, that is among the graphs whose vertex-0 link
     code is the least code of its class.  Deterministic; all degrees
     come from the matching route.
     """
-    import numpy as np
     if n < 0 or ell < 1:
         raise ValueError(f"bad arguments n={n}, ell={ell}")
     if n > 7:
@@ -229,28 +199,54 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
         # no possible edges: the empty graph is vacuously saturated
         return SpectrumResult(n, ell, (0,), {0: Hypergraph3(n, ())}, {0: 1}, 0, 0)
     pos = [[i for i, t in enumerate(triples) if v in t] for v in range(n)]
-    slices, over, lift = _lift_tables(n, ell, triples, pos)
     k = len(pos[0])
-    rest = np.arange(1 << (T - k), dtype=np.uint64) << np.uint64(k)
+    low = (1 << k) - 1
+    reps, sizes, of = _link_classes(n)
+    over = [d >= ell for d in _degree_table(n, reps, of)]
+    # field shifts of each triple's vertices, and the triple's bits in
+    # the packed codes; rest[i] packs every triple from i on
+    shifts = [tuple(v * k for v in t) for t in triples]
+    packed = [sum(1 << (v * k + pos[v].index(i)) for v in t) for i, t in enumerate(triples)]
+    rest = [0] * (T + 1)
+    for i in range(T - 1, k - 1, -1):
+        rest[i] = rest[i + 1] | packed[i]
+    checks = list(zip([1 << i for i in range(T)], packed, shifts))
 
     best_mask = {}
     counts = {}
-    for rep, size in zip(*_link_classes(n)):
+    for rep, size in zip(reps, sizes):
+        # rep gives each vertex v a star of deg(v) pairs at 0, and rep,
+        # vertex 0's link, holds as large a star at v: by monotonicity
+        # no vertex is over when vertex 0 is not
         if over[rep]:
-            continue  # vertex 0's link code is rep: d_B(0) >= ell in every mask
-        masks = rest | np.uint64(rep)
-        # ascending, so the first mask of each edge count is its least
-        sel = masks[_saturated(masks, T, slices, over, lift)]
-        edge_counts = np.unpackbits(sel.view(np.uint8)).reshape(-1, 64).sum(axis=1)
-        ms, first, cs = np.unique(edge_counts, return_index=True, return_counts=True)
-        for m, i, c in zip(ms.tolist(), first.tolist(), cs.tolist()):
-            counts[m] = counts.get(m, 0) + int(size) * c
-            if m not in best_mask or sel[i] < best_mask[m]:
-                best_mask[m] = int(sel[i])
+            continue
+        codes = 0
+        for i in range(k):
+            if rep >> i & 1:
+                codes |= packed[i]
+        if not _all_lifted(over, low, codes | rest[k], rep, checks[:k]):
+            continue  # some absent vertex-0 triple can never be lifted
+        stack = [(k, codes, rep)]
+        while stack:
+            i, codes, mask = stack.pop()
+            if i < T:
+                a, b, c = shifts[i]
+                with_t = codes | packed[i]
+                if not (over[with_t >> a & low] or over[with_t >> b & low]
+                        or over[with_t >> c & low]):
+                    stack.append((i + 1, with_t, mask | 1 << i))
+                top = codes | rest[i]
+                if over[top >> a & low] or over[top >> b & low] or over[top >> c & low]:
+                    stack.append((i + 1, codes, mask))
+            elif _all_lifted(over, low, codes, mask, checks):
+                m = mask.bit_count()
+                counts[m] = counts.get(m, 0) + size
+                if m not in best_mask or mask < best_mask[m]:
+                    best_mask[m] = mask
 
     witnesses = {}
-    for m, mask in best_mask.items():
-        edges = tuple(triples[i] for i in range(T) if mask >> i & 1)
+    for m, least in best_mask.items():
+        edges = tuple(triples[i] for i in range(T) if least >> i & 1)
         witnesses[m] = Hypergraph3(n, edges)
     realizable = tuple(sorted(counts))
     return SpectrumResult(

@@ -389,8 +389,8 @@ def test_small_star_witnesses_certify():
                 assert certified(g, ell), (n, ell, m)
 
 
-# oracle.exhaustive_spectrum(7, ell).realizable, pinned because the n = 7
-# sweep is too slow to rerun here (up to about 35 s per ell on a 2-core VM)
+# oracle.exhaustive_spectrum(7, ell).realizable, pinned so that the planner
+# is held to fixed values; test_oracle checks that the sweep still gives them
 REALIZABLE_AT_SEVEN = {
     1: (0,),
     2: (2,),

@@ -529,25 +529,22 @@ with open(sys.argv[1], "w") as fh:
 
 
 # every command loads cli and hypercore, plus only the layers it runs;
-# numpy only for the exhaustive sweep (and the rejection sampler route,
-# which no command takes), not for a build on the hill-climbing or the
-# search route.  No command loads dataclasses, inspect or logging, except
-# the inspect that numpy's own import brings.
-@pytest.mark.parametrize("argv, layers, numpy", [
-    pytest.param(["verify", "K5", "--ell", "5", "--full-scan"], ["checker"], False, id="verify"),
+# none loads numpy (only the rejection sampler route imports it, which no
+# command takes), and none loads dataclasses, inspect or logging
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["verify", "K5", "--ell", "5", "--full-scan"], ["checker"], id="verify"),
     pytest.param(["build", "--n", "45", "--ell", "5", "--m", "64", "-o", "W"],
-                 ["assembler", "checker", "confmodel", "gadgets"], False, id="build"),
+                 ["assembler", "checker", "confmodel", "gadgets"], id="build"),
     pytest.param(["build", "--n", "45", "--ell", "5", "--m", "70", "-o", "W"],
-                 ["assembler", "checker", "confmodel", "gadgets"], False, id="build-search"),
-    pytest.param(["classify-links", "L5"], ["checker", "twographs"], False,
-                 id="classify-links-file"),
-    pytest.param(["classify-links", "--enumerate"], ["oracle", "twographs"], False,
+                 ["assembler", "checker", "confmodel", "gadgets"], id="build-search"),
+    pytest.param(["classify-links", "L5"], ["checker", "twographs"], id="classify-links-file"),
+    pytest.param(["classify-links", "--enumerate"], ["oracle", "twographs"],
                  id="classify-links-enumerate"),
     pytest.param(["spectrum", "--exhaustive", "--n", "5", "--ell", "4"],
-                 ["oracle", "twographs"], True, id="spectrum-exhaustive"),
-    pytest.param(["gadget", "--name", "lantern"], ["gadgets"], False, id="gadget"),
+                 ["oracle", "twographs"], id="spectrum-exhaustive"),
+    pytest.param(["gadget", "--name", "lantern"], ["gadgets"], id="gadget"),
 ])
-def test_each_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     for name, g in {"K5": _clique(5), "L5": gadgets.lantern(5)}.items():
         (tmp_path / name).write_text(write_h3(g))
     argv = [str(tmp_path / a) if a in ("K5", "L5", "W") else a for a in argv]
@@ -559,8 +556,7 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     expected = sorted(f"bergesat.{m}" for m in ["cli", "hypercore"] + layers)
-    heavy = ["inspect"] if numpy else []
-    assert json.loads(out.read_text()) == [[], 0, expected, numpy, heavy, []]
+    assert json.loads(out.read_text()) == [[], 0, expected, False, [], []]
 
 
 # four commands in one fresh interpreter, then their exit codes: a

@@ -1,10 +1,10 @@
 """Ground-truth routes: matching degrees, exhaustive sweeps, the catalog."""
 
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations, permutations
+import json
 from math import comb, factorial
-
-import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +19,15 @@ from bergesat.hypercore import (
 from bergesat.oracle import (
     _connected_classes,
     _degree_table,
-    _lift_tables,
     _link_classes,
     _max_matching,
-    _saturated,
     berge_degree_matching,
     enumerate_link_catalog,
     exhaustive_spectrum,
 )
 
 from conftest import small_3graphs
+from test_assembler import REALIZABLE_AT_SEVEN
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,7 +84,8 @@ def test_one_degree_table_serves_every_vertex(n):
     # each vertex's own pairs, in the order of its triples' mask bits,
     # give on every link code the Berge degree the shared table holds
     triples = list(combinations(range(n), 3))
-    table = _degree_table(n).tolist()
+    reps, _, of = _link_classes(n)
+    table = _degree_table(n, reps, of)
     for v in range(n):
         pairs = [tuple(x for x in t if x != v) for t in triples if v in t]
         assert len(table) == 1 << len(pairs)
@@ -97,10 +97,14 @@ def test_one_degree_table_serves_every_vertex(n):
 @pytest.mark.parametrize("n, classes", [(4, 4), (5, 11), (6, 34), (7, 156)])
 def test_link_class_table(n, classes):
     # one class per graph on n - 1 labeled vertices up to isomorphism
-    reps, sizes = _link_classes(n)
+    reps, sizes, of = _link_classes(n)
     assert len(reps) == classes
-    assert sizes.sum() == 1 << comb(n - 1, 2)
-    assert all(factorial(n - 1) % int(s) == 0 for s in sizes)
+    assert sum(sizes) == 1 << comb(n - 1, 2)
+    assert all(factorial(n - 1) % s == 0 for s in sizes)
+    assert Counter(of) == dict(enumerate(sizes))
+    assert [of[rep] for rep in reps] == list(range(classes))
+    if n <= 5:
+        assert all(_is_least_link_code(n, rep) for rep in reps)
 
 
 def _is_least_link_code(n, mask):
@@ -160,24 +164,33 @@ def test_sweep_matches_the_per_mask_reference_at_five():
         assert res.witnesses == witnesses
 
 
-def test_sweep_matches_the_reference_on_an_n7_shard():
-    # masks 0x104d00000 .. 0x104d003ff: triple 32 present, triples 33
-    # and 34 absent, so the sweep must set lift bits above 31, and the
-    # 35-bit masks span four slice tables
-    lo = 0x104D00000
-    ref = _reference_spectra(7, (3, 4, 5), range(lo, lo + 1024))
-    assert [sum(ref[ell][0].values()) for ell in (3, 4, 5)] == [0, 1, 10]
-    triples = list(combinations(range(7), 3))
-    pos = [[i for i, t in enumerate(triples) if v in t] for v in range(7)]
-    masks = np.arange(lo, lo + 1024, dtype=np.uint64)
-    for ell, (counts, witnesses) in ref.items():
-        ok = _saturated(masks, len(triples), *_lift_tables(7, ell, triples, pos))
-        got = {}
-        for mask in masks[ok].tolist():
-            got.setdefault(bin(mask).count("1"), []).append(mask)
-        assert {m: len(ms) for m, ms in got.items()} == counts
-        assert {m: Hypergraph3(7, tuple(t for i, t in enumerate(triples) if ms[0] >> i & 1))
-                for m, ms in got.items()} == witnesses
+# exhaustive_spectrum(7, ell).counts for ell = 1..7, and the sha256 of
+# every witness edge list for n <= 7 and ell = 1..8, as the vectorized
+# sweep over all 156 x 2^20 masks at n = 7 gave them
+COUNTS_AT_SEVEN = {
+    1: {0: 1},
+    2: {2: 70},
+    3: {4: 4305},
+    4: {5: 287, 6: 62160, 7: 11205},
+    5: {7: 3150, 8: 484785, 9: 452130, 10: 126},
+    6: {10: 424620, 11: 8753850, 12: 1471575, 13: 44975, 14: 2415, 15: 441,
+        16: 315, 17: 105, 20: 7},
+    7: {35: 1},
+}
+WITNESSES_SHA256 = "41f851e936d61fa28a9b098911db31215be0c77a67551ff13a193c4de92f1aea"
+
+
+def test_sweep_at_seven_and_every_witness_are_pinned():
+    # the full n = 7 search at every ell: about 2 s on a 2-core VM
+    rows = []
+    for n in range(8):
+        for ell in range(1, 9):
+            res = exhaustive_spectrum(n, ell)
+            if n == 7 and ell in COUNTS_AT_SEVEN:
+                assert res.counts == COUNTS_AT_SEVEN[ell], ell
+                assert res.realizable == REALIZABLE_AT_SEVEN[ell], ell
+            rows += [[n, ell, m, res.witnesses[m].edges] for m in sorted(res.witnesses)]
+    assert sha256(json.dumps(rows).encode()).hexdigest() == WITNESSES_SHA256
 
 
 @pytest.mark.parametrize(
@@ -187,6 +200,11 @@ def test_sweep_matches_the_reference_on_an_n7_shard():
         (3, {3: 180, 4: 75}),
         (4, {4: 15, 5: 1812, 6: 330}),
         (5, {6: 90, 7: 8400, 8: 1290, 10: 6}),
+        # below the other rows so that their ids stay; at 6 and 7 the
+        # prune on triples that cannot be lifted does all the work
+        (1, {0: 1}),
+        (6, {20: 1}),
+        (7, {20: 1}),
     ],
 )
 def test_counts_at_six(ell, counts):
