@@ -23,9 +23,12 @@ Exit codes are part of the interface and are kept apart deliberately:
 Artifacts are written atomically (temp file in the target directory,
 then rename), so a crashed run never leaves a half-written graph behind.
 Every randomized command echoes the effective seed on its summary line.
+Files are read and written as UTF-8, whatever the locale.  The cyclic
+garbage collector is off while a command runs: the package's data is acyclic.
 """
 
 import argparse
+import gc
 from itertools import chain
 import json
 from math import comb
@@ -58,7 +61,7 @@ def _atomic_write(path, text):
     except OSError as exc:  # name the path asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
@@ -77,7 +80,7 @@ def _write_graph(path, g, fmt):
 
 
 def _read_graph(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         return hypercore.read_json(text)
@@ -373,6 +376,8 @@ def main(argv=None):
         if e.code not in (0, None):
             return _EXIT_USAGE
         return 0
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return args.func(args)
     except hypercore.SamplerBudgetError as e:
@@ -384,6 +389,9 @@ def main(argv=None):
     except hypercore.InternalError as e:
         print(f"error: internal error: {e}", file=sys.stderr)
         return _EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

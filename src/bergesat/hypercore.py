@@ -32,6 +32,7 @@ by value, and the records are named tuples.
 from collections import Counter
 from itertools import chain, islice
 import json
+import re
 from typing import NamedTuple
 
 
@@ -170,13 +171,14 @@ class LinkPass:
         self.clique = [True] * n
         degrees = [len(es) for es in through]
         for v, es in enumerate(through):
-            if not es:
+            if len(es) <= 1:  # no link, or one K2: d_B = |pairs|, NT empty
                 continue
-            nbrs = set(chain.from_iterable(es)) - {v}
-            k = len(nbrs)
+            nbrs = set(chain.from_iterable(es))
+            k = len(nbrs) - 1  # |N(v)|: every triple in es holds v
             if k == 2 * len(es):
                 continue
             if k * (k - 1) == 2 * len(es):
+                nbrs.discard(v)
                 degrees[v], self.nontree[v] = k, tuple(nbrs)
                 continue
             label, size, held = component_counts(self.pairs(v))
@@ -250,7 +252,8 @@ MAX_VERTICES = 2**20
 # triples; far above the 25,590 edges of the largest n = 10008 witness.
 MAX_EDGES = 2**22
 
-_CHUNK = 1 << 15  # characters per split in the .h3 reader
+_CHUNK = 1 << 12  # characters per split in the .h3 reader, some 700 ids
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")  # as write_h3 writes edges
 
 
 def _check_vertex_cap(n, line=None):
@@ -274,41 +277,58 @@ def _lines(text):
 
 
 def read_h3(text: str) -> Hypergraph3:
-    """Parse the .h3 format.  Raises FormatError with a 1-based line number."""
+    """Parse the .h3 format.  Raises FormatError with a 1-based line number.
+    A chunk of lines as write_h3 writes them is read in bulk; other chunks,
+    the header and every error go through the line loop."""
     m = None  # until the header is read
     edges = []
-    for lineno, raw in enumerate(_lines(text), start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if m is None:
-            if len(parts) != 3 or parts[0] != "h3":
-                raise FormatError(f"expected header 'h3 <n> <m>', got {raw!r}", lineno)
+    start = lineno = 0  # lineno: the lines before text[start:]
+    while start < len(text):
+        # one line at a time up to the header, then whole-line chunks
+        end = text.find("\n", start + (_CHUNK if m is not None else 0)) + 1 or len(text)
+        chunk, start, first = text[start:end], end, lineno + 1
+        lineno += (lines := chunk.count("\n"))
+        if m is not None and len(edges) + lines <= m and _CANONICAL.fullmatch(chunk):
+            count = len(edges)
             try:
-                n, m = int(parts[1]), int(parts[2])
+                # one id iterator, zipped with itself: three ids per triple
+                edges.extend(zip(*[map(ids.__getitem__, chunk.split())] * 3))
+                continue
+            except KeyError:  # an id such as 00, or one outside the table
+                del edges[count:]
+        for line, raw in enumerate(chunk.split("\n"), first):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if m is None:
+                if len(parts) != 3 or parts[0] != "h3":
+                    raise FormatError(f"expected header 'h3 <n> <m>', got {raw!r}", line)
+                try:
+                    n, m = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise FormatError(f"non-integer header field in {raw!r}", line)
+                if n < 0 or m < 0:
+                    raise FormatError(f"negative count in header {raw!r}", line)
+                _check_vertex_cap(n, line)
+                # one shared int per vertex id, in a table no larger than the text
+                ids = {str(v): v for v in range(min(n, len(text) // 2))}
+                continue
+            if len(parts) != 3:
+                raise FormatError(f"expected 3 vertex ids, got {raw!r}", line)
+            try:
+                a, b, c = map(ids.get, parts)
+                if a is None or b is None or c is None:
+                    a, b, c = map(int, parts)
             except ValueError:
-                raise FormatError(f"non-integer header field in {raw!r}", lineno)
-            if n < 0 or m < 0:
-                raise FormatError(f"negative count in header {raw!r}", lineno)
-            _check_vertex_cap(n, lineno)
-            # one shared int per vertex id, in a table no larger than the text
-            ids = {str(v): v for v in range(min(n, len(text) // 2))}
-            continue
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 vertex ids, got {raw!r}", lineno)
-        try:
-            a, b, c = map(ids.get, parts)
-            if a is None or b is None or c is None:
-                a, b, c = map(int, parts)
-        except ValueError:
-            raise FormatError(f"non-integer vertex id in {raw!r}", lineno)
-        if len(edges) >= m:
-            raise FormatError(f"more than {m} edge lines", lineno)
-        edges.append((a, b, c))
+                raise FormatError(f"non-integer vertex id in {raw!r}", line)
+            if len(edges) >= m:
+                raise FormatError(f"more than {m} edge lines", line)
+            edges.append((a, b, c))
     if m is None:
         raise FormatError("missing 'h3 <n> <m>' header")
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
+    del ids, chunk  # freed before the edges are copied into a tuple
     try:
         return Hypergraph3(n, tuple(edges))
     except _EdgeError as exc:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism, reports."""
 
 from array import array
+import gc
 from hashlib import sha256
 import json
 import os
@@ -207,6 +208,74 @@ def test_verify_report_carries_the_verdict(tmp_path):
                "--report", str(rep), "--quiet") == 0
     obj = json.loads(rep.read_text())
     assert obj["is_saturated"] is True and obj["ell"] == 5
+
+
+# sha256 of the `verify --report` file, fast path and --full-scan alike,
+# on the seed-0 (10008, 6, 25590) witness and on it minus its middle edge,
+# as the per-line reader and the link pass that built N(v) less v gave them
+PINNED_REPORTS = {
+    "witness": (0, "8932a0ec7fb19f06ddc37b7c3b07d84f39f85bbdf3743a20104f7ea8583d300b"),
+    "minus-middle-edge": (2, "f2daef8a5c790ebc95de149539cbf940b9e5425e0374a5cd429e2c02ccb43cb7"),
+}
+
+
+def test_verify_reports_are_pinned(tmp_path):
+    _, g = assembler.build_spectrum_witness(10008, 6, 25590, seed=0)
+    graphs = {"witness": g,
+              "minus-middle-edge": hypercore.remove_edge(g, g.edges[len(g.edges) // 2])}
+    rep = tmp_path / "rep.json"
+    for name, (code, digest) in PINNED_REPORTS.items():
+        path = tmp_path / f"{name}.h3"
+        path.write_text(write_h3(graphs[name]))
+        for scan in ((), ("--full-scan",)):
+            assert run("verify", str(path), "--ell", "6", "--report", str(rep),
+                       "--quiet", *scan) == code
+            assert sha256(rep.read_bytes()).hexdigest() == digest, (name, scan)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
+    # the cyclic collector is off while a command runs, on success and on
+    # an exit-4 error alike, and main restores the caller's setting
+    k5 = tmp_path / "k5.h3"
+    k5.write_text(write_h3(gadgets.clique3(5)))
+    during = []
+    verdict = checker.is_saturated
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "is_saturated", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run("verify", str(k5), "--ell", "5", "--quiet") == 0
+        assert gc.isenabled() is enabled
+        assert run("verify", str(tmp_path / "missing.h3"), "--ell", "5", "--quiet") == 4
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_graph_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # int() reads fullwidth digits, so this is a valid graph; under the C
+    # locale the default codec is ascii, which cannot decode them
+    path = tmp_path / "fullwidth.h3"
+    path.write_bytes("h3 4 1\n\uff10 1 2\n".encode("utf-8"))
+    env = dict(os.environ)
+    src = str(Path(bergesat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = []
+    for name, locale in (("utf8", {"PYTHONUTF8": "1"}), ("c", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
+        rep = tmp_path / f"{name}.json"
+        done = subprocess.run([sys.executable, "-m", "bergesat.cli", "verify", str(path),
+                               "--ell", "2", "--report", str(rep)],
+                              env={**env, **locale}, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (name, done.stderr)
+        seen.append((done.stdout, rep.read_bytes()))
+    assert seen[0] == seen[1] and "saturated at ell=2" in seen[0][0]
 
 
 # each command and the report fields it writes on exit 0; "K5" is a
