@@ -80,7 +80,7 @@ def _write_graph(path, g, fmt):
 
 
 def _read_graph(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         return hypercore.read_json(text)

@@ -40,11 +40,9 @@ run out of candidates.
   yields them in turn, and running out of them proves the spec
   unrealizable, which the randomized routes cannot do.
 
-Determinism: all randomness flows from generators keyed by the caller's
-seed, so results are reproducible across platforms for a fixed Python
-(and, on the rejection route, a fixed numpy).  Hill-climbing and the
-search draw from a ``random.Random``; only the rejection route imports
-numpy and draws from numpy Generators.
+Determinism: every route draws from one ``random.Random`` keyed by the
+caller's seed, so results are reproducible across platforms for a fixed
+Python.
 """
 
 from itertools import chain, combinations
@@ -54,7 +52,6 @@ from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError, SamplerBudgetError
 
-_BATCH = 1024
 _PROGRESS_EVERY = 100_000
 _PARTNER_DRAWS = 16
 _PAIR_REJECT_EVICTIONS = 4
@@ -140,20 +137,6 @@ class SampleStats:
         self.pair_rejects = 0
         self.repaired = False
         self.repair_rounds = 0
-
-
-def _batch_defects(trip, n, low_count):
-    """Per-sample defect counts for a (samples, rows, 3) sorted batch."""
-    import numpy as np
-
-    a, b, c = trip[:, :, 0], trip[:, :, 1], trip[:, :, 2]
-    loops = ((a == b) | (b == c)).sum(axis=1)
-    # the unordered-pair keys of every triple, sorted per sample
-    keys = np.sort(np.concatenate((a * n + b, a * n + c, b * n + c), axis=1), axis=1)
-    dup_pairs = (keys[:, 1:] == keys[:, :-1]).sum(axis=1)
-    # low_count = 0 makes every count 0
-    lowadj = ((trip < low_count).sum(axis=2) >= 2).sum(axis=1)
-    return loops, dup_pairs, lowadj
 
 
 def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
@@ -243,34 +226,34 @@ def refusal(spec: DegreeSpec, require_pair=True):
 
 
 def _sample_reject(spec, seed, max_tries, stats):
-    """Clean configuration-model draws, in batches of _BATCH."""
-    import numpy as np
-
-    pts = np.repeat(np.arange(spec.n, dtype=np.int64), spec.degree_array())
-    if pts.size % 3:
+    """Clean configuration-model draws: each shuffles the degree points
+    and cuts them into consecutive triples."""
+    pts = list(chain.from_iterable([v] * d for v, d in enumerate(spec.degree_array())))
+    if len(pts) % 3:
         raise InternalError("degree sum not divisible by 3")
-    low_count = 15 * spec.k
-    done = 0
-    while done < max_tries:
-        count = min(_BATCH, max_tries - done)
-        rng = np.random.default_rng((seed, done))
-        tiled = np.tile(pts, (count, 1))
-        trip = np.sort(rng.permuted(tiled, axis=1).reshape(count, -1, 3), axis=2)
-        loops, dups, lowadj = _batch_defects(trip, spec.n, low_count)
-        stats.loops_seen += int(loops.sum())
-        stats.overlaps_seen += int(dups.sum())
-        stats.lowadj_seen += int(lowadj.sum())
-        for idx in np.flatnonzero((loops == 0) & (dups == 0) & (lowadj == 0)):
-            stats.tries = done + int(idx) + 1
-            yield Hypergraph3(spec.n, tuple(sorted(tuple(int(x) for x in row)
-                                                   for row in trip[idx])))
-        done += count
-        if done // _PROGRESS_EVERY > (done - count) // _PROGRESS_EVERY:
+    n, low = spec.n, 15 * spec.k
+    rnd = random.Random(seed)
+    for tries in range(1, max_tries + 1):
+        rnd.shuffle(pts)
+        cut = iter(pts)
+        trip = [sorted(t) for t in zip(cut, cut, cut)]
+        loops = sum(a == b or b == c for a, b, c in trip)
+        keys = [k for a, b, c in trip for k in (a * n + b, a * n + c, b * n + c)]
+        dups = len(keys) - len(set(keys))
+        # sorted, a triple holds two low ids exactly when its middle one is low
+        lowadj = sum(b < low for _, b, _ in trip)
+        stats.loops_seen += loops
+        stats.overlaps_seen += dups
+        stats.lowadj_seen += lowadj
+        if not (loops or dups or lowadj):
+            stats.tries = tries
+            yield Hypergraph3(n, tuple(sorted(map(tuple, trip))))
+        if tries % _PROGRESS_EVERY == 0:
             import logging
 
             logging.getLogger(__name__).info(
                 "sample_linear(n=%d, ell=%d, k=%d): %d tries, no accept yet",
-                spec.n, spec.ell, spec.k, done,
+                spec.n, spec.ell, spec.k, tries,
             )
     stats.tries = max_tries
     raise SamplerBudgetError(

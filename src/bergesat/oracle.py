@@ -346,20 +346,18 @@ def enumerate_link_catalog() -> CatalogReport:
     conn = _connected_classes(CATALOG_MAX_VERTICES, CATALOG_MAX_EDGES)
     conn_list = sorted(conn.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
 
+    # depth-first in index order; children go on the stack last-first,
+    # so each one's subtree is done before its next sibling is popped
     combos = []
-
-    def extend(start, used_v, used_e, acc):
+    stack = [(0, 0, 0, ())]
+    while stack:
+        start, used_v, used_e, acc = stack.pop()
         if acc:
-            combos.append(tuple(acc))
-        for i in range(start, len(conn_list)):
-            canon, (nv, ne) = conn_list[i]
-            if used_v + nv > CATALOG_MAX_VERTICES or used_e + ne > CATALOG_MAX_EDGES:
-                continue
-            acc.append(i)
-            extend(i, used_v + nv, used_e + ne, acc)
-            acc.pop()
-
-    extend(0, 0, 0, [])
+            combos.append(acc)
+        for i in range(len(conn_list) - 1, start - 1, -1):
+            nv, ne = conn_list[i][1]
+            if used_v + nv <= CATALOG_MAX_VERTICES and used_e + ne <= CATALOG_MAX_EDGES:
+                stack.append((i, used_v + nv, used_e + ne, acc + (i,)))
 
     shape_names = twographs.shape_names()
 

@@ -17,7 +17,7 @@ import pytest
 import bergesat
 from bergesat import assembler, checker, confmodel, gadgets, hypercore, oracle
 from bergesat.cli import main
-from bergesat.hypercore import Hypergraph3, InternalError, make, read_h3, write_h3
+from bergesat.hypercore import FormatError, Hypergraph3, InternalError, make, read_h3, write_h3
 
 
 def run(*argv):
@@ -276,6 +276,20 @@ def test_graph_files_are_read_as_utf8_whatever_the_locale(tmp_path):
         assert done.returncode == 0, (name, done.stderr)
         seen.append((done.stdout, rep.read_bytes()))
     assert seen[0] == seen[1] and "saturated at ell=2" in seen[0][0]
+
+
+def test_graph_files_reach_the_reader_with_their_line_ends(tmp_path, capsys):
+    # read_h3 splits lines at "\n" only: a "\r\n" file reads as written, a
+    # lone-"\r" one is a single line and fails as the library fails on it
+    crlf, cr = tmp_path / "crlf.h3", tmp_path / "cr.h3"
+    crlf.write_bytes(b"h3 4 1\r\n0 1 2\r\n")
+    cr.write_bytes(b"h3 4 1\r0 1 2\r")
+    assert main(["verify", str(crlf), "--ell", "2"]) == 0
+    assert "saturated at ell=2" in capsys.readouterr().out
+    with pytest.raises(FormatError) as e:
+        read_h3("h3 4 1\r0 1 2\r")
+    assert main(["verify", str(cr), "--ell", "2"]) == 4
+    assert capsys.readouterr().err == f"error: {e.value}\n"
 
 
 # each command and the report fields it writes on exit 0; "K5" is a
@@ -598,8 +612,8 @@ with open(sys.argv[1], "w") as fh:
 
 
 # every command loads cli and hypercore, plus only the layers it runs;
-# none loads numpy (only the rejection sampler route imports it, which no
-# command takes), and none loads dataclasses, inspect or logging
+# none loads numpy (the package imports only the standard library, see
+# tests/test_source.py), and none loads dataclasses, inspect or logging
 @pytest.mark.parametrize("argv, layers", [
     pytest.param(["verify", "K5", "--ell", "5", "--full-scan"], ["checker"], id="verify"),
     pytest.param(["build", "--n", "45", "--ell", "5", "--m", "64", "-o", "W"],

@@ -1,6 +1,7 @@
 """Ground-truth routes: matching degrees, exhaustive sweeps, the catalog."""
 
 from collections import Counter
+import gc
 from hashlib import sha256
 from itertools import combinations, permutations
 import json
@@ -270,6 +271,21 @@ def test_catalog_row_bound_follows_from_the_degree_profile():
     l4 = sum(1 for d in c.degrees if d == 4)
     assert (l1, l2, l4) == (5, 0, 0)
     assert rep.computed_bounds[i] == 6 - c.edge_count + 2 * l1 + l2 + 2 * l4 == 12
+
+
+def test_catalog_leaves_nothing_for_the_collector():
+    # every CLI command runs with the cyclic collector off, so a catalog
+    # that left reference cycles (a self-calling closure does) would hold
+    # them until the process ends
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_link_catalog()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_matching_route_on_a_multibranch_link():

@@ -25,6 +25,23 @@ def test_no_invariant_rests_on_assert():
     assert SOURCES and not found, found
 
 
+def _absolute_imports(tree):
+    """(line, module) of each absolute import in tree, lazy ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the package has no runtime dependency
+    found = [f"{p.name}:{line} {name}" for p in SOURCES
+             for line, name in _absolute_imports(ast.parse(p.read_text(), str(p)))
+             if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert SOURCES and not found, found
+
+
 def test_every_name_the_tracer_wraps_exists():
     # perfbench/tracer.py wraps functions by name (checker.link,
     # checker.tree_components, assembler.plan_upper, ...), so a deleted
