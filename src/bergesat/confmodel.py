@@ -276,6 +276,7 @@ def _sample_hill(spec, seed, max_tries, stats):
     stats.repaired = True
     n = spec.n
     low = 15 * spec.k
+    # rnd.choice(seq) draws as seq[rnd.randrange(len(seq))] does, with one _randbelow(len(seq))
     rnd = random.Random(seed)
     rd = spec.degree_array()
     live = [v for v in range(n) if rd[v] > 0]
@@ -320,7 +321,7 @@ def _sample_hill(spec, seed, max_tries, stats):
 
     def partner(u, v):
         for _ in range(_PARTNER_DRAWS):
-            x = live[rnd.randrange(len(live))]
+            x = rnd.choice(live)
             if eligible(u, v, x):
                 return x
         found = [x for x in live if eligible(u, v, x)]
@@ -333,14 +334,14 @@ def _sample_hill(spec, seed, max_tries, stats):
             stats.tries = moves
             yield Hypergraph3(n, tuple(sorted(triples)))
             for _ in range(min(_PAIR_REJECT_EVICTIONS, len(triples))):
-                evict(triples[rnd.randrange(len(triples))])
+                evict(rnd.choice(triples))
             continue
-        u = live[rnd.randrange(len(live))]
+        u = rnd.choice(live)
         v = partner(u, u)
         w = partner(u, v) if v is not None else None
         if w is None:
             if triples:
-                evict(triples[rnd.randrange(len(triples))])
+                evict(rnd.choice(triples))
             continue
         clash = cover.get((v, w) if v < w else (w, v))
         if clash is not None:

@@ -29,7 +29,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .hypercore import Hypergraph3, InternalError
-from . import twographs
 
 
 # --- matching route for the Berge degree ----------------------------------
@@ -256,9 +255,6 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
 
 # --- link catalog and the deficiency bound table ---------------------------
 
-# the published catalog rows: the named link shapes on five or more vertices
-_ROW_NAMES = tuple(name for name, (k, _) in twographs.LINK_SHAPES if k >= 5)
-
 PUBLISHED_BOUNDS = (18, 15, 15, 14, 12, 12, 9, 12, 9, 12, 9)
 
 # the catalog covers links on at most this many vertices and pairs
@@ -300,6 +296,8 @@ def _connected_classes(max_vertices, max_edges):
     isomorphic graphs have isomorphic extensions.  Returns
     {canonical form: (vertices, edges)}.
     """
+    from . import twographs  # only the catalog needs it, not the sweep
+
     if max_vertices < 2 or max_edges < 1:
         return {}
     k2 = ((0, 1),)
@@ -359,6 +357,8 @@ def enumerate_link_catalog() -> CatalogReport:
             if used_v + nv <= CATALOG_MAX_VERTICES and used_e + ne <= CATALOG_MAX_EDGES:
                 stack.append((i, used_v + nv, used_e + ne, acc + (i,)))
 
+    from . import twographs
+
     shape_names = twographs.shape_names()
 
     # combos are non-decreasing index tuples, so each is a distinct multiset
@@ -390,18 +390,20 @@ def enumerate_link_catalog() -> CatalogReport:
                     f"unexpected link class in stratum |N|={s}: degrees {c.degrees}"
                 )
 
+    # the published catalog rows: the named link shapes on five or more vertices
+    row_names = tuple(name for name, (k, _) in twographs.LINK_SHAPES if k >= 5)
     named = Counter(c.name for c in classes)
-    for name in _ROW_NAMES:
+    for name in row_names:
         if named[name] != 1:
             raise InternalError(f"named class {name} not found exactly once")
     by_name = {c.name: c for c in classes}
     computed = tuple(
         _bound_from_structure(by_name[name].edge_count, by_name[name].degrees)
-        for name in _ROW_NAMES
+        for name in row_names
     )
     discrepancies = tuple(
-        name for name, b, p in zip(_ROW_NAMES, computed, PUBLISHED_BOUNDS) if b != p
+        name for name, b, p in zip(row_names, computed, PUBLISHED_BOUNDS) if b != p
     )
     return CatalogReport(
-        classes, strata, computed, PUBLISHED_BOUNDS, discrepancies, _ROW_NAMES
+        classes, strata, computed, PUBLISHED_BOUNDS, discrepancies, row_names
     )

@@ -24,6 +24,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def _src_env():
+    """The environment a fresh interpreter needs to import this package."""
+    env = dict(os.environ)
+    src = str(Path(bergesat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_build_then_verify_round_trip(tmp_path):
     out = tmp_path / "w.h3"
     code = run("build", "--n", "45", "--ell", "5", "--m", "63",
@@ -264,9 +272,7 @@ def test_graph_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     # locale the default codec is ascii, which cannot decode them
     path = tmp_path / "fullwidth.h3"
     path.write_bytes("h3 4 1\n\uff10 1 2\n".encode("utf-8"))
-    env = dict(os.environ)
-    src = str(Path(bergesat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     seen = []
     for name, locale in (("utf8", {"PYTHONUTF8": "1"}), ("c", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
         rep = tmp_path / f"{name}.json"
@@ -362,6 +368,20 @@ def _broken(*args, **kwargs):
     raise InternalError("an invariant failed")
 
 
+_certify = checker.is_saturated
+
+
+def _uncertified(g, ell, full_scan=False):
+    rep = _certify(g, ell, full_scan)
+    return rep._replace(is_saturated=False, counterexample=(0, 1, 2))
+
+
+# the exit codes on which a command leaves its --report: verify's
+# verdicts, build's certificate and refusals, the others' success only;
+# none on exit 4 or 8, and --help writes none
+LEAVES_REPORT = {"build": {0, 2, 5, 6, 7}, "verify": {0, 2, 3}, "--help": set()}
+
+
 @pytest.mark.parametrize("code, argv, broken, says", [
     pytest.param(0, ["verify", "K5", "--ell", "5"], None, None, id="saturated"),
     pytest.param(2, ["verify", "ONE", "--ell", "5"], None, None, id="unsaturated"),
@@ -369,27 +389,28 @@ def _broken(*args, **kwargs):
     pytest.param(4, ["build", "--n", "45", "--ell", "5"], None, None, id="missing-m"),
     # a negative m is refused before planning, which exits 8 here
     pytest.param(4, ["build", "--n", "45", "--ell", "5", "--m", "-1"],
-                 (assembler, "plan_witness"), None, id="negative-m"),
+                 (assembler, "plan_witness", _broken), None, id="negative-m"),
     # the planner accepts this m = C(3000, 3), and building it would
     # allocate 4.5e9 triples; planning here exits 8, so 4 shows that the
     # cap answers first
     pytest.param(4, ["build", "--n", "3000", "--ell", "3000", "--m", "4495501000"],
-                 (assembler, "build_spectrum_witness"), None, id="m-above-cap"),
+                 (assembler, "build_spectrum_witness", _broken), None, id="m-above-cap"),
     # C(3000, 3) triples again, now from the clique gadget; building it
     # here exits 8, so 4 shows that the cap answers before clique3 runs
     pytest.param(4, ["gadget", "--name", "clique", "--n", "3000"],
-                 (gadgets, "clique3"), None, id="clique-above-cap"),
+                 (gadgets, "clique3", _broken), None, id="clique-above-cap"),
     # 1.3e7 and 1e10 triples: the lantern and sun caps also answer first
     pytest.param(4, ["gadget", "--name", "lantern", "--ell", "300"],
-                 (gadgets, "lantern"), None, id="lantern-above-cap"),
+                 (gadgets, "lantern", _broken), None, id="lantern-above-cap"),
     pytest.param(4, ["gadget", "--name", "sun", "--ell", "100000"],
-                 (gadgets, "sun"), None, id="sun-above-cap"),
+                 (gadgets, "sun", _broken), None, id="sun-above-cap"),
     # a file and the catalog together: refused, not the file ignored
     pytest.param(4, ["classify-links", "K5", "--enumerate"],
-                 (oracle, "enumerate_link_catalog"), None, id="file-and-enumerate"),
+                 (oracle, "enumerate_link_catalog", _broken), None, id="file-and-enumerate"),
     # neither a file nor the catalog, and a sparse split without its size
-    pytest.param(4, ["classify-links"], (checker, "classify_link_5"), None, id="no-input"),
-    pytest.param(4, ["gadget", "--name", "l4-sparse"], (gadgets, "l4_sparse"), None,
+    pytest.param(4, ["classify-links"], (checker, "classify_link_5", _broken), None,
+                 id="no-input"),
+    pytest.param(4, ["gadget", "--name", "l4-sparse"], (gadgets, "l4_sparse", _broken), None,
                  id="l4-sparse-without-n"),
     # the argument guards of the planner and the checker
     pytest.param(4, ["build", "--n", "0", "--ell", "5", "--m", "0"], None,
@@ -401,25 +422,33 @@ def _broken(*args, **kwargs):
     pytest.param(4, ["verify", "K5", "--ell", "0"], None, "ell must be positive",
                  id="verify-ell-zero"),
     pytest.param(0, ["--help"], None, None, id="help"),
+    pytest.param(2, ["build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1"],
+                 (checker, "is_saturated", _uncertified), None, id="uncertified"),
     pytest.param(5, ["build", "--n", "120", "--ell", "6", "--m", "350"], None, None,
                  id="sampler-budget"),
+    pytest.param(5, ["sample-config", "--n", "12", "--ell", "7"], None, None,
+                 id="sample-config-budget"),
     pytest.param(6, ["build", "--n", "45", "--ell", "5", "--m", "88"], None, None,
                  id="infeasible"),
     pytest.param(7, ["build", "--n", "45", "--ell", "5", "--m", "500"], None, None,
                  id="unsupported"),
-    pytest.param(8, ["verify", "K5", "--ell", "5"], (checker, "is_saturated"), None,
+    pytest.param(8, ["verify", "K5", "--ell", "5"], (checker, "is_saturated", _broken), None,
                  id="internal"),
+    pytest.param(8, ["build", "--n", "45", "--ell", "5", "--m", "57"],
+                 (assembler, "plan_witness", _broken), None, id="build-internal"),
 ])
 def test_each_exit_code(tmp_path, monkeypatch, capsys, code, argv, broken, says):
-    # one row per documented exit code, and what some rows say; a row
-    # that raises fails
+    # one row per documented exit code, what some rows say, and whether
+    # the row leaves its --report; a row that raises fails
     graphs = {"K5": _clique(5), "K7": _clique(7), "ONE": make(6, [(0, 1, 2)])}
     for name, g in graphs.items():
         (tmp_path / f"{name}.h3").write_text(write_h3(g))
     if broken:
-        monkeypatch.setattr(*broken, _broken)
+        monkeypatch.setattr(*broken)
     argv = [str(tmp_path / f"{a}.h3") if a in graphs else a for a in argv]
-    assert main(argv + ["--quiet"]) == code
+    rep = tmp_path / "rep.json"
+    assert main(argv + ["--report", str(rep), "--quiet"]) == code
+    assert rep.exists() == (code in LEAVES_REPORT.get(argv[0], {0}))
     if says:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err
@@ -558,9 +587,7 @@ def test_perfbench_tracer_installs_on_the_current_names(tmp_path):
     # name and reads the sampler's stats fields; renaming one of them must
     # fail here, not only in perfbench
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    env = dict(os.environ)
-    src = str(Path(bergesat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     w = str(tmp_path / "w.h3")
     # (120, 6, 320) plans one surgery, so the sampler looks for the pair
     for name, argv in (("build", ["build", "--n", "120", "--ell", "6", "--m", "320", "-o", w]),
@@ -624,22 +651,78 @@ with open(sys.argv[1], "w") as fh:
     pytest.param(["classify-links", "--enumerate"], ["oracle", "twographs"],
                  id="classify-links-enumerate"),
     pytest.param(["spectrum", "--exhaustive", "--n", "5", "--ell", "4"],
-                 ["oracle", "twographs"], id="spectrum-exhaustive"),
+                 ["oracle"], id="spectrum-exhaustive"),
     pytest.param(["gadget", "--name", "lantern"], ["gadgets"], id="gadget"),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     for name, g in {"K5": _clique(5), "L5": gadgets.lantern(5)}.items():
         (tmp_path / name).write_text(write_h3(g))
     argv = [str(tmp_path / a) if a in ("K5", "L5", "W") else a for a in argv]
-    env = dict(os.environ)
-    src = str(Path(bergesat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     out = tmp_path / "loads.json"
     done = subprocess.run([sys.executable, "-c", _LOADS_PROBE, str(out)] + argv, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     expected = sorted(f"bergesat.{m}" for m in ["cli", "hypercore"] + layers)
     assert json.loads(out.read_text()) == [[], 0, expected, False, [], []]
+
+
+# the process entry ends by freezing the collector, so shutdown skips its
+# last collections; the command's code, streams and report are the same
+# as in process, where main never freezes
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "K5", "--ell", "5"], id="0"),
+    pytest.param(["verify", "ONE", "--ell", "5"], id="2"),
+    pytest.param(["verify", "K7", "--ell", "5"], id="3"),
+    pytest.param(["verify", "ABSENT", "--ell", "5"], id="4-missing-file"),
+    pytest.param(["build", "--n", "45", "--ell", "5"], id="4-missing-m"),
+    pytest.param(["build", "--n", "45", "--ell", "5", "--m", "88"], id="6"),
+])
+def test_the_process_entry_matches_main_in_process(tmp_path, capsys, argv):
+    graphs = {"K5": _clique(5), "K7": _clique(7), "ONE": make(6, [(0, 1, 2)])}
+    for name, g in graphs.items():
+        (tmp_path / name).write_text(write_h3(g))
+    rep = tmp_path / "rep.json"
+    argv = [str(tmp_path / a) if a in (*graphs, "ABSENT") else a for a in argv]
+    argv += ["--report", str(rep)]
+    done = subprocess.run([sys.executable, "-m", "bergesat.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    by_process = (done.returncode, done.stdout, done.stderr,
+                  rep.read_bytes() if rep.exists() else None)
+    rep.unlink(missing_ok=True)
+    frozen = gc.get_freeze_count()
+    code = main(argv)
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    assert (code, out, err, rep.read_bytes() if rep.exists() else None) == by_process
+
+
+# both process entries, `python -m bergesat.cli` and the console script's
+# `sys.exit(main())`, with an atexit probe that records the freeze count
+_EXIT_PROBE = """
+import atexit, gc, runpy, sys
+out, entry = sys.argv[1], sys.argv[2]
+del sys.argv[1:3]
+atexit.register(lambda: open(out, "w").write(str(gc.get_freeze_count())))
+if entry == "module":
+    runpy.run_module("bergesat.cli", run_name="__main__", alter_sys=True)
+else:
+    from bergesat.cli import main
+    sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_the_process_entry_freezes_the_collector_at_exit(tmp_path, entry):
+    k5 = tmp_path / "K5"
+    k5.write_text(write_h3(_clique(5)))
+    probe = tmp_path / "frozen.txt"
+    done = subprocess.run([sys.executable, "-c", _EXIT_PROBE, str(probe), entry,
+                           "verify", str(k5), "--ell", "5"], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "saturated at ell=5" in done.stdout
+    assert int(probe.read_text()) > 0
 
 
 # four commands in one fresh interpreter, then their exit codes: a
@@ -659,9 +742,7 @@ print(codes)
 
 def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
     # set and dict order must not reach a written file or stdout
-    env = dict(os.environ)
-    src = str(Path(bergesat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     seen = []
     for seed in ("0", "1", "2"):
         work = tmp_path / seed
@@ -785,13 +866,7 @@ def test_no_partial_artifact_after_infeasible_build(tmp_path):
 
 
 def test_uncertified_build_writes_nothing(tmp_path, monkeypatch):
-    certify = checker.is_saturated
-
-    def unsaturated(g, ell, full_scan=False):
-        rep = certify(g, ell, full_scan)
-        return rep._replace(is_saturated=False, counterexample=(0, 1, 2))
-
-    monkeypatch.setattr(checker, "is_saturated", unsaturated)
+    monkeypatch.setattr(checker, "is_saturated", _uncertified)
     out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
     assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
                "-o", str(out), "--report", str(rep), "--quiet") == 2
