@@ -153,19 +153,18 @@ def ex_formula(n: int, ell: int):
     return comb(ell, 3) * n // ell, "bound-only"
 
 
-def build_W(n, ell, k, a, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
+def build_W(n, ell, k, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
     """The core lower-range graph on n vertices.
 
     A sampled linear graph on n - a vertices realizing d(n-a, ell, k),
     k five-lanterns overlaid on its degree-(ell-5) blocks, a clique on
-    the last a ids, a patch edge lifting the degree-(ell-2) vertices,
-    and i in {0, 1, 2} edge surgeries through the clique.  Edge count:
-    ceil((ell-1)(n-a)/3) + C(a,3) + 3k + i.
+    the last a = select_a_star(n, ell) ids, a patch edge lifting the
+    degree-(ell-2) vertices, and i in {0, 1, 2} edge surgeries through
+    the clique.  Edge count: ceil((ell-1)(n-a)/3) + C(a,3) + 3k + i.
     """
     if not 0 <= i <= 2:
         raise ValueError(f"i must be 0, 1, or 2, got {i}")
-    if not 3 <= a <= max(3, ell - 3):
-        raise ValueError(f"a = {a} outside [3, max(3, ell-3)] for ell = {ell}")
+    a = select_a_star(n, ell)
     spec = confmodel.degree_spec(n - a, ell, k)
     g, _, pair = confmodel.sample_linear(n - a, ell, k, seed=seed, max_tries=max_tries,
                                          require_pair=i > 0)
@@ -239,12 +238,11 @@ def plan_lower(n, ell, m) -> Verdict:
                        run=_NO_SPLIT)
     k, i = divmod(s, 3)
     core = n - c * ell
-    a_star = select_a_star(core, ell)
     try:
-        spec = confmodel.degree_spec(core - a_star, ell, k)
+        spec = confmodel.degree_spec(core - select_a_star(core, ell), ell, k)
     except ValueError as exc:
         return Verdict(UNSUPPORTED, f"core spec at c = {c}, k = {k} refused: {exc}", run=_NO_SPLIT)
-    w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, a_star, i))
+    w = Block("W", core, m - comb(ell, 3) * c, core, partial(build_W, core, ell, k, i))
     if confmodel.refusal(spec, i > 0) is None:
         run = ("feasible", "clique-split lower-range plan; past ell(ell-1)n/12 each witness "
                            "is vouched for by certification only")
@@ -368,7 +366,7 @@ def plan_witness(n, ell, m) -> Verdict:
     5n/3 up or the clique split.  Every verdict names its run; an ok
     plan is checked against n, m and the union rule."""
     table = _closed_form(n, ell)
-    top = ex_formula(n, ell)[0] if table is None else max(table)
+    top = ex_formula(n, ell)[0]
     if m > top:
         detail = f"m = {m} above the extremal number {top}"
         return Verdict(OUT_OF_RANGE, detail, run=("out-of-range", detail))
@@ -421,12 +419,12 @@ def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
 
 def spectrum_runs(n, ell):
     """Maximal runs of m in [0, hi] sharing the run plan_witness names,
-    planning m = 0 and each m from lo to hi + 1; (lo, hi) is the least
-    and largest closed-form m, else (sat, ex).  Below lo one verdict
-    stands for the whole run."""
+    planning m = 0 and each m from lo to hi + 1; lo is the least
+    closed-form m, else sat, and hi is ex, the largest closed-form m
+    too.  Below lo one verdict stands for the whole run."""
     table = _closed_form(n, ell)
-    keys = table or (sat_formula(n, ell)[0], ex_formula(n, ell)[0])
-    lo, hi = min(keys), max(keys)
+    lo = min(table) if table else sat_formula(n, ell)[0]
+    hi = ex_formula(n, ell)[0]
     if hi - lo + 1 > MAX_PLANNED:
         raise ValueError(f"({n}, {ell}) has {hi - lo + 1} values of m from sat to ex, "
                          f"above the planning limit {MAX_PLANNED}")

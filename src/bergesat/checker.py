@@ -57,7 +57,7 @@ TYPE_II = "TypeII"
 
 
 class AggressiveClass(NamedTuple):
-    """Per-vertex aggressive-saturation tags at a fixed ell.
+    """Per-vertex aggressive-saturation tags at the report's ell.
 
     tags[v] is "TypeI", "TypeII", or None.  Type I means Berge degree
     ell-1 with the non-tree link vertices pairwise adjacent in the link;
@@ -65,7 +65,6 @@ class AggressiveClass(NamedTuple):
     pair of non-tree link vertices contains a Type I vertex of the host.
     """
 
-    ell: int
     tags: tuple
 
     def untagged(self) -> tuple:
@@ -138,7 +137,7 @@ def _classify(ell, lp):
             tags.append(TYPE_II)
         else:
             tags.append(None)
-    return AggressiveClass(ell, tuple(tags))
+    return AggressiveClass(tuple(tags))
 
 
 def _first_counterexample(through, nontree, degrees, ell, pool):

@@ -81,7 +81,7 @@ class DegreeSpec(NamedTuple):
 
     @property
     def edge_count(self) -> int:
-        return (self.n * (self.ell - 1) - 60 * self.k - self.t) // 3
+        return sum(d * size for d, size in self.blocks) // 3
 
 
 def degree_spec(n: int, ell: int, k: int) -> DegreeSpec:
@@ -163,9 +163,6 @@ def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
     reason = refusal(spec, require_pair)
     if reason is not None:
         raise SamplerBudgetError(reason, stats)
-    if spec.edge_count == 0:
-        stats.tries, stats.repaired = 1, not rejection
-        return Hypergraph3(n, ()), stats, None
     if spec.active <= 13:
         route = _sample_dfs(spec, seed, max_tries, stats)
     elif rejection:
@@ -382,6 +379,9 @@ def _sample_dfs(spec, seed, max_tries, stats):
                 f"backtracking budget exhausted for (n={n}, ell={spec.ell}, k={spec.k})",
                 stats,
             )
+        if u is None:  # the root of a spec without edges: the empty graph
+            yield Hypergraph3(n, ())
+            return
         # u is the lowest unfilled vertex, so u < v < w for every candidate
         cands = [(v, w) for v, w in pairs if u < v and rd[v] > 0 and rd[w] > 0
                  and (u, v) not in used and (u, w) not in used and (v, w) not in used]
@@ -406,12 +406,15 @@ def _sample_dfs(spec, seed, max_tries, stats):
 
 def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
     """(degrees, covered pairs) of g, each pair an (a, b) with a < b;
-    ValueError unless g is linear and realizes spec."""
+    ValueError unless g is linear, realizes spec and joins no two low vertices."""
     if g.vertex_count != spec.n:
         raise ValueError(f"graph has {g.vertex_count} vertices, spec wants {spec.n}")
     degs = [0] * spec.n
     seen_pairs = set()
+    low = 15 * spec.k
     for a, b, c in g.edges:
+        if b < low:  # the edges are ascending, so a < b < 15k
+            raise ValueError(f"low-degree vertices {a} and {b} share the edge {(a, b, c)}")
         for v in (a, b, c):
             degs[v] += 1
         for p in ((a, b), (a, c), (b, c)):

@@ -194,11 +194,8 @@ def exhaustive_spectrum(n, ell) -> SpectrumResult:
 
     triples = list(combinations(range(n), 3))
     T = len(triples)
-    if T == 0:
-        # no possible edges: the empty graph is vacuously saturated
-        return SpectrumResult(n, ell, (0,), {0: Hypergraph3(n, ())}, {0: 1}, 0, 0)
     pos = [[i for i, t in enumerate(triples) if v in t] for v in range(n)]
-    k = len(pos[0])
+    k = len(pos[0]) if n else 0
     low = (1 << k) - 1
     reps, sizes, of = _link_classes(n)
     over = [d >= ell for d in _degree_table(n, reps, of)]

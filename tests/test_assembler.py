@@ -114,6 +114,12 @@ def test_extremal_values():
     assert ex_formula(120, 6) == (400, "exact")
     with pytest.raises(ValueError):
         ex_formula(5, 0)
+    # every closed-form table ends at ex and, from ell = 2 on, starts at sat
+    for ell in range(1, 13):
+        for n in range(1, 301 if ell <= 4 else ell + 1):
+            table = assembler._closed_form(n, ell)
+            assert max(table) == ex_formula(n, ell)[0], (n, ell)
+            assert ell < 2 or min(table) == sat_formula(n, ell)[0], (n, ell)
 
 
 def test_sun_swap_beats_columns_for_all_moderate_ell():
@@ -139,17 +145,17 @@ def test_lower_plan_matches_built_edge_count():
 
 
 def test_lantern_overlay_adds_three_edges_each():
-    base = len(build_W(45, 5, 0, 3, 0, seed=0).edges)
+    base = len(build_W(45, 5, 0, 0, seed=0).edges)
     for k in (1, 2):
-        g = build_W(45, 5, k, 3, 0, seed=0)
+        g = build_W(45, 5, k, 0, seed=0)
         assert len(g.edges) == base + 3 * k
         assert certified(g, 5)
 
 
 def test_pair_surgeries_add_one_edge_each():
-    base = len(build_W(45, 5, 0, 3, 0, seed=0).edges)
+    base = len(build_W(45, 5, 0, 0, seed=0).edges)
     for i in (1, 2):
-        g = build_W(45, 5, 0, 3, i, seed=0)
+        g = build_W(45, 5, 0, i, seed=0)
         assert len(g.edges) == base + i
         assert certified(g, 5)
 
@@ -433,9 +439,7 @@ def test_witnesses_use_every_vertex_budget():
 
 def test_build_w_validates_parameters():
     with pytest.raises(ValueError):
-        build_W(45, 5, 0, 3, 3)
-    with pytest.raises(ValueError):
-        build_W(45, 5, 0, 7, 0)
+        build_W(45, 5, 0, 3)
 
 
 def test_build_w_checks_and_searches_its_core_once(monkeypatch):
@@ -450,7 +454,7 @@ def test_build_w_checks_and_searches_its_core_once(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(confmodel, name, counted)
-    build_W(45, 5, 0, 3, 2, seed=0)
+    build_W(45, 5, 0, 2, seed=0)
     assert sorted(calls) == ["_check_realizes", "find_disjoint_edge_pair"]
 
 

@@ -49,6 +49,9 @@ def test_degree_spec_arithmetic():
     assert list(arr[:15]) == [0] * 15 and list(arr[15:]) == [4] * 12
     s = degree_spec(120, 6, 1)
     assert list(s.degree_array()[:15]) == [1] * 15
+    for args in ((60, 5, 0), (17, 5, 0), (27, 5, 1), (120, 6, 1)):
+        s = degree_spec(*args)
+        assert 3 * s.edge_count == sum(s.degree_array())
 
 
 def test_degree_spec_rejects_bad_parameters():
@@ -91,19 +94,33 @@ def test_rejection_and_hill_climbing_agree_on_the_contract():
         assert stats.repaired == (not rejection)
 
 
+# a linear realization of d(30, 6, 1) but for its first edge, which joins
+# the low vertices 0 and 1
+LOW_PAIR_30_6_1 = (
+    (0, 1, 17), (2, 21, 25), (3, 19, 25), (4, 18, 28), (5, 15, 24), (6, 15, 17),
+    (7, 15, 21), (8, 20, 28), (9, 15, 26), (10, 21, 22), (11, 16, 18), (12, 19, 27),
+    (13, 16, 28), (14, 16, 24), (15, 25, 29), (16, 22, 26), (16, 23, 27), (17, 18, 22),
+    (17, 23, 24), (17, 25, 27), (18, 20, 23), (18, 21, 29), (19, 20, 21), (19, 23, 29),
+    (19, 24, 26), (20, 22, 27), (20, 26, 29), (22, 25, 28), (23, 26, 28), (24, 27, 29),
+)
+
+
 @pytest.mark.parametrize("require_pair", (True, False))
 def test_every_route_result_is_checked_against_the_spec(monkeypatch, require_pair):
     from bergesat import confmodel
     from bergesat.hypercore import Hypergraph3
 
-    for edges, problem in ((((0, 1, 2),), "degree mismatch"),
-                           (((0, 1, 2), (0, 1, 3)), "not linear: pair \\(0, 1\\) in two edges")):
+    for args, edges, problem in (
+        ((24, 5, 0), ((0, 1, 2),), "degree mismatch"),
+        ((24, 5, 0), ((0, 1, 2), (0, 1, 3)), "not linear: pair \\(0, 1\\) in two edges"),
+        ((30, 6, 1), LOW_PAIR_30_6_1, "low-degree vertices 0 and 1 share the edge"),
+    ):
         def wrong_graph(spec, seed, max_tries, stats, edges=edges):
             yield Hypergraph3(spec.n, edges)
 
         monkeypatch.setattr(confmodel, "_sample_hill", wrong_graph)
         with pytest.raises(ValueError, match=problem):
-            sample_linear(24, 5, 0, seed=0, require_pair=require_pair)
+            sample_linear(*args, seed=0, require_pair=require_pair)
 
 
 def test_rejection_defect_rates_match_the_loop_model():
@@ -311,8 +328,8 @@ PINNED_SAMPLES = [
     # the exhaustive search
     ((27, 5, 1), {"require_pair": False}, "db2c63c8f77b824d", (16, 0, 0, False)),
     ((41, 5, 2), {"require_pair": False}, "3f0ba7012df39dbd", (299, 0, 0, False)),
-    # no edges: the loop answers before any route, on either one
-    ((15, 5, 1), {"require_pair": False}, "589857a019d82dca", (1, 0, 0, True)),
+    # no edges: the search yields the empty graph at its root, on either route
+    ((15, 5, 1), {"require_pair": False}, "589857a019d82dca", (1, 0, 0, False)),
     ((15, 5, 1), {"require_pair": False, "rejection": True}, "589857a019d82dca",
      (1, 0, 0, False)),
 ]

@@ -43,6 +43,11 @@ def test_single_triple_baseline():
     res = exhaustive_spectrum(3, 2)
     assert res.realizable == (1,)
     assert res.sat_observed == res.ex_observed == 1
+    # below three vertices there is no triple, and the empty graph is saturated
+    for n in (0, 1, 2):
+        for ell in range(1, 9):
+            assert exhaustive_spectrum(n, ell) == (
+                n, ell, (0,), {0: Hypergraph3(n, ())}, {0: 1}, 0, 0)
 
 
 def test_unique_extremal_witness_at_five():
