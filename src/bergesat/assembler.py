@@ -230,8 +230,6 @@ def plan_lower(n, ell, m) -> Verdict:
     sequence d(n - c ell - a, ell, k); its refusal is the verdict, and
     confmodel.refusal names the run of a core no sampler can realize.
     """
-    if m == ex_formula(n, ell)[0] and n % ell == 0:
-        return compose(n, ell, m)
     c, s = _largest_split(n, ell, m)
     if s >= comb(ell, 3):
         return Verdict(UNSUPPORTED, f"residue s = {s} at c = {c} exceeds C(ell,3) - 1",
@@ -363,8 +361,9 @@ def plan_witness(n, ell, m) -> Verdict:
     """The one planner for every (n, ell, m), building nothing: the
     closed-form table for ell <= 4 and n <= ell, else a gate on m in
     [sat, ex], then the exact mixtures in the ell = 5, 5 | n zone from
-    5n/3 up or the clique split.  Every verdict names its run; an ok
-    plan is checked against n, m and the union rule."""
+    5n/3 up, the cliques alone at m = ex with ell | n, or the clique
+    split.  Every verdict names its run; an ok plan is checked against
+    n, m and the union rule."""
     table = _closed_form(n, ell)
     top = ex_formula(n, ell)[0]
     if m > top:
@@ -377,6 +376,8 @@ def plan_witness(n, ell, m) -> Verdict:
                            run=("infeasible", "below the saturation minimum"))
         if ell == 5 and n % 5 == 0 and 3 * m >= 5 * n:
             verdict = plan_exact5(n, m)
+        elif m == top and n % ell == 0:
+            verdict = compose(n, ell, m)
         else:
             verdict = plan_lower(n, ell, m)
     elif m in table:

@@ -94,7 +94,7 @@ def _read_graph(path):
 
 
 def _write_report(args, obj):
-    if getattr(args, "report", None):
+    if args.report:
         _atomic_write(args.report, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -386,7 +386,7 @@ def main(argv=None):
     except hypercore.SamplerBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BUDGET
-    except (ValueError, hypercore.FormatError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
     except hypercore.InternalError as e:

@@ -24,9 +24,11 @@ tracer.  One union-find, `component_counts`, is the package's only
 component finder; `LinkPass` runs it on every link, with a shortcut for
 matching and complete links.
 
-All values here are immutable and all functions are pure; sharing across
-threads is safe: Hypergraph3 refuses assignment and compares and hashes
-by value, and the records are named tuples.
+All functions are pure, and Hypergraph3 and the named-tuple records are
+immutable and safe to share across threads: Hypergraph3 refuses
+assignment and compares and hashes by value.  A LinkPass is not: its
+per-vertex lists (through, nontree, clique) are mutable, filled on
+construction and read in place by the one caller that built it.
 """
 
 from collections import Counter

@@ -262,10 +262,8 @@ CATALOG_MAX_EDGES = 6
 class LinkClass(NamedTuple):
     vertices: int
     edge_count: int
-    tree_count: int
     deficit: int
     degrees: tuple[int, ...]
-    canon: tuple
     name: str | None
 
 
@@ -371,9 +369,7 @@ def enumerate_link_catalog() -> CatalogReport:
             degrees.extend(p[0][1])
         degrees = tuple(sorted(degrees))
         name = shape_names.get(canon_multi)
-        classes.append(
-            LinkClass(nv, ne, tree, nv - tree, degrees, canon_multi, name)
-        )
+        classes.append(LinkClass(nv, ne, nv - tree, degrees, name))
 
     strata = {s: [] for s in range(5, CATALOG_MAX_VERTICES + 1)}
     for c in classes:

@@ -134,6 +134,10 @@ def test_sun_swap_beats_columns_for_all_moderate_ell():
 def test_select_a_star_prefers_three():
     assert select_a_star(45, 5) == 3
     assert select_a_star(120, 6) == 3
+    # the W construction needs ell >= 5 and n > ell
+    for n, ell in ((45, 4), (5, 5), (3, 6)):
+        with pytest.raises(ValueError, match="needs ell >= 5 and n > ell"):
+            select_a_star(n, ell)
 
 
 def test_lower_plan_matches_built_edge_count():
@@ -191,10 +195,6 @@ def test_lower_plan_keeps_the_largest_clique_split():
             if verdict.plan is None:
                 continue
             c, s = split_fields(verdict.plan, ell)
-            if c * ell == n:
-                # m = ex with ell | n: the cliques alone, no core graph
-                assert m == ex_formula(n, ell)[0] and s == 0
-                continue
             assert m - comb(ell, 3) * c - sat_formula(n - c * ell, ell)[0] == s
             if n - (c + 1) * ell > ell:
                 assert m - comb(ell, 3) * (c + 1) - sat_formula(n - (c + 1) * ell, ell)[0] < 0

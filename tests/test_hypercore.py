@@ -426,6 +426,8 @@ def test_json_parser_rejects_malformed_objects():
         read_json('{"n": 3}')
     with pytest.raises(FormatError):
         read_json('{"n": "x", "edges": []}')
+    with pytest.raises(FormatError, match="field 'edges' must be an array"):
+        read_json('{"n": 3, "edges": 5}')
     # objects that parse but fail graph validation
     for text, why in [('{"n": -1, "edges": []}', "negative vertex count"),
                       ('{"n": 3, "edges": [[0, 1, 5]]}', "vertex out of range"),
