@@ -33,7 +33,7 @@ from itertools import chain, combinations, combinations_with_replacement, groupb
 from math import comb
 from typing import NamedTuple
 
-from .hypercore import Hypergraph3, InternalError, disjoint_union, make
+from .hypercore import DEFAULT_MAX_TRIES, Hypergraph3, InternalError, disjoint_union, make
 from . import confmodel, gadgets
 
 OK = "ok"
@@ -121,18 +121,12 @@ def sat_formula(n: int, ell: int):
 
 
 def select_a_star(n: int, ell: int) -> int:
-    """The clique size the W construction attaches: 3 when possible.
-
-    Always an argmin of sat_formula; for ell = 5 the admissible window
-    [3, max(3, ell-3)] pins it to 3.
-    """
+    """The clique size the W construction attaches: the least argmin of
+    sat_formula from 3 up.  For ell >= 5, a = 3 is admissible and costs
+    no more than a = 1 or 2, so one always exists."""
     if ell < 5 or n <= ell:
         raise ValueError(f"select_a_star needs ell >= 5 and n > ell, got ({n}, {ell})")
-    _, argmin = sat_formula(n, ell)
-    window = [a for a in sorted(argmin) if 3 <= a <= max(3, ell - 3)]
-    if not window:
-        raise InternalError(f"no argmin of sat_formula({n}, {ell}) in the admissible window")
-    return window[0]
+    return min(a for a in sat_formula(n, ell)[1] if a >= 3)
 
 
 def ex_formula(n: int, ell: int):
@@ -153,7 +147,7 @@ def ex_formula(n: int, ell: int):
     return comb(ell, 3) * n // ell, "bound-only"
 
 
-def build_W(n, ell, k, i, seed=0, max_tries=10_000_000) -> Hypergraph3:
+def build_W(n, ell, k, i, seed=0, max_tries=DEFAULT_MAX_TRIES) -> Hypergraph3:
     """The core lower-range graph on n vertices.
 
     A sampled linear graph on n - a vertices realizing d(n-a, ell, k),
@@ -399,7 +393,7 @@ def plan_witness(n, ell, m) -> Verdict:
     return verdict
 
 
-def build_spectrum_witness(n, ell, m, seed=0, max_tries=10_000_000):
+def build_spectrum_witness(n, ell, m, seed=0, max_tries=DEFAULT_MAX_TRIES):
     """(plan_witness's verdict, the union of its blocks or None).  A block
     built with other (vertices, edges) than planned is an InternalError."""
     if m < 0:

@@ -175,17 +175,14 @@ def _cmd_spectrum(args):
             "counts": {str(m): c for m, c in sorted(res.counts.items())},
             "sat_observed": res.sat_observed, "ex_observed": res.ex_observed,
         }
-        print(json.dumps(obj, indent=2))
-        _write_report(args, obj)
-        return _EXIT_OK
-    from . import assembler
+    else:
+        from . import assembler
 
-    obj = {"n": args.n, "ell": args.ell, "ranges": assembler.spectrum_runs(args.n, args.ell)}
-    if args.ell >= 2:
-        sat, argmin = assembler.sat_formula(args.n, args.ell)
-        obj["sat"] = sat
-        obj["sat_clique_sizes"] = sorted(argmin)
-        obj["ex"], obj["ex_kind"] = assembler.ex_formula(args.n, args.ell)
+        obj = {"n": args.n, "ell": args.ell, "ranges": assembler.spectrum_runs(args.n, args.ell)}
+        if args.ell >= 2:
+            sat, argmin = assembler.sat_formula(args.n, args.ell)
+            obj.update(sat=sat, sat_clique_sizes=sorted(argmin))
+            obj["ex"], obj["ex_kind"] = assembler.ex_formula(args.n, args.ell)
     print(json.dumps(obj, indent=2))
     _write_report(args, obj)
     return _EXIT_OK
@@ -269,10 +266,10 @@ def _cmd_classify_links(args):
         rep = oracle.enumerate_link_catalog()
         width = {c.name: c.vertices for c in rep.classes if c.name}
         print(f"{'shape':10s} {'|N|':>4s} {'bound':>6s} {'published':>10s}")
-        for i, name in enumerate(rep.row_names):
-            flag = "" if rep.computed_bounds[i] == rep.published_bounds[i] else "  *"
-            print(f"{name:10s} {width[name]:>4d} "
-                  f"{rep.computed_bounds[i]:>6d} {rep.published_bounds[i]:>10d}{flag}")
+        for name, bound, published in zip(rep.row_names, rep.computed_bounds,
+                                          rep.published_bounds):
+            flag = "  *" if name in rep.discrepancies else ""
+            print(f"{name:10s} {width[name]:>4d} {bound:>6d} {published:>10d}{flag}")
         sizes = {s: len(v) for s, v in sorted(rep.strata.items(), reverse=True)}
         print(f"strata sizes by |N|: {sizes}")
         if rep.discrepancies:
@@ -321,7 +318,7 @@ def _build_parser():
     p.add_argument("--n0", type=int, default=None,
                    help="ignored: the one clique-split planner needs no block "
                         "size; accepted so that older command lines still run")
-    p.add_argument("--max-tries", type=int, default=10_000_000)
+    p.add_argument("--max-tries", type=int, default=hypercore.DEFAULT_MAX_TRIES)
     common(p, writes_graph=True)
     p.set_defaults(func=_cmd_build)
 
@@ -348,7 +345,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--max-tries", type=int, default=10_000_000)
+    p.add_argument("--max-tries", type=int, default=hypercore.DEFAULT_MAX_TRIES)
     common(p, writes_graph=True)
     p.set_defaults(func=_cmd_sample_config)
 

@@ -50,7 +50,7 @@ from math import comb
 import random
 from typing import NamedTuple
 
-from .hypercore import Hypergraph3, InternalError, SamplerBudgetError
+from .hypercore import DEFAULT_MAX_TRIES, Hypergraph3, InternalError, SamplerBudgetError
 
 _PROGRESS_EVERY = 100_000
 _PARTNER_DRAWS = 16
@@ -139,7 +139,7 @@ class SampleStats:
         self.repair_rounds = 0
 
 
-def sample_linear(n, ell, k, seed=0, max_tries=10_000_000, rejection=False,
+def sample_linear(n, ell, k, seed=0, max_tries=DEFAULT_MAX_TRIES, rejection=False,
                   require_pair=True):
     """(g, stats, pair): a simple linear 3-graph g realizing d(n, ell, k),
     the run's SampleStats, and the disjoint pair that

@@ -9,7 +9,7 @@ one exception in spirit, consuming the seeded sampler internally.
 
 from itertools import combinations
 
-from .hypercore import Hypergraph3, make
+from .hypercore import DEFAULT_MAX_TRIES, Hypergraph3, make
 
 
 def _stars(apexes, group):
@@ -129,7 +129,7 @@ def gadget_R() -> Hypergraph3:
     return make(15, edges + [a, c, (b1, b2, z), (d1, d2, z), (b1, b2, d1)])
 
 
-def l4_sparse(n: int, seed: int = 0, max_tries: int = 10_000_000) -> Hypergraph3:
+def l4_sparse(n: int, seed: int = 0, max_tries: int = DEFAULT_MAX_TRIES) -> Hypergraph3:
     """A saturated graph for ell = 4 on n vertices with only n - 1 edges.
 
     A 3-regular linear base on n - 2 vertices has every Berge degree 3;

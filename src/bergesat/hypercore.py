@@ -60,6 +60,11 @@ class SamplerBudgetError(RuntimeError):
         self.stats = stats
 
 
+# The default move budget of the sampler and of every builder and command
+# that runs it (--max-tries); past it, SamplerBudgetError.
+DEFAULT_MAX_TRIES = 10_000_000
+
+
 class _EdgeError(ValueError):
     """A malformed edge; pos is its index in the edge sequence."""
 

@@ -1,10 +1,24 @@
-"""Shared hypothesis strategies for small 3-graphs."""
+"""Shared helpers: hypothesis strategies for small 3-graphs, the
+certificate as a bool, and the small-star spectra the planner builds."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from bergesat.assembler import build_spectrum_witness
+from bergesat.checker import is_saturated
 from bergesat.hypercore import Hypergraph3
+
+
+def certified(g, ell):
+    rep = is_saturated(g, ell)
+    return rep.is_free and rep.is_saturated
+
+
+def small_star_spectrum(n, ell):
+    """{m: seed-0 witness} of every m in [0, 2n + 1] the planner builds."""
+    built = {m: build_spectrum_witness(n, ell, m, seed=0) for m in range(2 * n + 2)}
+    return {m: g for m, (verdict, g) in built.items() if verdict.feasible}
 
 
 @st.composite

@@ -39,12 +39,7 @@ from bergesat.oracle import (
     enumerate_link_catalog,
     exhaustive_spectrum,
 )
-
-
-def small_star_spectrum(n, ell):
-    """{m: seed-0 witness} of every m in [0, 2n + 1] the planner builds."""
-    built = {m: build_spectrum_witness(n, ell, m, seed=0) for m in range(2 * n + 2)}
-    return {m: g for m, (verdict, g) in built.items() if verdict.feasible}
+from conftest import small_star_spectrum
 
 
 def _report(capsys, name, started, ok, note=""):

@@ -43,23 +43,12 @@ from bergesat.hypercore import (
     write_h3,
 )
 from bergesat.oracle import exhaustive_spectrum
-
-
-def small_star_spectrum(n, ell):
-    """{m: seed-0 witness} of every m in [0, 2n + 1] the planner builds."""
-    built = {m: build_spectrum_witness(n, ell, m, seed=0) for m in range(2 * n + 2)}
-    return {m: g for m, (verdict, g) in built.items() if verdict.feasible}
-
-
-def certified(g, ell):
-    rep = is_saturated(g, ell)
-    return rep.is_free and rep.is_saturated
+from conftest import certified, small_star_spectrum
 
 
 def build(plan):
     """The seed-0 union of a plan's runs, as build_spectrum_witness makes it."""
-    return disjoint_union(*(b.build(seed=0, max_tries=10_000_000)
-                            for b, copies in plan for _ in range(copies)))
+    return disjoint_union(*(b.build(seed=0) for b, copies in plan for _ in range(copies)))
 
 
 def split_fields(plan, ell):
@@ -134,6 +123,12 @@ def test_sun_swap_beats_columns_for_all_moderate_ell():
 def test_select_a_star_prefers_three():
     assert select_a_star(45, 5) == 3
     assert select_a_star(120, 6) == 3
+    # an argmin of sat_formula, 3 whenever 3 is one, and always 3 at ell <= 6
+    for ell in range(5, 21):
+        for n in range(ell + 1, 400):
+            a, argmin = select_a_star(n, ell), sat_formula(n, ell)[1]
+            assert a in argmin and (a == 3) == (3 in argmin), (n, ell)
+            assert ell > 6 or a == 3, (n, ell)
     # the W construction needs ell >= 5 and n > ell
     for n, ell in ((45, 4), (5, 5), (3, 6)):
         with pytest.raises(ValueError, match="needs ell >= 5 and n > ell"):
@@ -541,6 +536,19 @@ def test_union_rule_matches_the_checker():
     assert outcomes == {True, False}
 
 
+def test_ten_cliques_beside_a_smaller_clique_certify():
+    # ten K_ell and one K_r, r < ell, on n = 10 ell + r vertices fall
+    # delta_r(ell) = floor(C(ell,3) r / ell) - C(r,3) edges short of ex;
+    # the certificate alone, since the planner does not plan these unions
+    unions = [(ell, r) for ell in range(5, 11) for r in range(1, ell)]
+    assert len(unions) == 39
+    for ell, r in unions:
+        g = disjoint_union(*[gadgets.clique3(ell)] * 10, gadgets.clique3(r))
+        delta = comb(ell, 3) * r // ell - comb(r, 3)
+        assert ex_formula(g.vertex_count, ell)[0] - len(g.edges) == delta, (ell, r)
+        assert certified(g, ell), (ell, r)
+
+
 def _planned_blocks():
     """(ell, block) for every distinct block the planner uses on a grid
     that covers each branch, and every row of assembler._BESIDE."""
@@ -569,7 +577,7 @@ def test_declared_nonfull_counts_match_the_link_pass():
     # compose checks the union rule on its units alone: every first row is all full
     assert all(rows[0].nonfull == 0 for rows in assembler._BESIDE.values())
     for ell, b in blocks:
-        g = b.build(seed=0, max_tries=10_000_000)
+        g = b.build(seed=0)
         assert (g.vertex_count, len(g.edges)) == (b.vertices, b.edges), b.name
         assert certified(g, ell), (ell, b.name)
         if b.name != "W":
