@@ -162,7 +162,7 @@ def build_W(n, ell, k, i, seed=0, max_tries=DEFAULT_MAX_TRIES) -> Hypergraph3:
     spec = confmodel.degree_spec(n - a, ell, k)
     g, _, pair = confmodel.sample_linear(n - a, ell, k, seed=seed, max_tries=max_tries,
                                          require_pair=i > 0)
-    edges = list(g.edges + disjoint_union(*[gadgets.lantern(5)] * k).edges)
+    edges = list(g.edges + disjoint_union(*[gadgets.lantern(5)] * k).edges) if k else list(g.edges)
 
     cl = [n - a + j for j in range(a)]
     edges.extend(combinations(cl, 3))
@@ -343,10 +343,10 @@ def _closed_form(n, ell):
                                  ((_wrap_cycle(n - b.vertices), 1), (b, 1)))
                 for d, b, what in _WRAP_ROWS[n % 3]}
     if ell == 4:
-        sparse = Block("sparse split", n, n - 1, 2, lambda **kw: gadgets.l4_sparse(n, **kw))
+        sparse = Block("sparse split", n, n - 1, 2, lambda **_: gadgets.l4_sparse(n))
         return {n - 2: (6, "a tight cycle and two isolated vertices",
                         ((_tight_cycle(n - 2), 1), (_clique(2, 4), 1))),
-                n - 1: (16, "the sparse split of a 3-regular linear graph", ((sparse, 1),)),
+                n - 1: (9, "the sparse split of a 3-regular linear graph", ((sparse, 1),)),
                 n: (4, "a tight cycle", ((_tight_cycle(n), 1),))}
     return None
 

@@ -237,7 +237,7 @@ _GADGETS = {
     "gadget-d": lambda m, a: m.gadget_D(),
     "gadget-q": lambda m, a: m.gadget_Q(),
     "gadget-r": lambda m, a: m.gadget_R(),
-    "l4-sparse": lambda m, a: m.l4_sparse(_given_n(a), seed=a.seed),
+    "l4-sparse": lambda m, a: m.l4_sparse(_given_n(a)),
 }
 
 

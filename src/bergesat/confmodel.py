@@ -87,9 +87,9 @@ class DegreeSpec(NamedTuple):
 def degree_spec(n: int, ell: int, k: int) -> DegreeSpec:
     """Validate (n, ell, k) and derive t.
 
-    ell = 4 is admitted only with k = 0 (the all-degree-3 sequence used
-    by the sparse star-free construction); the lantern machinery proper
-    starts at ell = 5.
+    ell = 4 is admitted only with k = 0, the all-degree-3 sequence that
+    `sample-config --ell 4` draws (no plan samples it: the sparse split
+    builds its base directly); the lantern machinery starts at ell = 5.
     """
     if n < 0:
         raise ValueError(f"negative n = {n}")

@@ -3,13 +3,12 @@ saturated pieces used to hit exact edge counts.
 
 Every constructor returns a Hypergraph3 on a fixed id layout, documented
 per function, so downstream overlay and surgery code can address
-individual vertices.  All of these are deterministic; l4_sparse is the
-one exception in spirit, consuming the seeded sampler internally.
+individual vertices.  All of these are deterministic.
 """
 
 from itertools import combinations
 
-from .hypercore import DEFAULT_MAX_TRIES, Hypergraph3, make
+from .hypercore import Hypergraph3, make
 
 
 def _stars(apexes, group):
@@ -129,21 +128,20 @@ def gadget_R() -> Hypergraph3:
     return make(15, edges + [a, c, (b1, b2, z), (d1, d2, z), (b1, b2, d1)])
 
 
-def l4_sparse(n: int, seed: int = 0, max_tries: int = DEFAULT_MAX_TRIES) -> Hypergraph3:
-    """A saturated graph for ell = 4 on n vertices with only n - 1 edges.
+def l4_sparse(n: int) -> Hypergraph3:
+    """A saturated graph for ell = 4 on n >= 9 vertices with only n - 1 edges.
 
-    A 3-regular linear base on n - 2 vertices has every Berge degree 3;
-    splitting its first edge {x, y, z} across two new vertices u = n-2
-    (degree 2) and v = n-1 (degree 1) preserves saturation while landing
-    one edge below n.  Deterministic per seed.
+    The base, the cyclic configuration {i, i+1, i+3} mod q on q = n - 2
+    vertices, is linear (the differences +-1, +-2, +-3 are distinct mod
+    q >= 7) and 3-regular, so every base link is 3K2: d_B = 3 = ell - 1
+    and NT is empty.  Splitting its first edge {x, y, z} across two new
+    vertices u = n-2 and v = n-1 keeps x, y and z at 3K2; only u (2K2)
+    and v (K2) are non-full.  So every absent triple holds a full vertex
+    with an empty NT set, and the pair-insertion rule lifts it.
     """
-    from . import confmodel
-
-    if n < 16:
-        raise ValueError(f"need n >= 16 for the sparse construction, got {n}")
-    base, _, _ = confmodel.sample_linear(n - 2, 4, 0, seed=seed, max_tries=max_tries,
-                                         require_pair=False)
-    x, y, z = base.edges[0]
-    u, v = n - 2, n - 1
-    edges = list(base.edges[1:]) + [(x, u, v), (y, z, u)]
-    return make(n, edges)
+    if n < 9:
+        raise ValueError(f"need n >= 9 for the sparse construction, got {n}")
+    q = n - 2
+    base = make(q, [(i, (i + 1) % q, (i + 3) % q) for i in range(q)])
+    (x, y, z), u, v = base.edges[0], q, q + 1
+    return make(n, base.edges[1:] + ((x, u, v), (y, z, u)))

@@ -265,7 +265,7 @@ def test_criterion_8_small_star_spectra(capsys):
             for m, g in four.items():
                 _certify(g, 4)
             # the middle witness is the sparse split construction
-            direct = l4_sparse(n, seed=0)
+            direct = l4_sparse(n)
             assert direct == four[n - 1]
             _certify(direct, 4)
             three = small_star_spectrum(n, 3)

@@ -201,7 +201,7 @@ def test_lower_plan_keeps_the_largest_clique_split():
 RUN_GRID = ([(n, ell) for ell in (1, 2, 3, 4) for n in range(1, 18)]
             + [(3, 5), (5, 5), (6, 7), (8, 8)]
             + [(20, 6), (120, 6), (45, 5), (60, 5), (61, 5), (120, 7), (87, 8)])
-RUNS_SHA256 = "8ed0c00819644dbb1fbe4f85057e64dc7ec4e86efbb4fc557d01f7420e4c4b37"
+RUNS_SHA256 = "9cfca734a33b32fe2be8cf8aac60e27ea24609631b270eee1d4ea90d669b9949"
 
 
 def test_spectrum_runs_are_pinned_and_every_verdict_names_its_run():
@@ -390,6 +390,33 @@ def test_small_star_witnesses_certify():
                 assert certified(g, ell), (n, ell, m)
 
 
+# every m in [sat, ex] at ell <= 4 and n <= 60 that the planner refuses
+# (exit 7): tiny n the closed forms do not reach, each waiting on the
+# exhaustive answers at n <= 8
+SMALL_STAR_MISSES = {(4, 3, 2), (5, 3, 2), (5, 3, 3), (6, 3, 3), (8, 3, 5),
+                     (5, 4, 3), (5, 4, 4), (6, 4, 5), (7, 4, 6), (8, 4, 7)}
+
+
+def test_small_stars_build_by_construction_up_to_sixty(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ell <= 4 plan sampled")
+
+    monkeypatch.setattr(assembler.confmodel, "sample_linear", refuse)
+    misses = set()
+    for ell in (1, 2, 3, 4):
+        for n in range(1, 61):
+            lo = 0 if ell == 1 else sat_formula(n, ell)[0]
+            for m in range(lo, ex_formula(n, ell)[0] + 1):
+                verdict, g = build_spectrum_witness(n, ell, m)
+                if verdict.status == UNSUPPORTED:
+                    misses.add((n, ell, m))
+                    continue
+                assert verdict.feasible, (n, ell, m, verdict.detail)
+                assert g.vertex_count == n and len(g.edges) == m
+                assert certified(g, ell), (n, ell, m)
+    assert misses == SMALL_STAR_MISSES
+
+
 # oracle.exhaustive_spectrum(7, ell).realizable, pinned so that the planner
 # is held to fixed values; test_oracle checks that the sweep still gives them
 REALIZABLE_AT_SEVEN = {
@@ -437,6 +464,15 @@ def test_build_w_validates_parameters():
         build_W(45, 5, 0, 3)
 
 
+def test_build_w_makes_no_lantern_without_overlay(monkeypatch):
+    def refuse(ell):
+        raise AssertionError("built a lantern for k = 0")
+
+    monkeypatch.setattr(gadgets, "lantern", refuse)
+    g = build_W(45, 5, 0, 1)
+    assert g.vertex_count == 45 and certified(g, 5)
+
+
 def test_build_w_checks_and_searches_its_core_once(monkeypatch):
     # the sampler hands back the pair it accepted, so a build with two
     # surgeries checks its core against the spec and searches its pair
@@ -464,20 +500,20 @@ PINNED_WITNESSES = {
     (30, 3, 19): "4f54c8d197e1e9a5",
     (30, 3, 20): "f0f80d80f2a58cc5",
     (30, 4, 28): "47854de4049fa61b",
-    (30, 4, 29): "aa9000434d462cf4",
+    (30, 4, 29): "074d910de2b94c97",
     (30, 4, 30): "55ebe761b9198124",
     (31, 1, 0): "96f3db7842560e53",
     (31, 2, 10): "b51e1dbb8b0f9ffc",
     (31, 3, 20): "f13306c753df3458",
     (31, 4, 29): "42ce6ca2a0ec7e94",
-    (31, 4, 30): "621649c3cd3f9f20",
+    (31, 4, 30): "73633d5a36374f4b",
     (31, 4, 31): "986ce04b1452f235",
     (32, 1, 0): "bd82d9eab6045a4a",
     (32, 2, 10): "9a31237a77e0fcf7",
     (32, 3, 20): "1a67010b5098249a",
     (32, 3, 21): "7db20aed7ab37c44",
     (32, 4, 30): "bf69ad84a0c1340d",
-    (32, 4, 31): "517c0cb10d813bf7",
+    (32, 4, 31): "45c186d47eb18681",
     (32, 4, 32): "0554ebbcf13c69cd",
     (5, 7, 10): "36ccac8e4be2c0b7",
     (3, 3, 1): "d75466058223601a",

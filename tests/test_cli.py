@@ -146,7 +146,7 @@ def test_ex_with_ell_dividing_n_builds_disjoint_cliques(tmp_path):
 
 def test_closed_form_requests_build(tmp_path, capsys):
     # K_6^(3) is the only saturated graph when n <= ell; a tight cycle
-    # serves m = n at ell = 4 without the n >= 16 sparse split
+    # serves m = n at ell = 4, and from n = 9 the sparse split serves n - 1
     for n, ell, m in (("6", "6", "20"), ("15", "4", "15")):
         out = tmp_path / f"w{n}.h3"
         assert run("build", "--n", n, "--ell", ell, "--m", m, "-o", str(out), "--quiet") == 0
@@ -155,14 +155,16 @@ def test_closed_form_requests_build(tmp_path, capsys):
     ranges = json.loads(capsys.readouterr().out)["ranges"]
     assert ranges[0]["lo"] == 0 and ranges[-1]["hi"] == 10
     assert [r["lo"] for r in ranges[1:]] == [r["hi"] + 1 for r in ranges[:-1]]
-    assert [r["status"] for r in ranges] == ["infeasible", "feasible", "unsupported", "feasible"]
+    assert [r["status"] for r in ranges] == ["infeasible", "feasible", "feasible", "feasible"]
 
 
-def test_l4_sparse_build_follows_seed_and_max_tries(tmp_path, capsys):
-    out = tmp_path / "w.h3"
-    assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--seed", "3",
-               "-o", str(out), "--quiet") == 0
-    assert read_h3(out.read_text()) == gadgets.l4_sparse(30, seed=3)
+def test_l4_sparse_build_ignores_seed_but_checks_max_tries(tmp_path, capsys):
+    outs = [tmp_path / f"w{seed}.h3" for seed in (0, 3)]
+    for seed, out in zip((0, 3), outs):
+        assert run("build", "--n", "30", "--ell", "4", "--m", "29", "--seed", str(seed),
+                   "-o", str(out), "--quiet") == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert read_h3(outs[0].read_text()) == gadgets.l4_sparse(30)
     # every build refuses a budget below 1, also when its plan samples nothing
     for n, ell, m in ((30, 4, 29), (4, 2, 1), (45, 5, 80), (30, 4, 28)):
         assert run("build", "--n", str(n), "--ell", str(ell), "--m", str(m),
@@ -176,7 +178,7 @@ def test_small_star_requests_sample_only_what_they_return(monkeypatch, capsys):
         raise AssertionError("sampled a graph the request does not return")
 
     monkeypatch.setattr(confmodel, "sample_linear", refuse)
-    for m, status in ((3000, assembler.OK), (2998, assembler.OK),
+    for m, status in ((3000, assembler.OK), (2999, assembler.OK), (2998, assembler.OK),
                       (5000, assembler.OUT_OF_RANGE)):
         assert assembler.build_spectrum_witness(3000, 4, m)[0].status == status
     assert run("spectrum", "--theory", "--n", "3000", "--ell", "4", "--quiet") == 0
@@ -650,6 +652,8 @@ with open(sys.argv[1], "w") as fh:
     pytest.param(["spectrum", "--exhaustive", "--n", "5", "--ell", "4"],
                  ["oracle"], id="spectrum-exhaustive"),
     pytest.param(["gadget", "--name", "lantern"], ["gadgets"], id="gadget"),
+    pytest.param(["gadget", "--name", "l4-sparse", "--n", "12"], ["gadgets"],
+                 id="gadget-l4-sparse"),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     for name, g in {"K5": _clique(5), "L5": gadgets.lantern(5)}.items():
