@@ -252,7 +252,8 @@ plan_upper = plan_lower
 
 
 # the fixed blocks compose sets beside ell-cliques, by ell: the first row,
-# all full, repeats, and the others join at most twice; a block joins as a row
+# all full, repeats, and the others join at most twice; a block joins as a row.
+# Each build, like W's, takes seed= and max_tries= and looks its gadget up when called
 _BESIDE = {5: (
     Block("lantern", 15, 23, 0, lambda **_: gadgets.lantern(5)),
     Block("sun", 6, 8, 0, lambda **_: gadgets.sun(5)),
@@ -379,7 +380,8 @@ def plan_witness(n, ell, m) -> Verdict:
         if need > n:
             detail = f"{name} needs n >= {need}, got n = {n}"
             return Verdict(UNSUPPORTED, detail, run=("unsupported", detail))
-        verdict = Verdict(OK, name, plan, ("feasible", name))
+        # an empty block (K_0 beside a matching or wrap cycle on all n) adds nothing
+        verdict = Verdict(OK, name, tuple(r for r in plan if r[0].vertices), ("feasible", name))
     else:
         detail = f"the spectrum for ell = {ell} on {n} vertices is in {sorted(table)}"
         return Verdict(BY_THEOREM, detail, run=("infeasible", detail))

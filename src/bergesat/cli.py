@@ -20,8 +20,8 @@ Exit codes are part of the interface and are kept apart deliberately:
     7  edge count outside the planned ranges, or too few vertices for its construction
     8  internal error: an invariant of the program failed (a bug)
 
-Artifacts are written atomically (temp file in the target directory,
-then rename), so a crashed run never leaves a half-written graph behind.
+Artifacts are written atomically (a hidden file opened beside the target,
+then renamed over it), so a crashed run never leaves a half-written graph.
 Every randomized command echoes the effective seed on its summary line.
 Files are read and written as UTF-8, whatever the locale.  The cyclic
 garbage collector is off while a command runs: the package's data is acyclic.
@@ -40,7 +40,6 @@ import json
 from math import comb
 import os
 import sys
-import tempfile
 
 # each command imports the layers it runs, so none pays for the others
 from . import hypercore
@@ -61,18 +60,15 @@ def _say(args, text):
 
 
 def _atomic_write(path, text):
-    folder = os.path.dirname(os.path.abspath(path))
+    # a short hidden name in the target's folder: path + a suffix can pass NAME_MAX
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(6).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".part")
+        fh = open(tmp, "x", encoding="utf-8")  # O_EXCL, mode 0o666 under the umask
     except OSError as exc:  # name the path asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -304,7 +300,6 @@ def _build_parser():
 
     def common(p, writes_graph=False):
         if writes_graph:
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--format", choices=("h3", "json"), default="h3")
             p.add_argument("-o", "--out", help="output graph file")
         p.add_argument("--report", help="also write a JSON report here")
@@ -319,6 +314,7 @@ def _build_parser():
                    help="ignored: the one clique-split planner needs no block "
                         "size; accepted so that older command lines still run")
     p.add_argument("--max-tries", type=int, default=hypercore.DEFAULT_MAX_TRIES)
+    p.add_argument("--seed", type=int, default=0)
     common(p, writes_graph=True)
     p.set_defaults(func=_cmd_build)
 
@@ -346,6 +342,7 @@ def _build_parser():
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--max-tries", type=int, default=hypercore.DEFAULT_MAX_TRIES)
+    p.add_argument("--seed", type=int, default=0)
     common(p, writes_graph=True)
     p.set_defaults(func=_cmd_sample_config)
 

@@ -33,7 +33,7 @@ from bergesat.assembler import (
     union_saturated,
 )
 from bergesat import assembler, gadgets
-from bergesat.checker import is_saturated
+from bergesat.checker import degree6_component_claim, is_saturated
 from bergesat.confmodel import SamplerBudgetError
 from bergesat.hypercore import (
     InternalError,
@@ -66,8 +66,9 @@ def runs_shape(plan):
 
 
 def assert_lawful_runs(plan):
-    """Each run holds at least one copy, and neighbouring runs differ in block."""
-    assert plan and all(copies >= 1 for _, copies in plan), runs_shape(plan)
+    """Each run holds at least one copy of a block on at least one vertex,
+    and neighbouring runs differ in block."""
+    assert plan and all(copies >= 1 and b.vertices >= 1 for b, copies in plan), runs_shape(plan)
     assert all(a[:4] != b[:4] for (a, _), (b, _) in zip(plan, plan[1:])), runs_shape(plan)
 
 
@@ -270,6 +271,7 @@ def test_every_m_from_sat_to_ex_is_built_or_refused(n, ell):
             continue
         assert g.vertex_count == n and len(g.edges) == m
         assert certified(g, ell), m
+        assert ell != 5 or degree6_component_claim(g), m
         certified_ms += 1
     assert certified_ms >= COVERAGE_FLOOR[(n, ell)]
 

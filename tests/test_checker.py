@@ -31,7 +31,7 @@ from bergesat.hypercore import (
     make,
     remove_edge,
 )
-from bergesat.oracle import berge_degree_matching
+from bergesat.oracle import berge_degree_matching, exhaustive_spectrum
 
 from conftest import small_3graphs, small_linear_3graphs
 
@@ -470,6 +470,10 @@ def test_degree6_component_claim_on_clique_unions():
     six = clique3(6)
     with pytest.raises(ValueError, match="saturated"):
         degree6_component_claim(six, report=is_saturated(six, 6))
+    # every witness the n <= 7 sweep stores at ell = 5, off 5 | n included
+    for n in (6, 7):
+        for m, g in exhaustive_spectrum(n, 5).witnesses.items():
+            assert degree6_component_claim(g), (n, m)
 
 
 def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():

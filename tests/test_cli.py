@@ -314,6 +314,24 @@ REPORTS = [
 ]
 
 
+# a matching (ell = 2) and a wrap cycle (ell = 3) on all n vertices: the
+# plan holds no empty K_0 run, and the witness keeps its pinned bytes
+FULL_CLOSED_FORMS = {
+    (12, 3, 8): ("wrap cycle", "62f9912755566e3060e2a4d2b93bb725c8573db4d7967b1d050e37a034e4d45a"),
+    (9, 2, 3): ("K_3", "e7c4ad543a191c62d2e4ef1c6149b31a3b632aa3e71f84c72c9e73702298c0b7"),
+}
+
+
+@pytest.mark.parametrize("n, ell, m", sorted(FULL_CLOSED_FORMS))
+def test_closed_form_reports_list_no_empty_block(tmp_path, n, ell, m):
+    out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
+    assert run("build", "--n", str(n), "--ell", str(ell), "--m", str(m),
+               "-o", str(out), "--report", str(rep), "--quiet") == 0
+    name, digest = FULL_CLOSED_FORMS[(n, ell, m)]
+    assert [b["name"] for b in json.loads(rep.read_text())["plan"]] == [name]
+    assert sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, fields", REPORTS, ids=[argv[0] for argv, _ in REPORTS])
 def test_every_command_writes_its_report(tmp_path, argv, fields):
     k5 = tmp_path / "K5"
@@ -503,6 +521,8 @@ def test_bad_arguments_are_usage_errors(tmp_path):
     assert run("verify", str(g), "--ell", "5", "--quiet") == 0
     assert run("verify", str(g), "--ell", "5", "--seed", "9", "--format", "json",
                "-o", str(out)) == 4
+    # every gadget is deterministic, so gadget takes no --seed
+    assert run("gadget", "--name", "lantern", "--seed", "1", "-o", str(out)) == 4
     assert not out.exists()
 
 
@@ -838,15 +858,25 @@ def test_block_of_the_wrong_size_is_an_internal_error(tmp_path, monkeypatch, cap
     assert "block K_5" in capsys.readouterr().err
 
 
-def test_artifacts_follow_the_umask(tmp_path):
-    out, rep = tmp_path / "w.h3", tmp_path / "rep.json"
+def _no_umask(mask):
+    raise AssertionError("a write read or set the process umask")
+
+
+def test_artifacts_follow_the_umask(tmp_path, monkeypatch):
+    # the mode comes from open() under the umask, so a write never calls os.umask
     umask = os.umask(0o022)
     try:
-        assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
-                   "-o", str(out), "--report", str(rep), "--quiet") == 0
+        for folder in (tmp_path / "a", tmp_path / "b"):
+            folder.mkdir()
+            out, rep = folder / "w.h3", folder / "rep.json"
+            assert run("build", "--n", "45", "--ell", "5", "--m", "63", "--seed", "1",
+                       "-o", str(out), "--report", str(rep), "--quiet") == 0
+            assert out.stat().st_mode & 0o777 == rep.stat().st_mode & 0o777 == 0o644
+            assert sorted(f.name for f in folder.iterdir()) == ["rep.json", "w.h3"]
+            monkeypatch.setattr(os, "umask", _no_umask)  # for the second build
     finally:
+        monkeypatch.undo()
         os.umask(umask)
-    assert out.stat().st_mode & 0o777 == rep.stat().st_mode & 0o777 == 0o644
 
 
 def test_unwritable_report_names_the_requested_path(tmp_path, capsys):
