@@ -168,24 +168,18 @@ def build_W(n, ell, k, i, seed=0, max_tries=DEFAULT_MAX_TRIES) -> Hypergraph3:
     edges.extend(combinations(cl, 3))
 
     if spec.t:
-        d0 = 15 * k
-        if spec.t == 1:
-            edges.append(tuple(sorted((d0, cl[0], cl[1]))))
-        else:
-            edges.append(tuple(sorted((d0, d0 + 1, cl[0]))))
+        d0 = spec.low
+        edges.append((d0, cl[0], cl[1]) if spec.t == 1 else (d0, d0 + 1, cl[0]))
 
     if i:
         e1, e2 = pair
+        edges.remove(e1)
         if i == 1:
-            edges.remove(e1)
             edges.remove(e2)
-            for p, q, anchor in zip(e1, e2, cl[:3]):
-                edges.append(tuple(sorted((p, q, anchor))))
+            edges.extend(zip(e1, e2, cl[:3]))
         else:
-            edges.remove(e1)
             anchors = [(cl[0], cl[1]), (cl[1], cl[2]), (cl[0], cl[2])]
-            for p, (u, v) in zip(e1, anchors):
-                edges.append(tuple(sorted((p, u, v))))
+            edges.extend((p, u, v) for p, (u, v) in zip(e1, anchors))
 
     return make(n, edges)
 
@@ -309,9 +303,9 @@ def _wrap_cycle(q) -> Block:
 
 
 def _tight_cycle(q) -> Block:
-    """The q triples of cyclically consecutive vertices; every d_B is 3."""
+    """The q triples of cyclically consecutive vertices (q >= 4 when built); every d_B is 3."""
     return Block("tight cycle", q, q, 0, lambda **_: make(
-        q, {tuple(sorted((j, (j + 1) % q, (j + 2) % q))) for j in range(q)}))
+        q, [(j, (j + 1) % q, (j + 2) % q) for j in range(q)]))
 
 
 # ell = 3 by n mod 3: (ex - m, the block beside the wrap cycle, its name)

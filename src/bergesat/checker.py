@@ -36,12 +36,13 @@ scan visits 16,038 of its 1.67e11 triples, about 0.06 s on a 2-core
 VM.  Both paths report the same verdict and the same lexicographically
 first counterexample.  For l = 5, `classify_link_5` names a link from
 its pairs, as `LinkPass.pairs` derives them, by the shape map of
-`twographs`, and `degree6_component_claim` checks the degree-6 claim.
+`twographs`, and `top_degree_component_claim` checks the top-degree claim.
 """
 
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations
+from math import comb
 from typing import NamedTuple
 
 from .hypercore import (
@@ -225,23 +226,24 @@ def classify_link_5(pairs) -> str:
     return twographs.shape_names().get(twographs.canonical_form(verts, pairs), "OTHER")
 
 
-def degree6_component_claim(g: Hypergraph3, report: VerifyReport | None = None) -> bool:
-    """Adjacent degree-6 vertices only inside 5-vertex, 10-edge components.
-
-    Precondition: g is Berge-K_{1,5}-saturated (verified here unless a
-    report is supplied).  A 5-vertex component with 10 edges is the
-    complete 3-graph on its vertices.
-    """
+def top_degree_component_claim(g: Hypergraph3, ell: int,
+                               report: VerifyReport | None = None) -> bool:
+    """Adjacent vertices of degree C(ell-1, 2), the most a free graph
+    allows, only inside ell-vertex, C(ell,3)-edge components, each the
+    complete 3-graph on its vertices: the paper's claim at ell >= 5 (at
+    ell = 4 a matching link reaches degree 3 too).  g must be
+    Berge-K_{1,ell}-saturated, verified here unless a report is supplied."""
     if report is None:
-        report = is_saturated(g, 5)
-    if report.ell != 5 or not report.is_saturated:
-        raise ValueError("claim requires a Berge-K_{1,5}-saturated input")
+        report = is_saturated(g, ell)
+    if report.ell != ell or not report.is_saturated:
+        raise ValueError(f"claim requires a Berge-K_{{1,{ell}}}-saturated input")
     # each edge {a, b, c} joins its vertices by the pairs {a, b} and {b, c},
-    # so a component with 10 edges counts 20 pairs
+    # so a component with C(ell,3) edges counts twice as many pairs
     pairs = [p for a, b, c in g.edges for p in ((a, b), (b, c))]
     label, size, held = component_counts(pairs)
     degree = Counter(chain.from_iterable(g.edges))
+    top = comb(ell - 1, 2)
     return all(
-        size[label[e[0]]] == 5 and held[label[e[0]]] == 20
-        for e in g.edges if sum(degree[x] == 6 for x in e) >= 2
+        size[label[e[0]]] == ell and held[label[e[0]]] == 2 * comb(ell, 3)
+        for e in g.edges if sum(degree[x] == top for x in e) >= 2
     )

@@ -1,8 +1,8 @@
 """Seeded generation of simple linear 3-graphs with prescribed degrees.
 
-The target degree sequence d(n, ell, k) puts 15k vertices at degree
-ell-5 (the lantern slots), t at degree ell-2 with t = n(ell-1) mod 3
-(so the degree sum is divisible by 3), and the rest at degree ell-1.
+The target degree sequence d(n, ell, k) puts DegreeSpec.low = 15k
+vertices (the lantern slots, ids 0..15k-1) at degree ell-5, t = n(ell-1)
+mod 3 at ell-2 (so the degree sum is divisible by 3), the rest at ell-1.
 A sample must be simple and linear (no loop, no two triples sharing a
 pair), its low-degree vertices must be pairwise non-adjacent, and, when
 asked, it must admit a disjoint pair of full-degree edges that no third
@@ -66,10 +66,15 @@ class DegreeSpec(NamedTuple):
     t: int
 
     @property
+    def low(self) -> int:
+        """15k, the count of lantern slots: ids 0..15k-1, at degree ell-5."""
+        return 15 * self.k
+
+    @property
     def blocks(self) -> tuple:
-        """(degree, size) in id order: 15k ids at ell-5, t at ell-2, the rest at ell-1."""
-        low = 15 * self.k
-        return ((self.ell - 5, low), (self.ell - 2, self.t), (self.ell - 1, self.n - low - self.t))
+        """(degree, size) in id order: the low ids at ell-5, t at ell-2, the rest at ell-1."""
+        return ((self.ell - 5, self.low), (self.ell - 2, self.t),
+                (self.ell - 1, self.n - self.low - self.t))
 
     def degree_array(self) -> list:
         return list(chain.from_iterable([d] * size for d, size in self.blocks))
@@ -97,17 +102,16 @@ def degree_spec(n: int, ell: int, k: int) -> DegreeSpec:
         raise ValueError(f"unsupported (ell={ell}, k={k}); need ell >= 5, or ell = 4 with k = 0")
     if not 0 <= k <= comb(ell, 3):
         raise ValueError(f"k = {k} outside [0, C({ell},3) = {comb(ell, 3)}]")
-    if 15 * k > n:
-        raise ValueError(f"15k = {15 * k} exceeds n = {n}")
-    t = (n * (ell - 1)) % 3
-    if 15 * k + t > n:
-        raise ValueError(f"degree blocks 15k + t = {15 * k + t} exceed n = {n}")
-    spec = DegreeSpec(n, ell, k, t)
+    spec = DegreeSpec(n, ell, k, (n * (ell - 1)) % 3)
+    if spec.low > n:
+        raise ValueError(f"15k = {spec.low} exceeds n = {n}")
+    if spec.low + spec.t > n:
+        raise ValueError(f"degree blocks 15k + t = {spec.low + spec.t} exceed n = {n}")
     # low vertices must end up pairwise non-adjacent, so each of the
     # 15k(ell-5) low incidences occupies a distinct edge
-    if spec.edge_count < 15 * k * (ell - 5):
+    if spec.edge_count < spec.low * (ell - 5):
         raise ValueError(
-            f"only {spec.edge_count} edges for {15 * k} pairwise non-adjacent "
+            f"only {spec.edge_count} edges for {spec.low} pairwise non-adjacent "
             f"vertices of degree {ell - 5}; the sequence is unrealizable"
         )
     return spec
@@ -200,11 +204,11 @@ def refusal(spec: DegreeSpec, require_pair=True):
     one fewer when v = 5 (mod 6) (Schonheim's bound, exact by Spencer).
     """
     n, ell, k = spec.n, spec.ell, spec.k
-    free_edges = spec.edge_count - 15 * k * (ell - 5)
+    free_edges = spec.edge_count - spec.low * (ell - 5)
     if require_pair and free_edges < 2:
         return (f"no disjoint full-degree edge pair is possible for (n={n}, ell={ell}, "
                 f"k={k}): only {free_edges} of its {spec.edge_count} edges can avoid the "
-                f"{15 * k} low-degree vertices")
+                f"{spec.low} low-degree vertices")
     active = spec.active
     d_max = max((d for d, size in spec.blocks if d > 0 and size), default=0)
     head = f"no simple linear realization of (n={n}, ell={ell}, k={k})"
@@ -228,7 +232,7 @@ def _sample_reject(spec, seed, max_tries, stats):
     pts = list(chain.from_iterable([v] * d for v, d in enumerate(spec.degree_array())))
     if len(pts) % 3:
         raise InternalError("degree sum not divisible by 3")
-    n, low = spec.n, 15 * spec.k
+    n, low = spec.n, spec.low
     rnd = random.Random(seed)
     for tries in range(1, max_tries + 1):
         rnd.shuffle(pts)
@@ -271,8 +275,7 @@ def _sample_hill(spec, seed, max_tries, stats):
     list index and no result depends on set order.
     """
     stats.repaired = True
-    n = spec.n
-    low = 15 * spec.k
+    n, low = spec.n, spec.low
     # rnd.choice(seq) draws as seq[rnd.randrange(len(seq))] does, with one _randbelow(len(seq))
     rnd = random.Random(seed)
     rd = spec.degree_array()
@@ -411,7 +414,7 @@ def _check_realizes(g: Hypergraph3, spec: DegreeSpec):
         raise ValueError(f"graph has {g.vertex_count} vertices, spec wants {spec.n}")
     degs = [0] * spec.n
     seen_pairs = set()
-    low = 15 * spec.k
+    low = spec.low
     for a, b, c in g.edges:
         if b < low:  # the edges are ascending, so a < b < 15k
             raise ValueError(f"low-degree vertices {a} and {b} share the edge {(a, b, c)}")

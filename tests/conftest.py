@@ -1,18 +1,28 @@
 """Shared helpers: hypothesis strategies for small 3-graphs, the
-certificate as a bool, and the small-star spectra the planner builds."""
+certificate and the top-degree claim as bools, and the small-star
+spectra the planner builds."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
+from math import comb
 
 from hypothesis import strategies as st
 
 from bergesat.assembler import build_spectrum_witness
-from bergesat.checker import is_saturated
+from bergesat.checker import is_saturated, top_degree_component_claim
 from bergesat.hypercore import Hypergraph3
 
 
 def certified(g, ell):
     rep = is_saturated(g, ell)
     return rep.is_free and rep.is_saturated
+
+
+def top_degree_claim_holds(g, ell):
+    """No degree above C(ell-1, 2), and top_degree_component_claim, on a
+    saturated g."""
+    degrees = Counter(chain.from_iterable(g.edges)).values()
+    return max(degrees, default=0) <= comb(ell - 1, 2) and top_degree_component_claim(g, ell)
 
 
 def small_star_spectrum(n, ell):

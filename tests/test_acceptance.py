@@ -20,8 +20,8 @@ from bergesat.assembler import (
 from bergesat.checker import (
     aggressive_sufficient,
     classify_link_5,
-    degree6_component_claim,
     is_saturated,
+    top_degree_component_claim,
 )
 from bergesat.gadgets import (
     broken_lantern,
@@ -300,7 +300,7 @@ def test_criterion_9_structural_claims(capsys):
         for tag, g in graphs.items():
             rep = is_saturated(g, 5)
             assert rep.is_saturated, tag
-            assert degree6_component_claim(g, rep), tag
+            assert top_degree_component_claim(g, 5, rep), tag
             checked_claim += 1
             lp = LinkPass(g.vertex_count, g.edges)
             for v, ps in enumerate(map(lp.pairs, range(g.vertex_count))):

@@ -15,8 +15,8 @@ from bergesat.checker import (
     _lifts,
     aggressive_sufficient,
     classify_link_5,
-    degree6_component_claim,
     is_saturated,
+    top_degree_component_claim,
 )
 from bergesat import checker, twographs
 from bergesat.confmodel import sample_linear
@@ -33,7 +33,7 @@ from bergesat.hypercore import (
 )
 from bergesat.oracle import berge_degree_matching, exhaustive_spectrum
 
-from conftest import small_3graphs, small_linear_3graphs
+from conftest import small_3graphs, small_linear_3graphs, top_degree_claim_holds
 
 
 def k5():
@@ -456,24 +456,31 @@ def test_link_classification_canonicalizes_only_the_sizes_of_shapes(monkeypatch)
         assert classify_link_5(pairs) == "OTHER"
 
 
-def test_degree6_component_claim_on_clique_unions():
+def test_top_degree_component_claim_on_clique_unions():
     g = disjoint_union(k5(), lantern(5))
-    assert degree6_component_claim(g)
+    assert top_degree_component_claim(g, 5)
     with pytest.raises(ValueError, match="saturated"):
-        degree6_component_claim(make(6, [(0, 1, 2)]))
+        top_degree_component_claim(make(6, [(0, 1, 2)]), 5)
     # the edge (0, 5, 6) puts the degree-6 pairs of K5 in a 7-vertex
     # component; the claim fails even when the report says saturated
     wide = make(7, k5().edges + ((0, 5, 6),))
-    assert not degree6_component_claim(wide, report=is_saturated(k5(), 5))
-    # a saturated report at another ell does not stand in for ell = 5:
+    assert not top_degree_component_claim(wide, 5, report=is_saturated(k5(), 5))
+    # a saturated report at another ell does not stand in for this one:
     # K_6^(3) is saturated at 6 but has Berge degree 5 everywhere
     six = clique3(6)
     with pytest.raises(ValueError, match="saturated"):
-        degree6_component_claim(six, report=is_saturated(six, 6))
-    # every witness the n <= 7 sweep stores at ell = 5, off 5 | n included
+        top_degree_component_claim(six, 5, report=is_saturated(six, 6))
+    # at ell = 6 the top degree is C(5, 2) = 10, which K_6^(3) reaches
+    assert top_degree_component_claim(disjoint_union(six, six), 6)
+    wide = make(8, six.edges + ((0, 6, 7),))
+    assert not top_degree_component_claim(wide, 6, report=is_saturated(six, 6))
+    # at ell = 4 a matching link reaches degree 3 as well, and the claim fails
+    assert not top_degree_component_claim(exhaustive_spectrum(5, 4).witnesses[5], 4)
+    # every witness the n <= 7 sweep stores at ell = 5, 6, off ell | n included
     for n in (6, 7):
-        for m, g in exhaustive_spectrum(n, 5).witnesses.items():
-            assert degree6_component_claim(g), (n, m)
+        for ell in (5, 6):
+            for m, g in exhaustive_spectrum(n, ell).witnesses.items():
+                assert top_degree_claim_holds(g, ell), (n, ell, m)
 
 
 def test_deficiency_twelve_is_achievable_with_the_k2_k13_link():
